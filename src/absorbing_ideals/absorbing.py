@@ -9,11 +9,24 @@ land in I) nor an element of I (any n factors including it land in I),
 so only sorted tuples of non-unit, non-ideal elements need checking.
 The first violation found in that order is the lexicographically least
 sorted witness, which keeps reports deterministic.
+
+The scan goes further and keeps one candidate per associate class
+{u*v : u a unit}, its least member in canonical order.  Multiplying a
+factor by a unit multiplies the full product and every drop-one
+product by that unit, and membership in I does not change under that.
+So replacing each factor of a violating sorted tuple by its class
+minimum leaves a violating tuple; sorted again, it is componentwise at
+most the original, hence lexicographically at most the original.  The
+least sorted witness is therefore made of class minima, and the
+lexicographic scan over class minima reaches it first.  The budget
+counts the multisets that scan visits, C(c+n, n+1) over the c class
+minima, and `tuples_scanned` reports how many it visited.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -108,15 +121,34 @@ def _violates(ring: Ring, ideal_values: frozenset, factors: tuple) -> bool:
 # the scan
 
 
-@lru_cache(maxsize=None)
-def _exhaustive_scan(ideal: Ideal, n: int):
-    """(holds, witness_values, multisets_scanned) for the full search."""
+def _scan_candidates(ideal: Ideal) -> tuple:
+    """Least member of each associate class among the non-unit elements
+    outside the ideal, in canonical order.
+
+    The associates of a candidate are candidates too: u*v in I would
+    put v = u^-1 * (u*v) in I.  Walking the values in canonical order,
+    each one not yet marked is the least of its class, and marking u*v
+    for every unit u covers that class.
+    """
     ring = ideal.ring
     units = ring.unit_values()
     members = ideal.element_values
-    candidates = [
-        v for v in ring.iter_values() if v not in units and v not in members
-    ]
+    mul = ring.mul_values
+    marked: set = set()
+    minima = []
+    for v in ring.iter_values():
+        if v in units or v in members or v in marked:
+            continue
+        minima.append(v)
+        marked.update(mul(u, v) for u in units)
+    return tuple(minima)
+
+
+@lru_cache(maxsize=None)
+def _exhaustive_scan(ideal: Ideal, n: int, candidates: tuple):
+    """(holds, witness_values, multisets_scanned) for the full search."""
+    ring = ideal.ring
+    members = ideal.element_values
     scanned = 0
     for factors in itertools.combinations_with_replacement(candidates, n + 1):
         scanned += 1
@@ -135,36 +167,38 @@ def is_n_absorbing(
 ) -> AbsorbingReport:
     """Decide whether the ideal is n-absorbing.
 
-    The exhaustive scan runs when |R|^(n+1) stays within `max_tuples`.
-    Past the cap a ResourceLimitError is raised unless `samples` asks
-    for a randomized scan instead; sampling draws that many uniform
-    tuples from R^(n+1) using `seed` (required) and can only ever refute
-    the property, so a sampled "holds" is evidence, not proof.
+    The exhaustive scan runs when its multiset count, C(c+n, n+1) over
+    the c associate-class minima that are candidates, stays within
+    `max_tuples`.  Past the cap a ResourceLimitError is raised unless
+    `samples` asks for a randomized scan instead; sampling draws that
+    many sorted (n+1)-multisets of those candidates using `seed`
+    (required) and can only ever refute the property, so a sampled
+    "holds" is evidence, not proof.
     """
     if n < 1:
         raise ValueError(f"the absorbing level must be at least 1, got {n}")
     if ideal.is_unit:
         raise ImproperIdealError("the absorbing property is defined for proper ideals")
-    nominal = ideal.ring.size ** (n + 1)
-    if nominal <= max_tuples:
-        holds, witness_values, scanned = _exhaustive_scan(ideal, n)
+    candidates = _scan_candidates(ideal)
+    multisets = math.comb(len(candidates) + n, n + 1)
+    if multisets <= max_tuples or not candidates:
+        holds, witness_values, scanned = _exhaustive_scan(ideal, n, candidates)
         witness = AbsorbingWitness(witness_values, n) if witness_values else None
         return AbsorbingReport(n, holds, "exhaustive", witness, scanned)
     if samples is None:
         raise ResourceLimitError(
-            f"scan of {nominal} tuples exceeds the cap {max_tuples}; "
+            f"scan of {multisets} multisets exceeds the cap {max_tuples}; "
             "pass samples= to fall back to randomized checking"
         )
     if seed is None:
         raise ValueError("sampled scans need an explicit seed for reproducibility")
     ring = ideal.ring
-    values = list(ring.iter_values())
     rng = random.Random(seed)
     members = ideal.element_values
     for drawn in range(1, samples + 1):
         factors = tuple(
             sorted(
-                (rng.choice(values) for _ in range(n + 1)),
+                (rng.choice(candidates) for _ in range(n + 1)),
                 key=ring.sort_key,
             )
         )

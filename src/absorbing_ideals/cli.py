@@ -83,13 +83,16 @@ class CommandConfig:
     trace_path: Optional[str] = None
 
 
-def _build(config: CommandConfig):
+def _build_ring(config: CommandConfig):
     if not config.ring:
         raise ParseError("a --ring spec is required")
     descriptor = parse_ring_spec(config.ring, max_size=config.max_ring_size)
-    ring = build_ring(descriptor, max_size=config.max_ring_size)
-    ideal = parse_ideal_text(ring, config.ideal)
-    return ring, ideal
+    return build_ring(descriptor, max_size=config.max_ring_size)
+
+
+def _build(config: CommandConfig):
+    ring = _build_ring(config)
+    return ring, parse_ideal_text(ring, config.ideal)
 
 
 def _scan_options(config: CommandConfig) -> dict:
@@ -212,7 +215,7 @@ def _run_corollaries(config: CommandConfig):
 
 
 def _run_trace(config: CommandConfig):
-    ring, _ = _build(config)
+    ring = _build_ring(config)
     if not config.gens:
         raise ParseError("--gens must list at least one generator")
     try:
@@ -344,7 +347,7 @@ def _add_common(parser: argparse.ArgumentParser, *, ring: bool) -> None:
         "--max-tuples",
         type=int,
         default=DEFAULT_MAX_TUPLES,
-        help="largest allowed exhaustive scan (default %(default)s)",
+        help="largest allowed exhaustive scan, in multisets (default %(default)s)",
     )
     parser.add_argument(
         "--samples",

@@ -233,20 +233,35 @@ class Ring:
     # derived helpers ---------------------------------------------------
 
     def unit_values(self) -> frozenset:
-        """Set of invertible element values (computed once, cached)."""
+        """Set of invertible element values (computed once, cached).
+
+        For k >= 1, a**k is a unit exactly when a is: ab = 1 gives
+        a**k b**k = 1, and a**k c = 1 gives a (a**(k-1) c) = 1.  So the
+        walk a, a**2, a**3, ... stops at the first element already
+        classified (the table starts with 1 a unit and 0 not), and that
+        element decides a and every power met on the way.  The powers of
+        a unit run through the finite unit group and reach 1 before they
+        repeat, so a walk that closes on itself without meeting a
+        classified element starts at a non-unit.  Each multiplication
+        classifies one new element, so at most |R| of them are needed.
+        """
         if self._units is None:
-            one = self.one_value
-            units: set = set()
-            vals = tuple(self.iter_values())
-            for a in vals:
-                if a in units:
+            mul = self.mul_values
+            # None marks an element on the walk in progress
+            status: dict = {self.one_value: True, self.zero_value: False}
+            for a in self.iter_values():
+                if a in status:
                     continue
-                for b in vals:
-                    if self.mul_values(a, b) == one:
-                        units.add(a)
-                        units.add(b)
-                        break
-            self._units = frozenset(units)
+                path = []
+                x = a
+                while x not in status:
+                    status[x] = None
+                    path.append(x)
+                    x = mul(x, a)
+                verdict = bool(status[x])
+                for y in path:
+                    status[y] = verdict
+            self._units = frozenset(v for v, unit in status.items() if unit)
         return self._units
 
     def product_of_values(self, values: Sequence):

@@ -190,13 +190,17 @@ def render_ring_spec(desc: RingDescriptor) -> str:
 
 
 def parse_ideal_text(ring: Ring, text: str) -> Ideal:
-    """Ideal from generator text: "(0)", "(2,3)", or a bare "2,3" list."""
+    """Ideal from generator text: "(0)", "(2,3)", or a bare "2,3" list.
+
+    "(0)", "()" and "" give the zero ideal on every ring kind, so the
+    text `Ideal.text()` writes for a zero ideal always reads back.
+    """
     if not isinstance(text, str):
         raise ParseError(f"ideal text must be text, got {type(text).__name__}")
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1].strip()
-    if not body:
+    if body in ("", "0"):
         return Ideal.zero(ring)
     try:
         values = [ring.parse_value(chunk) for chunk in split_top_level(body)]

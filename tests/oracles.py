@@ -18,6 +18,14 @@ def naive_product(ring, values):
     return out
 
 
+def naive_units(ring):
+    """Invertible elements: every a with some b making ab = 1."""
+    values = list(ring.iter_values())
+    return frozenset(
+        a for a in values if any(ring.mul_values(a, b) == ring.one_value for b in values)
+    )
+
+
 def naive_is_n_absorbing(ideal, n):
     """(holds, witness) by scanning every ordered (n+1)-tuple of R."""
     ring = ideal.ring

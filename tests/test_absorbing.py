@@ -284,3 +284,62 @@ def test_report_dicts_are_json_shaped():
     json.dumps(omega_payload)
     assert omega_payload["omega"] == 3
     assert set(omega_payload["levels"]) == {"1", "2", "3"}
+
+
+def _corpus_cases():
+    from absorbing_ideals import BUILTIN_CORPUS
+
+    for spec in BUILTIN_CORPUS:
+        size = build_ring(parse_ring_spec(spec)).size
+        levels = [n for n in (1, 2, 3) if size ** (n + 1) <= 5 * 10**4]
+        yield pytest.param(spec, levels, id=spec)
+
+
+@pytest.mark.parametrize("spec, levels", _corpus_cases())
+def test_class_minimum_scan_matches_oracle_on_corpus(spec, levels):
+    from absorbing_ideals import enumerate_ideals
+
+    ring = build_ring(parse_ring_spec(spec))
+    for ideal in enumerate_ideals(ring):
+        if ideal.is_unit:
+            continue
+        for n in levels:
+            report = is_n_absorbing(ideal, n)
+            expected, _ = naive_is_n_absorbing(ideal, n)
+            assert report.holds == expected, (spec, ideal.text(), n)
+            if not expected:
+                least = naive_sorted_witnesses(ideal, n)[0]
+                assert tuple(report.witness.elements) == least, (spec, ideal.text(), n)
+
+
+def test_budget_counts_class_minimum_multisets():
+    # the zero ideal of Z12 has candidates 2, 3, 4, 6 (10 ~ 2, 9 ~ 3, 8 ~ 4),
+    # so n = 2 scans C(6, 3) = 20 multisets
+    ring = build_ring(parse_ring_spec("Zmod:12"))
+    ideal = Ideal.zero(ring)
+    assert is_n_absorbing(ideal, 2, max_tuples=20).mode == "exhaustive"
+    with pytest.raises(ResourceLimitError, match="20 multisets"):
+        is_n_absorbing(ideal, 2, max_tuples=19)
+
+
+def test_sampled_scan_draws_class_minima():
+    ring = build_ring(parse_ring_spec("Zmod:12"))
+    ideal = Ideal.zero(ring)
+    witnesses = []
+    for seed in range(20):
+        report = is_n_absorbing(ideal, 2, max_tuples=10, samples=3, seed=seed)
+        assert report.mode == "sampled"
+        if report.witness is not None:
+            witnesses.append(report.witness.elements)
+    assert witnesses
+    assert all(set(w) <= {2, 3, 4, 6} for w in witnesses)
+
+
+def test_omega_of_zero_ideal_in_z64_at_level_six_is_exhaustive():
+    # 64^7 ordered tuples, but only C(11, 7) = 330 multisets of the
+    # class minima 2, 4, 8, 16, 32
+    ring = build_ring(parse_ring_spec("Zmod:64"))
+    result = omega(Ideal.zero(ring), cap=6)
+    assert result.value == 6
+    assert result.levels[6].mode == "exhaustive"
+    assert result.levels[6].tuples_scanned == 330

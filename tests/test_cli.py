@@ -195,6 +195,40 @@ def test_resource_limit_exit_3(capsys):
     assert payload["error"]["kind"] == "resource-limit"
 
 
+def test_omega_z64_cap_6_is_exhaustive_at_default_budget(capsys):
+    code, payload = run_cli(capsys, "omega", "--ring", "Zmod:64", "--cap", "6")
+    assert code == 0
+    report = payload["report"]
+    assert report["omega"] == 6
+    assert report["levels"]["6"]["mode"] == "exhaustive"
+
+
+def test_zero_ideal_default_on_product_ring(capsys):
+    code, payload = run_cli(
+        capsys, "check-absorbing", "--ring", "Product:[Zmod:2,Zmod:2]", "--n", "2"
+    )
+    assert code == 0
+    assert payload["ideal"] == "(0)"
+    assert payload["report"]["holds"] is True
+
+
+def test_trace_and_verify_on_polyquot_ring(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    code = main(
+        [
+            "trace",
+            "--ring", "PolyQuot:{p:2,poly:[0,0,1]}",
+            "--gens", "[0,1],[0,1]",
+            "--out", str(trace_path),
+        ]
+    )
+    capsys.readouterr()
+    assert code == 0
+    code, payload = run_cli(capsys, "verify-trace", str(trace_path))
+    assert code == 0
+    assert payload["ok"] is True
+
+
 def test_sampled_scan_needs_seed(capsys):
     code, payload = run_cli(
         capsys,

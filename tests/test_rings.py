@@ -1,5 +1,7 @@
 """Ring construction, canonical element order, and arithmetic laws."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from absorbing_ideals import (
     RingBuildError,
     ZMod,
     build_ring,
+    parse_ring_spec,
     quotient_ring,
 )
 from absorbing_ideals.rings import (
@@ -22,6 +25,8 @@ from absorbing_ideals.rings import (
     split_top_level,
     validate_descriptor,
 )
+from oracles import naive_units
+from test_absorbing import ORACLE_SPECS
 
 DESCRIPTOR_POOL = [
     ZMod(2),
@@ -259,3 +264,40 @@ def test_split_top_level():
     assert split_top_level("") == []
     with pytest.raises(ValueError):
         split_top_level("(1,")
+
+
+# ---------------------------------------------------------------------------
+# units
+
+
+# one ring of each kind with 64 to 512 elements
+UNIT_SPECS = [
+    "Zmod:360",
+    "PolyQuot:{p:3,poly:[0,0,0,0,1]}",
+    "Product:[Zmod:9,Zmod:12]",
+    "Quotient:{ring:Product:[Zmod:16,Zmod:16],gens:[(8,0)]}",
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS + UNIT_SPECS)
+def test_unit_values_match_oracle(spec):
+    ring = build_ring(parse_ring_spec(spec))
+    assert ring.unit_values() == naive_units(ring)
+
+
+@pytest.mark.parametrize("spec", UNIT_SPECS)
+def test_unit_values_make_at_most_two_multiplications_per_element(spec):
+    ring = copy.copy(build_ring(parse_ring_spec(spec)))
+    ring._units = None
+    calls = 0
+    mul = ring.mul_values
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    ring.mul_values = counting_mul
+    ring.unit_values()
+    assert 64 <= ring.size <= 512
+    assert calls <= 2 * ring.size

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from absorbing_ideals import (
+    Ideal,
     ParseError,
     PolyQuot,
     Product,
@@ -124,6 +125,25 @@ def test_parse_ideal_text_product_ring():
     assert ideal.element_values == frozenset({(0, 0), (0, 2)})
     two_gens = parse_ideal_text(ring, "((1,0),(0,2))")
     assert (1, 0) in two_gens.element_values
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "Zmod:12",
+        "PolyQuot:{p:2,poly:[0,0,1]}",
+        "Product:[Zmod:2,Zmod:4]",
+        "Quotient:{ring:PolyQuot:{p:2,poly:[0,0,0,1]},gens:[[0,0,1]]}",
+    ],
+)
+def test_zero_ideal_text_reads_back_on_every_ring_kind(spec):
+    ring = build_ring(parse_ring_spec(spec))
+    zero = Ideal.zero(ring)
+    assert zero.text() == "(0)"
+    for text in ("(0)", " ( 0 ) ", "0"):
+        parsed = parse_ideal_text(ring, text)
+        assert parsed == zero
+        assert parsed.text() == "(0)"
 
 
 def test_parse_ideal_text_rejects_garbage():
