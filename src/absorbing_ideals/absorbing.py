@@ -144,8 +144,7 @@ def _scan_candidates(ideal: Ideal) -> tuple:
     return tuple(minima)
 
 
-@lru_cache(maxsize=None)
-def _exhaustive_scan(ideal: Ideal, n: int, candidates: tuple):
+def _scan_multisets(ideal: Ideal, n: int, candidates: tuple):
     """(holds, witness_values, multisets_scanned) for the full search."""
     ring = ideal.ring
     members = ideal.element_values
@@ -155,6 +154,9 @@ def _exhaustive_scan(ideal: Ideal, n: int, candidates: tuple):
         if _violates(ring, members, factors):
             return False, factors, scanned
     return True, None, scanned
+
+
+_exhaustive_scan = lru_cache(maxsize=None)(_scan_multisets)
 
 
 def is_n_absorbing(
@@ -170,19 +172,34 @@ def is_n_absorbing(
     The exhaustive scan runs when its multiset count, C(c+n, n+1) over
     the c associate-class minima that are candidates, stays within
     `max_tuples`.  Past the cap a ResourceLimitError is raised unless
-    `samples` asks for a randomized scan instead; sampling draws that
-    many sorted (n+1)-multisets of those candidates using `seed`
-    (required) and can only ever refute the property, so a sampled
-    "holds" is evidence, not proof.
+    `samples` (at least 1) asks for a randomized scan instead; sampling
+    draws that many sorted (n+1)-multisets of those candidates using
+    `seed` (required) and can only ever refute the property, so a
+    sampled "holds" is evidence, not proof.  Exhaustive scans are cached
+    per process by (ideal, n).
     """
+    return _decide(ideal, n, _exhaustive_scan, max_tuples, samples, seed)
+
+
+def is_n_absorbing_uncached(
+    ideal: Ideal, n: int, *, max_tuples: int = DEFAULT_MAX_TUPLES
+) -> AbsorbingReport:
+    """`is_n_absorbing` without sampling and without the scan cache, for
+    a replay that must redo the search rather than inherit it."""
+    return _decide(ideal, n, _scan_multisets, max_tuples, None, None)
+
+
+def _decide(ideal, n, scan, max_tuples, samples, seed) -> AbsorbingReport:
     if n < 1:
         raise ValueError(f"the absorbing level must be at least 1, got {n}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if ideal.is_unit:
         raise ImproperIdealError("the absorbing property is defined for proper ideals")
     candidates = _scan_candidates(ideal)
     multisets = math.comb(len(candidates) + n, n + 1)
     if multisets <= max_tuples or not candidates:
-        holds, witness_values, scanned = _exhaustive_scan(ideal, n, candidates)
+        holds, witness_values, scanned = scan(ideal, n, candidates)
         witness = AbsorbingWitness(witness_values, n) if witness_values else None
         return AbsorbingReport(n, holds, "exhaustive", witness, scanned)
     if samples is None:

@@ -48,6 +48,7 @@ from .corpus import (
 from .errors import (
     HypothesisNotSatisfiedError,
     ImproperIdealError,
+    InvariantViolationError,
     LemmaPreconditionError,
     ParseError,
     ResourceLimitError,
@@ -244,7 +245,7 @@ def _run_trace(config: CommandConfig):
             "witness": _witness_payload(ring, exc.witness),
         }
         return 1, report
-    except (LemmaPreconditionError, TraceInconsistencyError) as exc:
+    except (LemmaPreconditionError, InvariantViolationError, TraceInconsistencyError) as exc:
         report["error"] = {"kind": "derivation", "message": str(exc)}
         return 1, report
     return 0, trace.to_json_dict()

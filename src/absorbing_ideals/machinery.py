@@ -13,6 +13,15 @@ and must already be zero; every image vector of the matrix has a zero
 coordinate; and a short walk through probe vectors then pins a zero on
 the diagonal, which equals the monomial value itself.
 
+The zero-coordinate property is certified without walking all |R|^m
+value vectors.  Row k of a shift matrix factors as d_k * g_j, where
+d_k is the monomial with one factor of variable k removed and g_j is
+the generator of column variable j.  So coordinate k of M*v is d_k * s
+with s = sum_j g_j v_j, and as v ranges over R^m, s ranges over exactly
+the ideal J = (g_1, ..., g_m) of the column generators.  Every image
+has a zero coordinate if and only if every s in J is killed by some
+d_k: a scan of |J| <= |R| elements instead of |R|^m vectors.
+
 Every inference is also recomputed by direct arithmetic as it is made,
 and the whole derivation is serialized as a trace that `verify_trace`
 can replay from nothing but the trace text.
@@ -25,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .absorbing import is_n_absorbing
+from .absorbing import is_n_absorbing, is_n_absorbing_uncached
 from .errors import (
     HypothesisNotSatisfiedError,
     InvariantViolationError,
@@ -42,7 +51,7 @@ from .monomials import (
     multidegree,
     total_degree,
 )
-from .rings import Ring, RingElement, build_ring
+from .rings import Ring, RingElement, build_ring, generated_ideal_values
 from .ringspec import parse_ring_spec, render_ring_spec
 
 DEFAULT_MAX_VECTORS = 10**6
@@ -226,7 +235,7 @@ class ProjectiveZeroResult:
     """Does every image vector of the matrix have a zero coordinate?"""
 
     holds: bool
-    mode: str  # "exhaustive" or "sampled"
+    mode: str  # "factored", "exhaustive" or "sampled"
     counterexample: Optional[tuple]
     vectors_checked: int
     samples: Optional[int] = None
@@ -234,6 +243,34 @@ class ProjectiveZeroResult:
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+def _factored_certificate(matrix: ShiftMatrix) -> Optional[ProjectiveZeroResult]:
+    """The factored check of a shift matrix, or None when it cannot certify.
+
+    It cannot when a row fails to factor as d_k times the column
+    generators, or when some element of J is killed by no d_k (then
+    the property fails).  `vectors_checked` counts the elements of J
+    checked, walked in canonical order.
+    """
+    ring = matrix.ring
+    mul = ring.mul_values
+    zero = ring.zero_value
+    column_gens = tuple(matrix.generator_values[v] for v in matrix.variables)
+    lowered = []
+    for k, vk in enumerate(matrix.variables):
+        reduced = list(matrix.base_monomial)
+        reduced[vk] -= 1
+        d_k = eval_monomial(ring, matrix.generator_values, reduced)
+        if matrix.rows[k] != tuple(mul(d_k, g) for g in column_gens):
+            return None
+        lowered.append(d_k)
+    checked = 0
+    for s in sorted(generated_ideal_values(ring, column_gens), key=ring.sort_key):
+        checked += 1
+        if all(mul(d_k, s) != zero for d_k in lowered):
+            return None
+    return ProjectiveZeroResult(True, "factored", None, checked)
 
 
 def is_projectively_zero(
@@ -245,11 +282,26 @@ def is_projectively_zero(
 ) -> ProjectiveZeroResult:
     """Check that M*v has a zero coordinate for every value vector v.
 
-    Exhaustive over all |R|^m vectors in canonical order while that
-    count stays within `max_vectors`, so the first counterexample found
-    is canonical.  Past the cap a ResourceLimitError is raised unless
-    `samples` (with a mandatory seed) selects randomized checking.
+    A ShiftMatrix is first checked in factored form (mode "factored"):
+    its rows are re-checked to factor as d_k * g_j, so coordinate k of
+    M*v is d_k * s with s = sum_j g_j v_j, and s ranges over exactly
+    the ideal J generated by the column generators.  The property holds
+    if and only if every s in J is killed by some d_k.  When the rows do
+    not factor, or the check fails, the vector scan below decides, so a
+    counterexample is always the canonical first vector.
+
+    The vector scan is exhaustive over all |R|^m vectors in canonical
+    order while that count stays within `max_vectors`, so the first
+    counterexample found is canonical.  Past the cap a
+    ResourceLimitError is raised unless `samples` (at least 1, with a
+    mandatory seed) selects randomized checking.
     """
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if isinstance(matrix, ShiftMatrix):
+        certificate = _factored_certificate(matrix)
+        if certificate is not None:
+            return certificate
     ring = matrix.ring
     zero = ring.zero_value
     nominal = ring.size ** matrix.m
@@ -465,10 +517,7 @@ def _matrix_step(
         raise LemmaPreconditionError(
             "matrix image misses a zero coordinate", vector=pz.counterexample
         )
-    pz_record: dict = {"method": pz.mode, "vectors_checked": pz.vectors_checked}
-    if pz.mode == "sampled":
-        pz_record["samples"] = pz.samples
-        pz_record["seed"] = pz.seed
+    pz_record = {"method": pz.mode, "vectors_checked": pz.vectors_checked}
 
     walk = find_zero_diagonal(matrix)
     if matrix.rows[walk.index][walk.index] != zero:
@@ -640,12 +689,16 @@ def _verify_matrix_step(
     if not isinstance(record, dict):
         fail(index, "projective-zero", "missing certification record")
         return
+    # the factored method re-checks the row factorization of the matrix
+    # rebuilt here; legacy records replay the plain vector scan
     method = record.get("method")
-    if method == "exhaustive":
+    if method == "factored":
         result = is_projectively_zero(matrix, max_vectors=max_vectors)
+    elif method == "exhaustive":
+        result = is_projectively_zero(SquareMatrix(ring, matrix.rows), max_vectors=max_vectors)
     elif method == "sampled":
         result = is_projectively_zero(
-            matrix,
+            SquareMatrix(ring, matrix.rows),
             max_vectors=0,
             samples=int(record.get("samples", 0)),
             seed=record.get("seed"),
@@ -655,6 +708,8 @@ def _verify_matrix_step(
         return
     if not result.holds:
         fail(index, "projective-zero", "replay found a vector with no zero coordinate")
+    elif result.mode != method:
+        fail(index, "projective-zero", f"replay certified by {result.mode}, not {method}")
     if result.vectors_checked != record.get("vectors_checked"):
         fail(index, "projective-zero", "vectors_checked does not match the replay")
 
@@ -719,7 +774,7 @@ def verify_trace(
         if not _is_nilpotent(ring, g):
             fail(None, "nilpotency", f"generator {ring.render_value(g)} is not nilpotent")
     try:
-        report = is_n_absorbing(Ideal.zero(ring), n, max_tuples=max_tuples)
+        report = is_n_absorbing_uncached(Ideal.zero(ring), n, max_tuples=max_tuples)
         if not report.holds:
             fail(None, "absorbing", f"the zero ideal is not {n}-absorbing")
     except ResourceLimitError as exc:

@@ -343,3 +343,10 @@ def test_omega_of_zero_ideal_in_z64_at_level_six_is_exhaustive():
     assert result.value == 6
     assert result.levels[6].mode == "exhaustive"
     assert result.levels[6].tuples_scanned == 330
+
+
+def test_sampled_scan_rejects_empty_sample_count():
+    ring = build_ring(parse_ring_spec("Zmod:12"))
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            is_n_absorbing(Ideal.zero(ring), 2, max_tuples=1, samples=samples, seed=1)

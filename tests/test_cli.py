@@ -325,3 +325,32 @@ def test_outputs_end_with_newline_and_sorted_keys(capsys):
     assert out.endswith("\n")
     payload = json.loads(out)
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_zero_sample_count_is_a_usage_error(capsys):
+    # the sampled scan would otherwise report holds with no draws, though
+    # 2,2,3 is a witness against the zero ideal of Z12 being 2-absorbing
+    code, payload = run_cli(
+        capsys,
+        "check-absorbing",
+        "--ring", "Zmod:12",
+        "--n", "2",
+        "--max-tuples", "1",
+        "--samples", "0",
+        "--seed", "1",
+    )
+    assert code == 2
+    assert payload["error"]["kind"] == "usage"
+
+
+def test_trace_invariant_violation_is_a_derivation_error(capsys, monkeypatch):
+    import absorbing_ideals.cli as cli
+    from absorbing_ideals import InvariantViolationError
+
+    def broken(*args, **kwargs):
+        raise InvariantViolationError("walk failed to stabilize")
+
+    monkeypatch.setattr(cli, "prove_radical_power_zero", broken)
+    code, payload = run_cli(capsys, "trace", "--ring", "Zmod:4", "--gens", "2,2")
+    assert code == 1
+    assert payload["error"] == {"kind": "derivation", "message": "walk failed to stabilize"}

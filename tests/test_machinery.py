@@ -171,6 +171,13 @@ def test_projective_zero_resource_gate():
     assert sampled.seed == 3
 
 
+def test_projective_zero_rejects_empty_sample_count():
+    ring = _ring("Zmod:6")
+    mat = SquareMatrix(ring, [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="samples"):
+        is_projectively_zero(mat, max_vectors=10, samples=0, seed=3)
+
+
 @settings(max_examples=60)
 @given(small_triangular_matrices())
 def test_walk_certifies_zero_diagonal_when_property_holds(mat):
