@@ -13,9 +13,14 @@ Subcommands:
 Exit codes:
 
     0   the checked property holds / the run completed
-    1   the property fails or a precondition fails (witness in the report)
-    2   bad usage: malformed spec, ideal, flags, or input files
-    3   an exhaustive scan would exceed its resource cap
+    1   the property fails, a hypothesis fails (error.kind "hypothesis",
+        witness in the report), or a derivation step breaks ("derivation")
+    2   bad usage ("usage"): malformed spec, ideal or flags, or a file
+        the user named that cannot be read or written
+    3   an exhaustive scan would exceed its resource cap ("resource-limit")
+
+Every failure is reported as a JSON document with an `error` object;
+`_ERRORS` is the one table from exception type to kind and exit code.
 
 Reports are JSON objects with sorted keys, two-space indentation, and a
 trailing newline; two runs with the same flags and seed are
@@ -28,10 +33,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .absorbing import (
+    DEFAULT_MAX_TUPLES,
+    DEFAULT_OMEGA_CAP,
     AbsorbingWitness,
     check_colon_chain,
     check_colons_two_absorbing,
@@ -41,18 +47,17 @@ from .absorbing import (
 )
 from .corpus import (
     BUILTIN_CORPUS,
+    DEFAULT_TRACE_LIMIT,
     battery_report,
     run_battery,
     trace_survey,
 )
 from .errors import (
     HypothesisNotSatisfiedError,
-    ImproperIdealError,
     InvariantViolationError,
     LemmaPreconditionError,
     ParseError,
     ResourceLimitError,
-    RingBuildError,
     TraceInconsistencyError,
 )
 from .machinery import prove_radical_power_zero, verify_trace
@@ -60,72 +65,77 @@ from .rings import DEFAULT_MAX_RING_SIZE, build_ring, split_top_level
 from .ringspec import parse_ideal_text, parse_ring_spec, render_ring_spec
 
 REPORT_SCHEMA = "absorbing-report/1"
-DEFAULT_MAX_TUPLES = 10**8
-DEFAULT_CORPUS_SAMPLES = 200
+DEFAULT_IDEAL = "(0)"
+
+# (exception classes, error.kind, exit code); the first matching row wins.
+# HypothesisNotSatisfiedError and LemmaPreconditionError are ValueErrors,
+# as are ParseError, RingBuildError and ImproperIdealError, so the usage
+# row comes last.  An OSError comes from a file the user named.
+_ERRORS = (
+    ((HypothesisNotSatisfiedError,), "hypothesis", 1),
+    ((LemmaPreconditionError, InvariantViolationError, TraceInconsistencyError), "derivation", 1),
+    ((ResourceLimitError,), "resource-limit", 3),
+    ((ValueError, OSError), "usage", 2),
+)
+_HANDLED = tuple(cls for classes, _, _ in _ERRORS for cls in classes)
 
 
-@dataclass
-class CommandConfig:
-    """All knobs for one invocation, independent of argparse."""
+class _Report(dict):
+    """The report a runner fills in as it goes.  `ring` is the ring it
+    built, kept to render the witness of a hypothesis failure."""
 
-    command: str
-    ring: Optional[str] = None
-    ideal: str = "(0)"
-    n: Optional[int] = None
-    cap: int = 4
-    gens: Optional[str] = None
-    seed: Optional[int] = None
-    samples: Optional[int] = None
-    max_ring_size: int = DEFAULT_MAX_RING_SIZE
-    max_tuples: int = DEFAULT_MAX_TUPLES
-    out: Optional[str] = None
-    manifest: Optional[str] = None
-    full_machinery: bool = False
-    trace_path: Optional[str] = None
+    ring = None
 
 
-def _build_ring(config: CommandConfig):
-    if not config.ring:
-        raise ParseError("a --ring spec is required")
-    descriptor = parse_ring_spec(config.ring, max_size=config.max_ring_size)
-    return build_ring(descriptor, max_size=config.max_ring_size)
+def _failure(exc: Exception, report: _Report) -> tuple[int, dict]:
+    """Exit code and error document for a run that raised `exc`.
 
-
-def _build(config: CommandConfig):
-    ring = _build_ring(config)
-    return ring, parse_ideal_text(ring, config.ideal)
-
-
-def _scan_options(config: CommandConfig) -> dict:
-    return {
-        "max_tuples": config.max_tuples,
-        "samples": config.samples,
-        "seed": config.seed,
+    A verdict (exit 1) keeps the ring and ideal the report already
+    names; usage and resource-limit errors report only the command.
+    """
+    kind, code = next((k, c) for classes, k, c in _ERRORS if isinstance(exc, classes))
+    error = {"kind": kind, "message": str(exc)}
+    if kind == "hypothesis":
+        error["hypothesis"] = exc.hypothesis
+        error["witness"] = _witness_payload(report.ring, exc.witness)
+    payload = dict(report) if code == 1 else {
+        "schema": REPORT_SCHEMA,
+        "command": report["command"],
     }
+    payload["error"] = error
+    return code, payload
 
 
 def _witness_payload(ring, witness) -> object:
     if witness is None:
         return None
+    if ring is None:
+        return repr(witness)
     if isinstance(witness, AbsorbingWitness):
         return witness.as_dict(ring)
     if isinstance(witness, tuple):
         return [ring.render_value(v) for v in witness]
-    try:
-        return ring.render_value(witness)
-    except Exception:
-        return repr(witness)
+    return ring.render_value(witness)
 
 
-def _base_report(config: CommandConfig, ring, ideal=None) -> dict:
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": config.command,
-        "ring": render_ring_spec(ring.descriptor),
-    }
-    if ideal is not None:
-        report["ideal"] = ideal.text()
-    return report
+def _build_ring(args, report: _Report):
+    if not args.ring:
+        raise ParseError("a --ring spec is required")
+    descriptor = parse_ring_spec(args.ring, max_size=args.max_ring_size)
+    report.ring = build_ring(descriptor, max_size=args.max_ring_size)
+    report["ring"] = render_ring_spec(report.ring.descriptor)
+    return report.ring
+
+
+def _build(args, report: _Report):
+    ring = _build_ring(args, report)
+    ideal = parse_ideal_text(ring, args.ideal)
+    report["ideal"] = ideal.text()
+    return ring, ideal
+
+
+def _scan_options(args) -> dict:
+    return {"max_tuples": args.max_tuples, "samples": args.samples, "seed": args.seed}
 
 
 def _load_manifest(path: str) -> list[str]:
@@ -143,71 +153,40 @@ def _load_manifest(path: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each takes the parsed arguments and the report to fill
+# in, and returns (exit code, JSON payload)
 
 
-def _run_check_absorbing(config: CommandConfig):
-    ring, ideal = _build(config)
-    if config.n is None or config.n < 1:
+def _run_check_absorbing(args, report: _Report):
+    ring, ideal = _build(args, report)
+    if args.n < 1:
         raise ParseError("--n must be a positive integer")
-    report = _base_report(config, ring, ideal)
-    try:
-        result = is_n_absorbing(ideal, config.n, **_scan_options(config))
-    except HypothesisNotSatisfiedError as exc:
-        report["error"] = {
-            "kind": "hypothesis",
-            "hypothesis": exc.hypothesis,
-            "message": str(exc),
-            "witness": _witness_payload(ring, exc.witness),
-        }
-        return 1, report
+    result = is_n_absorbing(ideal, args.n, **_scan_options(args))
     report["report"] = result.as_dict(ring)
     return (0 if result.holds else 1), report
 
 
-def _run_omega(config: CommandConfig):
-    ring, ideal = _build(config)
-    if config.cap < 1:
+def _run_omega(args, report: _Report):
+    ring, ideal = _build(args, report)
+    if args.cap < 1:
         raise ParseError("--cap must be a positive integer")
-    result = omega(ideal, config.cap, **_scan_options(config))
-    report = _base_report(config, ring, ideal)
-    report["report"] = result.as_dict(ring)
+    report["report"] = omega(ideal, args.cap, **_scan_options(args)).as_dict(ring)
     return 0, report
 
 
-def _run_radical_power(config: CommandConfig):
-    ring, ideal = _build(config)
-    if config.n is None or config.n < 1:
+def _run_radical_power(args, report: _Report):
+    _, ideal = _build(args, report)
+    if args.n < 1:
         raise ParseError("--n must be a positive integer")
-    report = _base_report(config, ring, ideal)
-    try:
-        result = check_radical_power(ideal, config.n, **_scan_options(config))
-    except HypothesisNotSatisfiedError as exc:
-        report["error"] = {
-            "kind": "hypothesis",
-            "hypothesis": exc.hypothesis,
-            "message": str(exc),
-            "witness": _witness_payload(ring, exc.witness),
-        }
-        return 1, report
+    result = check_radical_power(ideal, args.n, **_scan_options(args))
     report["report"] = result.as_dict()
     return (0 if result.holds else 1), report
 
 
-def _run_corollaries(config: CommandConfig):
-    ring, ideal = _build(config)
-    report = _base_report(config, ring, ideal)
-    try:
-        colons = check_colons_two_absorbing(ideal, **_scan_options(config))
-        chain = check_colon_chain(ideal, **_scan_options(config))
-    except HypothesisNotSatisfiedError as exc:
-        report["error"] = {
-            "kind": "hypothesis",
-            "hypothesis": exc.hypothesis,
-            "message": str(exc),
-            "witness": _witness_payload(ring, exc.witness),
-        }
-        return 1, report
+def _run_corollaries(args, report: _Report):
+    ring, ideal = _build(args, report)
+    colons = check_colons_two_absorbing(ideal, **_scan_options(args))
+    chain = check_colon_chain(ideal, **_scan_options(args))
     report["report"] = {
         "colons_two_absorbing": colons.as_dict(ring),
         "colon_chain": chain.as_dict(ring),
@@ -215,100 +194,51 @@ def _run_corollaries(config: CommandConfig):
     return (0 if colons.holds and chain.holds else 1), report
 
 
-def _run_trace(config: CommandConfig):
-    ring = _build_ring(config)
-    if not config.gens:
+def _run_trace(args, report: _Report):
+    ring = _build_ring(args, report)
+    if not args.gens:
         raise ParseError("--gens must list at least one generator")
-    try:
-        gen_values = [
-            ring.parse_value(chunk) for chunk in split_top_level(config.gens)
-        ]
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    report = _base_report(config, ring)
-    try:
-        trace = prove_radical_power_zero(
-            ring,
-            gen_values,
-            short_circuit=not config.full_machinery,
-            max_tuples=config.max_tuples,
-            samples=config.samples,
-            seed=config.seed,
-        )
-    except HypothesisNotSatisfiedError as exc:
-        report["error"] = {
-            "kind": "hypothesis",
-            "hypothesis": exc.hypothesis,
-            "message": str(exc),
-            "witness": _witness_payload(ring, exc.witness),
-        }
-        return 1, report
-    except (LemmaPreconditionError, InvariantViolationError, TraceInconsistencyError) as exc:
-        report["error"] = {"kind": "derivation", "message": str(exc)}
-        return 1, report
+    gen_values = [ring.parse_value(chunk) for chunk in split_top_level(args.gens)]
+    trace = prove_radical_power_zero(
+        ring,
+        gen_values,
+        short_circuit=not args.full_machinery,
+        **_scan_options(args),
+    )
     return 0, trace.to_json_dict()
 
 
-def _run_verify_trace(config: CommandConfig):
-    if not config.trace_path:
-        raise ParseError("a trace file path is required")
-    try:
-        with open(config.trace_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read trace file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"trace file is not valid JSON: {exc}") from None
+def _run_verify_trace(args, report: _Report):
+    with open(args.trace_path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
     result = verify_trace(
         document,
-        max_ring_size=config.max_ring_size,
-        max_tuples=config.max_tuples,
+        max_ring_size=args.max_ring_size,
+        max_tuples=args.max_tuples,
     )
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": config.command,
-        "trace": config.trace_path,
-        "ok": result.ok,
-        "failures": list(result.failures),
-    }
+    report.update(trace=args.trace_path, ok=result.ok, failures=list(result.failures))
     return (0 if result.ok else 1), report
 
 
-def _run_corpus_scan(config: CommandConfig):
-    specs = _load_manifest(config.manifest) if config.manifest else list(BUILTIN_CORPUS)
-    seed = 0 if config.seed is None else config.seed
-    limit = DEFAULT_CORPUS_SAMPLES if config.samples is None else config.samples
-    audits = run_battery(
-        specs,
-        cap=config.cap,
-        max_ring_size=config.max_ring_size,
-        max_tuples=config.max_tuples,
-    )
-    battery = battery_report(audits)
+def _run_corpus_scan(args, report: _Report):
+    if args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
+    specs = _load_manifest(args.manifest) if args.manifest else list(BUILTIN_CORPUS)
+    seed = 0 if args.seed is None else args.seed
+    limits = {"max_ring_size": args.max_ring_size, "max_tuples": args.max_tuples}
+    battery = battery_report(run_battery(specs, cap=args.cap, **limits))
     surveys = [
-        trace_survey(
-            spec,
-            seed=seed,
-            limit=limit,
-            cap=config.cap,
-            max_ring_size=config.max_ring_size,
-            max_tuples=config.max_tuples,
-        )
+        trace_survey(spec, seed=seed, limit=args.samples, cap=args.cap, **limits)
         for spec in specs
     ]
-    surveys_ok = all(s.get("failed", 0) == 0 for s in surveys)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": config.command,
-        "seed": seed,
-        "cap": config.cap,
-        "trace_limit": limit,
-        "battery": battery,
-        "trace_surveys": surveys,
-        "ok": battery["ok"] and surveys_ok,
-    }
+    report.update(
+        seed=seed,
+        cap=args.cap,
+        trace_limit=args.samples,
+        battery=battery,
+        trace_surveys=surveys,
+        ok=battery["ok"] and all(s.get("failed", 0) == 0 for s in surveys),
+    )
     return (0 if report["ok"] else 1), report
 
 
@@ -323,21 +253,19 @@ _RUNNERS = {
 }
 
 
-def execute(config: CommandConfig):
-    """Run one command; returns (exit code, JSON payload)."""
-    runner = _RUNNERS.get(config.command)
-    if runner is None:
-        raise ParseError(f"unknown command {config.command!r}")
-    return runner(config)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser, *, ring: bool) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, *, ring: bool, ideal: bool = False, samples: bool = True
+) -> None:
     if ring:
         parser.add_argument("--ring", required=True, help="ring spec, e.g. Zmod:12")
+    if ideal:
+        parser.add_argument(
+            "--ideal", default=DEFAULT_IDEAL, help='generator list, e.g. "(2,3)"'
+        )
     parser.add_argument(
         "--max-ring-size",
         type=int,
@@ -350,14 +278,24 @@ def _add_common(parser: argparse.ArgumentParser, *, ring: bool) -> None:
         default=DEFAULT_MAX_TUPLES,
         help="largest allowed exhaustive scan, in multisets (default %(default)s)",
     )
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="randomized fallback size for scans over the cap",
-    )
+    if samples:
+        parser.add_argument(
+            "--samples",
+            type=int,
+            default=None,
+            help="randomized fallback size for scans over the cap",
+        )
     parser.add_argument("--seed", type=int, default=None, help="seed for sampling")
     parser.add_argument("--out", default=None, help="write the JSON output to this file")
+
+
+def _add_cap(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_OMEGA_CAP,
+        help="largest level to try (default %(default)s)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,23 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-absorbing", help="decide whether an ideal is n-absorbing")
-    _add_common(p, ring=True)
-    p.add_argument("--ideal", default="(0)", help='generator list, e.g. "(2,3)"')
+    _add_common(p, ring=True, ideal=True)
     p.add_argument("--n", type=int, required=True, help="absorbing level to test")
 
     p = sub.add_parser("omega", help="least absorbing level up to a cap")
-    _add_common(p, ring=True)
-    p.add_argument("--ideal", default="(0)", help='generator list, e.g. "(2,3)"')
-    p.add_argument("--cap", type=int, default=4, help="largest level to try (default 4)")
+    _add_common(p, ring=True, ideal=True)
+    _add_cap(p)
 
     p = sub.add_parser("radical-power", help="radical power bound at level n")
-    _add_common(p, ring=True)
-    p.add_argument("--ideal", default="(0)", help='generator list, e.g. "(2,3)"')
+    _add_common(p, ring=True, ideal=True)
     p.add_argument("--n", type=int, required=True, help="absorbing level to use")
 
     p = sub.add_parser("corollaries", help="colon ideal consequences")
-    _add_common(p, ring=True)
-    p.add_argument("--ideal", default="(0)", help='generator list, e.g. "(2,3)"')
+    _add_common(p, ring=True, ideal=True)
 
     p = sub.add_parser("trace", help="emit a derivation trace")
     _add_common(p, ring=True)
@@ -404,8 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ring=False)
 
     p = sub.add_parser("corpus-scan", help="battery and trace survey over a corpus")
-    _add_common(p, ring=False)
-    p.add_argument("--cap", type=int, default=4, help="largest level to try (default 4)")
+    _add_common(p, ring=False, samples=False)
+    _add_cap(p)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=DEFAULT_TRACE_LIMIT,
+        help="largest trace survey per ring, in generator tuples (default %(default)s)",
+    )
     p.add_argument(
         "--manifest",
         default=None,
@@ -415,85 +355,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CommandConfig:
-    return CommandConfig(
-        command=args.command,
-        ring=getattr(args, "ring", None),
-        ideal=getattr(args, "ideal", "(0)"),
-        n=getattr(args, "n", None),
-        cap=getattr(args, "cap", 4),
-        gens=getattr(args, "gens", None),
-        seed=args.seed,
-        samples=args.samples,
-        max_ring_size=args.max_ring_size,
-        max_tuples=args.max_tuples,
-        out=args.out,
-        manifest=getattr(args, "manifest", None),
-        full_machinery=getattr(args, "full_machinery", False),
-        trace_path=getattr(args, "trace_path", None),
-    )
-
-
-def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(payload: dict, stream) -> None:
+    stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    args = build_parser().parse_args(argv)
+    report = _Report(schema=REPORT_SCHEMA, command=args.command)
     try:
-        code, payload = execute(config)
-    except HypothesisNotSatisfiedError as exc:
-        _emit(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": config.command,
-                "error": {
-                    "kind": "hypothesis",
-                    "hypothesis": exc.hypothesis,
-                    "message": str(exc),
-                },
-            },
-            config.out,
-        )
-        return 1
-    except (ParseError, RingBuildError, ImproperIdealError) as exc:
-        _emit(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": config.command,
-                "error": {"kind": "usage", "message": str(exc)},
-            },
-            config.out,
-        )
-        return 2
-    except ValueError as exc:
-        _emit(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": config.command,
-                "error": {"kind": "usage", "message": str(exc)},
-            },
-            config.out,
-        )
-        return 2
-    except ResourceLimitError as exc:
-        _emit(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": config.command,
-                "error": {"kind": "resource-limit", "message": str(exc)},
-            },
-            config.out,
-        )
-        return 3
-    _emit(payload, config.out)
+        code, payload = _RUNNERS[args.command](args, report)
+    except _HANDLED as exc:
+        code, payload = _failure(exc, report)
+    try:
+        stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        # the file cannot take the document, so stdout gets the error
+        stream = sys.stdout
+        code, payload = _failure(exc, report)
+    _emit(payload, stream)
+    if stream is not sys.stdout:
+        stream.close()
     return code
 
 

@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .absorbing import (
+    DEFAULT_OMEGA_CAP,
     check_colon_chain,
     check_colons_two_absorbing,
+    check_element_power,
     check_quotient_reduction,
+    check_radical_power,
     is_n_absorbing,
     omega,
 )
@@ -39,7 +42,7 @@ from .machinery import (
     prove_radical_power_zero,
     verify_trace,
 )
-from .rings import build_ring
+from .rings import DEFAULT_MAX_RING_SIZE, build_ring
 from .ringspec import parse_ring_spec, render_ring_spec
 
 BUILTIN_CORPUS: tuple[str, ...] = tuple(
@@ -54,7 +57,7 @@ BUILTIN_CORPUS: tuple[str, ...] = tuple(
     ]
 )
 
-DEFAULT_BATTERY_CAP = 4
+DEFAULT_TRACE_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ class RingAudit:
         }
 
 
-def audit_ideal(ideal: Ideal, cap: int = DEFAULT_BATTERY_CAP, **scan_options) -> IdealAudit:
+def audit_ideal(ideal: Ideal, cap: int = DEFAULT_OMEGA_CAP, **scan_options) -> IdealAudit:
     """Run the full per-ideal check list; the unit ideal is only noted."""
     ring = ideal.ring
     if ideal.is_unit:
@@ -167,15 +170,14 @@ def audit_ideal(ideal: Ideal, cap: int = DEFAULT_BATTERY_CAP, **scan_options) ->
     )
     omega_value = next((n for n in range(1, cap + 1) if reports[n].holds), None)
 
-    rad = radical(ideal)
     radical_power_ok = element_power_ok = sharp = None
-    if omega_value is not None:
-        power = ideal_power(rad, omega_value)
-        radical_power_ok = power.element_values <= ideal.element_values
-        element_power_ok = all(
-            ring.pow_value(x, omega_value) in ideal.element_values
-            for x in rad.element_values
-        )
+    if omega_value is None:
+        rad = radical(ideal)
+    else:
+        power_report = check_radical_power(ideal, omega_value, **scan_options)
+        rad = power_report.radical
+        radical_power_ok = power_report.holds
+        element_power_ok = check_element_power(ideal, omega_value, **scan_options).holds
         if omega_value > 1:
             lower = ideal_power(rad, omega_value - 1)
             sharp = not lower.element_values <= ideal.element_values
@@ -217,8 +219,8 @@ def audit_ideal(ideal: Ideal, cap: int = DEFAULT_BATTERY_CAP, **scan_options) ->
 
 def run_ring_audit(
     spec_text: str,
-    cap: int = DEFAULT_BATTERY_CAP,
-    max_ring_size: int = 4096,
+    cap: int = DEFAULT_OMEGA_CAP,
+    max_ring_size: int = DEFAULT_MAX_RING_SIZE,
     **scan_options,
 ) -> RingAudit:
     descriptor = parse_ring_spec(spec_text, max_size=max_ring_size)
@@ -235,8 +237,8 @@ def run_ring_audit(
 
 def run_battery(
     specs: Sequence[str] = BUILTIN_CORPUS,
-    cap: int = DEFAULT_BATTERY_CAP,
-    max_ring_size: int = 4096,
+    cap: int = DEFAULT_OMEGA_CAP,
+    max_ring_size: int = DEFAULT_MAX_RING_SIZE,
     **scan_options,
 ) -> list[RingAudit]:
     return [run_ring_audit(s, cap, max_ring_size, **scan_options) for s in specs]
@@ -257,10 +259,10 @@ def trace_survey(
     spec_text: str,
     *,
     seed: int = 0,
-    limit: int = 200,
-    cap: int = DEFAULT_BATTERY_CAP,
+    limit: int = DEFAULT_TRACE_LIMIT,
+    cap: int = DEFAULT_OMEGA_CAP,
     short_circuit: bool = True,
-    max_ring_size: int = 4096,
+    max_ring_size: int = DEFAULT_MAX_RING_SIZE,
     **prove_options,
 ) -> dict:
     """Generate and replay derivation traces for one ring's zero ideal.
@@ -270,6 +272,8 @@ def trace_survey(
     Every trace must replay cleanly, and the radical power identity is
     cross-checked by plain ideal arithmetic.
     """
+    if limit < 1:
+        raise ValueError(f"the trace limit must be at least 1, got {limit}")
     descriptor = parse_ring_spec(spec_text, max_size=max_ring_size)
     ring = build_ring(descriptor, max_size=max_ring_size)
     spec = render_ring_spec(ring.descriptor)
@@ -340,7 +344,7 @@ def zero_diagonal_survey(
     feasibility: int = 10**6,
     sample_size: int = 10**4,
     seed: int = 0,
-    max_ring_size: int = 4096,
+    max_ring_size: int = DEFAULT_MAX_RING_SIZE,
 ) -> dict:
     """Stress the diagonal walk on upper triangular m x m matrices.
 

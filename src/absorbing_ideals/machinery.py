@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .absorbing import is_n_absorbing, is_n_absorbing_uncached
+from .absorbing import DEFAULT_MAX_TUPLES, is_n_absorbing, is_n_absorbing_uncached
 from .errors import (
     HypothesisNotSatisfiedError,
     InvariantViolationError,
@@ -51,7 +51,13 @@ from .monomials import (
     multidegree,
     total_degree,
 )
-from .rings import Ring, RingElement, build_ring, generated_ideal_values
+from .rings import (
+    DEFAULT_MAX_RING_SIZE,
+    Ring,
+    RingElement,
+    build_ring,
+    generated_ideal_values,
+)
 from .ringspec import parse_ring_spec, render_ring_spec
 
 DEFAULT_MAX_VECTORS = 10**6
@@ -549,7 +555,7 @@ def prove_radical_power_zero(
     generators: Sequence,
     *,
     short_circuit: bool = True,
-    max_tuples: int = 10**8,
+    max_tuples: int = DEFAULT_MAX_TUPLES,
     max_vectors: int = DEFAULT_MAX_VECTORS,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
@@ -725,8 +731,8 @@ def _verify_matrix_step(
 def verify_trace(
     trace,
     *,
-    max_ring_size: int = 4096,
-    max_tuples: int = 10**8,
+    max_ring_size: int = DEFAULT_MAX_RING_SIZE,
+    max_tuples: int = DEFAULT_MAX_TUPLES,
     max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> VerificationResult:
     """Replay a trace from its own text, trusting nothing in it.

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -706,23 +705,22 @@ def validate_descriptor(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_S
         raise RingBuildError(f"ring size {size} exceeds the cap {max_size}")
 
 
-@lru_cache(maxsize=None)
-def _build_ring_cached(desc: RingDescriptor, max_size: int) -> Ring:
+def build_ring(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> Ring:
+    """Materialize a descriptor, enforcing the element count cap.
+
+    Every call builds a fresh ring, so a caller that must redo work (the
+    trace verifier, for one) never inherits another caller's unit table.
+    """
     validate_descriptor(desc, max_size)
     if isinstance(desc, ZMod):
         return ZModRing(desc.n)
     if isinstance(desc, PolyQuot):
         return PolyQuotRing(desc.p, desc.modulus)
     if isinstance(desc, Product):
-        return ProductRing([_build_ring_cached(f, max_size) for f in desc.factors])
-    base = _build_ring_cached(desc.base, max_size)
+        return ProductRing([build_ring(f, max_size) for f in desc.factors])
+    base = build_ring(desc.base, max_size)
     ideal_values = generated_ideal_values(base, desc.generators)
     return QuotientRing(base, ideal_values)
-
-
-def build_ring(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> Ring:
-    """Materialize a descriptor, enforcing the element count cap."""
-    return _build_ring_cached(desc, max_size)
 
 
 def quotient_ring(ring: Ring, ideal) -> QuotientRing:

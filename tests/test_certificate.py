@@ -204,3 +204,22 @@ def test_verifier_does_not_reuse_the_provers_scan_cache():
     hits = _exhaustive_scan.cache_info().hits
     assert verify_trace(trace).ok
     assert _exhaustive_scan.cache_info().hits == hits
+
+
+def test_verifier_builds_its_own_ring(monkeypatch):
+    import absorbing_ideals.machinery as machinery
+
+    prover_ring, trace = _prove("Zmod:27", ["3", "3", "3"])
+    assert prover_ring._units is not None  # the prover's scan filled it
+    build_ring, built = machinery.build_ring, []
+
+    def recording_build_ring(*args, **kwargs):
+        ring = build_ring(*args, **kwargs)
+        built.append((ring, ring._units))
+        return ring
+
+    monkeypatch.setattr(machinery, "build_ring", recording_build_ring)
+    assert verify_trace(trace).ok
+    [(verifier_ring, units_at_entry)] = built
+    assert verifier_ring is not prover_ring
+    assert units_at_entry is None

@@ -7,6 +7,16 @@ import sys
 import pytest
 
 from absorbing_ideals.cli import main
+from absorbing_ideals.errors import (
+    HypothesisNotSatisfiedError,
+    ImproperIdealError,
+    InvariantViolationError,
+    LemmaPreconditionError,
+    ParseError,
+    ResourceLimitError,
+    RingBuildError,
+    TraceInconsistencyError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -354,3 +364,122 @@ def test_trace_invariant_violation_is_a_derivation_error(capsys, monkeypatch):
     code, payload = run_cli(capsys, "trace", "--ring", "Zmod:4", "--gens", "2,2")
     assert code == 1
     assert payload["error"] == {"kind": "derivation", "message": "walk failed to stabilize"}
+
+
+def test_missing_manifest_is_a_usage_error(tmp_path, capsys):
+    code, payload = run_cli(
+        capsys, "corpus-scan", "--manifest", str(tmp_path / "missing.json")
+    )
+    assert code == 2
+    assert payload["error"]["kind"] == "usage"
+    assert "missing.json" in payload["error"]["message"]
+
+
+def test_unwritable_out_reports_the_error_on_stdout(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "x.json"
+    code, payload = run_cli(
+        capsys, "check-absorbing", "--ring", "Zmod:12", "--n", "1", "--out", str(out)
+    )
+    assert code == 2
+    assert payload["error"]["kind"] == "usage"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_corpus_scan_refuses_samples_below_one(samples, capsys):
+    code, payload = run_cli(capsys, "corpus-scan", "--samples", samples)
+    assert code == 2
+    assert payload["error"]["kind"] == "usage"
+    assert "--samples" in payload["error"]["message"]
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+_ERROR_CASES = [
+    (HypothesisNotSatisfiedError, ("nilpotent-generators",), "hypothesis", 1),
+    (LemmaPreconditionError, ("no zero coordinate",), "derivation", 1),
+    (InvariantViolationError, ("walk failed to stabilize",), "derivation", 1),
+    (TraceInconsistencyError, ("step contradicts arithmetic",), "derivation", 1),
+    (ResourceLimitError, ("scan exceeds the cap",), "resource-limit", 3),
+    (ParseError, ("bad text",), "usage", 2),
+    (RingBuildError, ("bad ring",), "usage", 2),
+    (ImproperIdealError, ("not proper",), "usage", 2),
+    (ValueError, ("bad value",), "usage", 2),
+    (FileNotFoundError, (2, "No such file or directory", "x.json"), "usage", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "error_class, error_args, kind, exit_code",
+    _ERROR_CASES,
+    ids=[case[0].__name__ for case in _ERROR_CASES],
+)
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["trace", "--ring", "Zmod:4", "--gens", "2,2"], "prove_radical_power_zero"),
+        (["corpus-scan", "--manifest", "MANIFEST"], "run_battery"),
+    ],
+    ids=["trace", "corpus-scan"],
+)
+def test_every_error_maps_to_its_kind_and_exit_code(
+    argv, target, error_class, error_args, kind, exit_code, tmp_path, capsys, monkeypatch
+):
+    import absorbing_ideals.cli as cli
+
+    manifest = tmp_path / "rings.json"
+    manifest.write_text(json.dumps(["Zmod:4"]))
+    argv = [str(manifest) if a == "MANIFEST" else a for a in argv]
+    error = error_class(*error_args)
+    monkeypatch.setattr(cli, target, _raise(error))
+    code = main(argv)
+    payload = json.loads(capsys.readouterr().out)  # exactly one document
+    assert code == exit_code
+    assert payload["command"] == argv[0]
+    assert payload["error"]["kind"] == kind
+    assert payload["error"]["message"] == str(error)
+
+
+def test_parser_defaults_are_the_library_constants(monkeypatch):
+    import inspect
+
+    import absorbing_ideals.cli as cli
+    from absorbing_ideals import absorbing, corpus, machinery, rings
+
+    homes = {  # parser option -> (constant, the module that defines it)
+        "max_tuples": ("DEFAULT_MAX_TUPLES", absorbing),
+        "max_ring_size": ("DEFAULT_MAX_RING_SIZE", rings),
+        "cap": ("DEFAULT_OMEGA_CAP", absorbing),
+        "samples": ("DEFAULT_TRACE_LIMIT", corpus),
+        "ideal": ("DEFAULT_IDEAL", cli),
+    }
+    stand_ins = {}
+    for option, (name, home) in homes.items():
+        assert getattr(cli, name) is getattr(home, name)
+        # a stand-in shows the parser reads the name, not a copied literal
+        stand_ins[option] = object()
+        monkeypatch.setattr(cli, name, stand_ins[option])
+    parse = cli.build_parser().parse_args
+    for argv, options in [
+        (["check-absorbing", "--ring", "Zmod:8", "--n", "1"], ["max_tuples", "max_ring_size", "ideal"]),
+        (["omega", "--ring", "Zmod:8"], ["max_tuples", "max_ring_size", "cap", "ideal"]),
+        (["radical-power", "--ring", "Zmod:8", "--n", "1"], ["ideal"]),
+        (["corollaries", "--ring", "Zmod:8"], ["ideal"]),
+        (["trace", "--ring", "Zmod:8", "--gens", "2"], ["max_tuples", "max_ring_size"]),
+        (["verify-trace", "t.json"], ["max_tuples", "max_ring_size"]),
+        (["corpus-scan"], ["max_tuples", "max_ring_size", "cap", "samples"]),
+    ]:
+        args = parse(argv)
+        for option in options:
+            assert getattr(args, option) is stand_ins[option], (argv[0], option)
+    # the library functions the CLI calls default to the same constants
+    verify = inspect.signature(machinery.verify_trace).parameters
+    assert verify["max_tuples"].default is absorbing.DEFAULT_MAX_TUPLES
+    assert verify["max_ring_size"].default is rings.DEFAULT_MAX_RING_SIZE
+    battery = inspect.signature(corpus.run_battery).parameters
+    assert battery["max_ring_size"].default is rings.DEFAULT_MAX_RING_SIZE
