@@ -176,27 +176,36 @@ def is_n_absorbing(
     draws that many sorted (n+1)-multisets of those candidates using
     `seed` (required) and can only ever refute the property, so a
     sampled "holds" is evidence, not proof.  Exhaustive scans are cached
-    per process by (ideal, n).
+    per process by (ideal, n); the candidates are kept on the ideal
+    instance, so a cached scan costs no unit multiplications.
     """
-    return _decide(ideal, n, _exhaustive_scan, max_tuples, samples, seed)
+    return _decide(ideal, n, _exhaustive_scan, _kept_candidates, max_tuples, samples, seed)
 
 
 def is_n_absorbing_uncached(
     ideal: Ideal, n: int, *, max_tuples: int = DEFAULT_MAX_TUPLES
 ) -> AbsorbingReport:
-    """`is_n_absorbing` without sampling and without the scan cache, for
-    a replay that must redo the search rather than inherit it."""
-    return _decide(ideal, n, _scan_multisets, max_tuples, None, None)
+    """`is_n_absorbing` without sampling, without the scan cache and
+    without candidates kept on the ideal, for a replay that must redo
+    the search rather than inherit it."""
+    return _decide(ideal, n, _scan_multisets, _scan_candidates, max_tuples, None, None)
 
 
-def _decide(ideal, n, scan, max_tuples, samples, seed) -> AbsorbingReport:
+def _kept_candidates(ideal: Ideal) -> tuple:
+    """`_scan_candidates`, computed once per ideal instance and kept on it."""
+    if ideal._scan_candidates is None:
+        ideal._scan_candidates = _scan_candidates(ideal)
+    return ideal._scan_candidates
+
+
+def _decide(ideal, n, scan, candidates_of, max_tuples, samples, seed) -> AbsorbingReport:
     if n < 1:
         raise ValueError(f"the absorbing level must be at least 1, got {n}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if ideal.is_unit:
         raise ImproperIdealError("the absorbing property is defined for proper ideals")
-    candidates = _scan_candidates(ideal)
+    candidates = candidates_of(ideal)
     multisets = math.comb(len(candidates) + n, n + 1)
     if multisets <= max_tuples or not candidates:
         holds, witness_values, scanned = scan(ideal, n, candidates)
@@ -204,8 +213,8 @@ def _decide(ideal, n, scan, max_tuples, samples, seed) -> AbsorbingReport:
         return AbsorbingReport(n, holds, "exhaustive", witness, scanned)
     if samples is None:
         raise ResourceLimitError(
-            f"scan of {multisets} multisets exceeds the cap {max_tuples}; "
-            "pass samples= to fall back to randomized checking"
+            f"scan of {multisets} multisets exceeds the cap {max_tuples}",
+            hint="pass samples= to fall back to randomized checking",
         )
     if seed is None:
         raise ValueError("sampled scans need an explicit seed for reproducibility")

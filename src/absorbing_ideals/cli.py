@@ -17,7 +17,8 @@ Exit codes:
         witness in the report), or a derivation step breaks ("derivation")
     2   bad usage ("usage"): malformed spec, ideal or flags, or a file
         the user named that cannot be read or written
-    3   an exhaustive scan would exceed its resource cap ("resource-limit")
+    3   an exhaustive scan would exceed its resource cap ("resource-limit");
+        corpus-scan records that per ring and scans the other rings
 
 Every failure is reported as a JSON document with an `error` object;
 `_ERRORS` is the one table from exception type to kind and exit code.
@@ -31,7 +32,9 @@ of a report; all other output goes through the same JSON form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from typing import Optional
 
@@ -231,15 +234,21 @@ def _run_corpus_scan(args, report: _Report):
         trace_survey(spec, seed=seed, limit=args.samples, cap=args.cap, **limits)
         for spec in specs
     ]
+    # a ring that hit a resource limit has an error entry and is not
+    # audited; a failed property elsewhere still decides the exit code
+    limited = any("error" in entry for entry in battery["rings"] + surveys)
+    failed = any(
+        not entry["ok"] for entry in battery["rings"] if "error" not in entry
+    ) or any(s.get("failed", 0) for s in surveys)
     report.update(
         seed=seed,
         cap=args.cap,
         trace_limit=args.samples,
         battery=battery,
         trace_surveys=surveys,
-        ok=battery["ok"] and all(s.get("failed", 0) == 0 for s in surveys),
+        ok=not (limited or failed),
     )
-    return (0 if report["ok"] else 1), report
+    return (1 if failed else 3 if limited else 0), report
 
 
 _RUNNERS = {
@@ -258,7 +267,12 @@ _RUNNERS = {
 
 
 def _add_common(
-    parser: argparse.ArgumentParser, *, ring: bool, ideal: bool = False, samples: bool = True
+    parser: argparse.ArgumentParser,
+    *,
+    ring: bool,
+    ideal: bool = False,
+    samples: bool = True,
+    seed: bool = True,
 ) -> None:
     if ring:
         parser.add_argument("--ring", required=True, help="ring spec, e.g. Zmod:12")
@@ -285,7 +299,8 @@ def _add_common(
             default=None,
             help="randomized fallback size for scans over the cap",
         )
-    parser.add_argument("--seed", type=int, default=None, help="seed for sampling")
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="seed for sampling")
     parser.add_argument("--out", default=None, help="write the JSON output to this file")
 
 
@@ -335,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-trace", help="replay a trace file")
     p.add_argument("trace_path", help="path to a trace JSON document")
-    _add_common(p, ring=False)
+    _add_common(p, ring=False, samples=False, seed=False)
 
     p = sub.add_parser("corpus-scan", help="battery and trace survey over a corpus")
     _add_common(p, ring=False, samples=False)
@@ -355,12 +370,113 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and kept for the
+    process: `parse_args` starts every call from a fresh namespace and
+    leaves the parser unchanged."""
+    return build_parser()
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+_escape = json.encoder.encode_basestring_ascii
+_INT_ONLY = frozenset({int})  # a flat list of exact ints is joined in one go
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def render_json(obj) -> str:
+    """Exactly `json.dumps(obj, indent=2, sort_keys=True)`, in one pass.
+
+    With `indent` set, json.dumps cannot use its C encoder and falls
+    back to a generator per nesting level; this writer appends to one
+    list instead.  It tests types as json does, with isinstance, so a
+    dict subclass renders as a dict; no class derives from two of str,
+    dict, list or tuple, int and float, so testing containers first
+    changes nothing, and True and False are tested before int, as json
+    does.
+    """
+    parts: list[str] = []
+    write = parts.append
+
+    def value(o, pad: str) -> None:  # pad: newline plus o's own indentation
+        if isinstance(o, str):
+            write(_escape(o))
+        elif isinstance(o, dict):
+            if not o:
+                write("{}")
+                return
+            inner = pad + "  "
+            separator = "{" + inner
+            for k, v in sorted(o.items()):
+                write(separator + _escape(_key_text(k)) + ": ")
+                separator = "," + inner
+                value(v, inner)
+            write(pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                write("[]")
+                return
+            inner = pad + "  "
+            if _INT_ONLY.issuperset(map(type, o)):
+                write("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
+                return
+            separator = "[" + inner
+            for x in o:
+                write(separator)
+                separator = "," + inner
+                value(x, inner)
+            write(pad + "]")
+        elif o is None:
+            write("null")
+        elif o is True:
+            write("true")
+        elif o is False:
+            write("false")
+        elif isinstance(o, int):
+            write(int.__repr__(o))
+        elif isinstance(o, float):
+            write(_float_text(o))
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    value(obj, "\n")
+    return "".join(parts)
+
+
 def _emit(payload: dict, stream) -> None:
-    stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    stream.write(render_json(payload) + "\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     report = _Report(schema=REPORT_SCHEMA, command=args.command)
     try:
         code, payload = _RUNNERS[args.command](args, report)

@@ -33,6 +33,7 @@ from .errors import (
     HypothesisNotSatisfiedError,
     InvariantViolationError,
     LemmaPreconditionError,
+    ResourceLimitError,
 )
 from .ideals import Ideal, enumerate_ideals, ideal_power, radical
 from .machinery import (
@@ -120,25 +121,38 @@ class IdealAudit:
 
 @dataclass(frozen=True)
 class RingAudit:
-    """Battery results for every ideal of one ring."""
+    """Battery results for every ideal of one ring.
+
+    `limit` is set, and `ideal_count` and `audits` are empty, when a
+    scan of the ring would exceed its resource limit.
+    """
 
     ring_spec: str
     size: int
-    ideal_count: int
+    ideal_count: Optional[int]
     audits: tuple
+    limit: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        return all(a.ok for a in self.audits)
+        return self.limit is None and all(a.ok for a in self.audits)
 
     def as_dict(self) -> dict:
-        return {
+        entry = {
             "ring": self.ring_spec,
             "size": self.size,
             "ideal_count": self.ideal_count,
             "ideals": [a.as_dict() for a in self.audits],
             "ok": self.ok,
         }
+        if self.limit is not None:
+            entry["error"] = _limit_error(self.limit)
+        return entry
+
+
+def _limit_error(limit: str) -> dict:
+    """A ring's record of a resource limit; the kind is the CLI's."""
+    return {"kind": "resource-limit", "message": limit}
 
 
 def audit_ideal(ideal: Ideal, cap: int = DEFAULT_OMEGA_CAP, **scan_options) -> IdealAudit:
@@ -223,12 +237,18 @@ def run_ring_audit(
     max_ring_size: int = DEFAULT_MAX_RING_SIZE,
     **scan_options,
 ) -> RingAudit:
+    """Audit every ideal of one ring.  A resource limit hit on the way
+    is recorded in the result (`limit`) instead of raised."""
     descriptor = parse_ring_spec(spec_text, max_size=max_ring_size)
     ring = build_ring(descriptor, max_size=max_ring_size)
-    ideals = enumerate_ideals(ring)
-    audits = tuple(audit_ideal(ideal, cap, **scan_options) for ideal in ideals)
+    spec = render_ring_spec(ring.descriptor)
+    try:
+        ideals = enumerate_ideals(ring)
+        audits = tuple(audit_ideal(ideal, cap, **scan_options) for ideal in ideals)
+    except ResourceLimitError as exc:
+        return RingAudit(spec, ring.size, None, (), limit=exc.limit)
     return RingAudit(
-        ring_spec=render_ring_spec(ring.descriptor),
+        ring_spec=spec,
         size=ring.size,
         ideal_count=len(ideals),
         audits=audits,
@@ -270,7 +290,8 @@ def trace_survey(
     Trace generators range over tuples of nilpotents, all of them when
     there are at most `limit`, otherwise `limit` seeded random draws.
     Every trace must replay cleanly, and the radical power identity is
-    cross-checked by plain ideal arithmetic.
+    cross-checked by plain ideal arithmetic.  A resource limit hit while
+    proving is recorded in the survey (`error`) instead of raised.
     """
     if limit < 1:
         raise ValueError(f"the trace limit must be at least 1, got {limit}")
@@ -302,9 +323,12 @@ def trace_survey(
     total_steps = 0
     failures: list[dict] = []
     for gens in tuples:
-        trace = prove_radical_power_zero(
-            ring, gens, short_circuit=short_circuit, **prove_options
-        )
+        try:
+            trace = prove_radical_power_zero(
+                ring, gens, short_circuit=short_circuit, **prove_options
+            )
+        except ResourceLimitError as exc:
+            return {"ring": spec, "omega": n, "error": _limit_error(exc.limit)}
         total_steps += len(trace.steps)
         replay = verify_trace(trace)
         if replay.ok:

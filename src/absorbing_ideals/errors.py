@@ -24,7 +24,15 @@ class ImproperIdealError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An exhaustive scan would exceed the configured cap."""
+    """An exhaustive scan would exceed the configured cap.
+
+    `limit` says what would be exceeded.  The message adds `hint`, when
+    given: the way around the limit that the raising function offers.
+    """
+
+    def __init__(self, limit, hint=None):
+        super().__init__(f"{limit}; {hint}" if hint else limit)
+        self.limit = limit
 
 
 class HypothesisNotSatisfiedError(ValueError):

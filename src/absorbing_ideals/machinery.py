@@ -62,6 +62,7 @@ from .ringspec import parse_ring_spec, render_ring_spec
 
 DEFAULT_MAX_VECTORS = 10**6
 TRACE_SCHEMA = "absorbing-trace/1"
+_INT_ONLY = frozenset({int})  # bool and float exponents are not table indices
 
 
 def _raw_value(ring: Ring, item):
@@ -98,6 +99,47 @@ def eval_monomial(ring: Ring, generator_values: Sequence, exponents: Sequence[in
         if e:
             out = ring.mul_values(out, ring.pow_value(g, e))
     return out
+
+
+def power_table(ring: Ring, generator_values: Sequence):
+    """`eval_monomial` on fixed generators, reading powers from a table.
+
+    The table holds g_i^e for each of the n generators and every
+    exponent e <= n^2 - n, the highest a schedule monomial reaches,
+    built by repeated `mul_values` without assuming g_i^n = 0.  A
+    monomial whose n exponents are ints in that range is then a product
+    of at most n - 1 table entries.  Any other exponents (negative,
+    above the range, not ints, or the wrong number of them, as a
+    tampered trace may record) go to `eval_monomial` itself, so the
+    value or the error raised is the same as without the table.
+    """
+    gens = tuple(generator_values)
+    n = len(gens)
+    top = n * n - n
+    mul = ring.mul_values
+    one = ring.one_value
+    rows = []
+    for g in gens:
+        row = [one]
+        for _ in range(top):
+            row.append(mul(row[-1], g))
+        rows.append(row)
+
+    def evaluate(exponents):
+        if (
+            len(exponents) != n
+            or not _INT_ONLY.issuperset(map(type, exponents))
+            or min(exponents) < 0
+            or max(exponents) > top
+        ):
+            return eval_monomial(ring, gens, exponents)
+        out = None
+        for row, e in zip(rows, exponents):
+            if e:
+                out = row[e] if out is None else mul(out, row[e])
+        return one if out is None else out
+
+    return evaluate
 
 
 def monomial_image_ideal(ring: Ring, generator_values: Sequence, profile: tuple[int, ...]) -> Ideal:
@@ -321,8 +363,8 @@ def is_projectively_zero(
         return ProjectiveZeroResult(True, "exhaustive", None, checked)
     if samples is None:
         raise ResourceLimitError(
-            f"scan of {nominal} vectors exceeds the cap {max_vectors}; "
-            "pass samples= to fall back to randomized checking"
+            f"scan of {nominal} vectors exceeds the cap {max_vectors}",
+            hint="pass samples= to fall back to randomized checking",
         )
     if seed is None:
         raise ValueError("sampled scans need an explicit seed for reproducibility")
@@ -466,16 +508,17 @@ def _matrix_step(
     gen_values: tuple,
     alpha: tuple,
     mono: tuple,
+    g,
     proven: set,
     *,
     max_vectors: int,
     samples: Optional[int],
     seed: Optional[int],
 ) -> dict:
+    """The zero-diagonal step for `mono`, whose value is `g`."""
     zero = ring.zero_value
     mul = ring.mul_values
     matrix = build_shift_matrix(ring, gen_values, mono)
-    g = eval_monomial(ring, gen_values, mono)
 
     # every row must factor as (monomial minus one variable) times the
     # column's generator; with that, matrix images of arbitrary vectors
@@ -603,10 +646,11 @@ def prove_radical_power_zero(
 
     steps: list[dict] = []
     if n >= 2:
+        evaluate = power_table(ring, gen_values)
         proven: set = set()
         for alpha in induction_multidegrees(n):
             for mono in monomials_with_multidegree(alpha):
-                value = eval_monomial(ring, gen_values, mono)
+                value = evaluate(mono)
                 if short_circuit and value == zero:
                     steps.append(_direct_step(ring, alpha, mono))
                 else:
@@ -616,6 +660,7 @@ def prove_radical_power_zero(
                             gen_values,
                             alpha,
                             mono,
+                            value,
                             proven,
                             max_vectors=max_vectors,
                             samples=samples,
@@ -659,10 +704,12 @@ def _verify_matrix_step(
     step: dict,
     alpha: tuple,
     mono: tuple,
+    g,
     fail,
     index: int,
     max_vectors: int,
 ) -> None:
+    """Replay the zero-diagonal step for `mono`, whose value is `g`."""
     zero = ring.zero_value
     mul = ring.mul_values
     matrix = build_shift_matrix(ring, gen_values, mono)
@@ -674,7 +721,6 @@ def _verify_matrix_step(
         fail(index, "matrix-entries", "recorded matrix disagrees with the defining formula")
         return
 
-    g = eval_monomial(ring, gen_values, mono)
     for vj in matrix.variables:
         if mul(g, gen_values[vj]) != zero:
             fail(index, "degree-raise", f"monomial times generator {vj} is nonzero")
@@ -809,6 +855,8 @@ def verify_trace(
     if recorded != expected_schedule:
         fail(None, "schedule", "step sequence does not match the induction order")
 
+    # the verifier's own table, from the ring and generators rebuilt here
+    evaluate = power_table(ring, gen_values)
     zero_text = ring.render_value(zero)
     for index, step in enumerate(trace.steps):
         try:
@@ -817,7 +865,7 @@ def verify_trace(
             if len(mono) != n or multidegree(mono) != alpha:
                 fail(index, "step-shape", "monomial does not have the stated multidegree")
                 continue
-            value = eval_monomial(ring, gen_values, mono)
+            value = evaluate(mono)
             if value != zero:
                 fail(index, "value", f"monomial evaluates to {ring.render_value(value)}")
             if step.get("conclusion") != zero_text:
@@ -827,7 +875,7 @@ def verify_trace(
                 pass
             elif rule == "zero-diagonal":
                 _verify_matrix_step(
-                    ring, gen_values, step, alpha, mono, fail, index, max_vectors
+                    ring, gen_values, step, alpha, mono, value, fail, index, max_vectors
                 )
             else:
                 fail(index, "rule", f"unknown rule {rule!r}")

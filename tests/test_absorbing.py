@@ -350,3 +350,38 @@ def test_sampled_scan_rejects_empty_sample_count():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples"):
             is_n_absorbing(Ideal.zero(ring), 2, max_tuples=1, samples=samples, seed=1)
+
+
+def test_scan_candidates_are_kept_per_ideal_instance(monkeypatch):
+    import absorbing_ideals.absorbing as absorbing
+    from absorbing_ideals.absorbing import is_n_absorbing_uncached
+
+    computed = []
+    scan_candidates = absorbing._scan_candidates
+
+    def recording(ideal):
+        computed.append(ideal)
+        return scan_candidates(ideal)
+
+    monkeypatch.setattr(absorbing, "_scan_candidates", recording)
+    ring = build_ring(parse_ring_spec("Zmod:36"))
+    ideal = Ideal.zero(ring)
+    first = is_n_absorbing(ideal, 2)
+    is_n_absorbing(ideal, 3)
+    assert [id(i) for i in computed] == [id(ideal)]
+
+    # a cached scan on the same instance multiplies nothing
+    multiplications = []
+    mul = ring.mul_values
+    monkeypatch.setattr(ring, "mul_values", lambda a, b: multiplications.append(1) or mul(a, b))
+    assert is_n_absorbing(ideal, 2) == first
+    assert multiplications == []
+
+    # another instance of the same ideal computes its own candidates,
+    # and the uncached decision keeps none on its ideal
+    other = Ideal.zero(ring)
+    is_n_absorbing(other, 2)
+    replay = Ideal.zero(ring)
+    assert is_n_absorbing_uncached(replay, 2) == first
+    assert [id(i) for i in computed] == [id(ideal), id(other), id(replay)]
+    assert replay._scan_candidates is None

@@ -1,12 +1,14 @@
 """Command line interface: payload shapes, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from absorbing_ideals.cli import main
+from absorbing_ideals.cli import _Report, main, render_json
 from absorbing_ideals.errors import (
     HypothesisNotSatisfiedError,
     ImproperIdealError,
@@ -483,3 +485,165 @@ def test_parser_defaults_are_the_library_constants(monkeypatch):
     assert verify["max_ring_size"].default is rings.DEFAULT_MAX_RING_SIZE
     battery = inspect.signature(corpus.run_battery).parameters
     assert battery["max_ring_size"].default is rings.DEFAULT_MAX_RING_SIZE
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the shared parser
+
+
+def _json_values():
+    escapes = st.text(alphabet=st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f é€ 😀\ud800a'))
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(min_value=-3, max_value=3)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+        | st.text()
+        | escapes
+    )
+
+    def containers(children):
+        str_keyed = st.dictionaries(st.text() | escapes, children, max_size=5)
+        return (
+            st.lists(children, max_size=5)
+            | st.lists(children, max_size=5).map(tuple)
+            | st.lists(st.integers() | st.booleans(), max_size=5)
+            | str_keyed
+            | str_keyed.map(_Report)
+            | st.dictionaries(st.integers(), children, max_size=4)
+            | st.dictionaries(st.floats(allow_nan=False), children, max_size=4)
+        )
+
+    return st.recursive(scalars, containers, max_leaves=30)
+
+
+@settings(max_examples=300)
+@given(_json_values())
+def test_writer_matches_json_dumps(value):
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_writer_renders_reports_and_edge_cases_like_json_dumps():
+    report = _Report(schema="absorbing-report/1", command="trace")
+    report["levels"] = {"1": {"holds": True, "n": 1, "witness": None}}
+    for value in [
+        report,
+        {True: 1, False: []},
+        {None: {}},
+        {2: (), 10: "x"},
+        {1.5: "x", -0.5: 1, math.inf: 2},
+        [True, 1, False, 0],
+        (1, 2, 3),
+        [[], {}, ()],
+        {"é\n": [" ", "😀"]},
+        [math.nan, math.inf, -math.inf, 0.1],
+        "plain",
+        7,
+        None,
+    ]:
+        assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    for bad in [{"x": object()}, {(1, 2): 3}, [b"bytes"]]:
+        with pytest.raises(TypeError):
+            render_json(bad)
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    import absorbing_ideals.cli as cli
+
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        main(["check-absorbing", "--ring", "Zmod:8", "--n", "3"])
+        main(["omega", "--ring", "Zmod:8"])
+        capsys.readouterr()
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_reused_parser_gives_the_outputs_of_fresh_ones(tmp_path, monkeypatch, capsys):
+    import absorbing_ideals.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    sequence = [
+        ["trace", "--ring", "Zmod:8", "--gens", "2,2,2", "--full-machinery"],
+        ["trace", "--ring", "Zmod:8", "--gens", "2,2,2"],
+        ["check-absorbing", "--ring", "Zmod:36", "--n", "3", "--max-tuples", "10",
+         "--samples", "5", "--seed", "1"],
+        ["check-absorbing", "--ring", "Zmod:36", "--n", "3", "--max-tuples", "10"],
+        ["omega", "--ring", "Zmod:12", "--ideal", "(4)", "--cap", "2"],
+        ["omega", "--ring", "Zmod:12"],
+        ["check-absorbing", "--ring", "Zmod:12", "--n", "1", "--out", "r.json"],
+        ["check-absorbing", "--ring", "Zmod:12", "--n", "1"],
+    ]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    try:
+        reused = [run(argv, fresh=False) for argv in sequence]
+        fresh = [run(argv, fresh=True) for argv in sequence]
+    finally:
+        cli._parser.cache_clear()
+    assert reused == fresh
+    assert reused[0][1] != reused[1][1]  # the flag did not stick
+    assert reused[-1][1] and not reused[-2][1]  # nor did --out
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--seed", "3"], ["--samples", "5", "--seed", "3"]])
+def test_verify_trace_refuses_scan_flags(flags, tmp_path, capsys):
+    trace_file = tmp_path / "trace.json"
+    assert main(["trace", "--ring", "Zmod:4", "--gens", "2,2", "--out", str(trace_file)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-trace", str(trace_file), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_corpus_scan_records_a_resource_limit_per_ring(tmp_path, capsys):
+    manifest = tmp_path / "rings.json"
+    manifest.write_text(json.dumps(["Zmod:4", "Zmod:64"]))
+    code, payload = run_cli(capsys, "corpus-scan", "--manifest", str(manifest), "--max-tuples", "5")
+    assert code == 3
+    assert payload["ok"] is False
+    assert "error" not in payload
+    small, large = payload["battery"]["rings"]
+    assert small["ring"] == "Zmod:4" and small["ok"] is True and small["ideal_count"] == 3
+    assert "error" not in small
+    assert large["ring"] == "Zmod:64" and large["ok"] is False and large["ideals"] == []
+    assert large["error"]["kind"] == "resource-limit"
+    assert "samples" not in large["error"]["message"]
+    assert payload["trace_surveys"][0]["verified"] == 4
+
+
+def test_corpus_scan_limit_in_a_trace_survey_and_exit_precedence(tmp_path, capsys, monkeypatch):
+    import absorbing_ideals.cli as cli
+
+    manifest = tmp_path / "rings.json"
+    manifest.write_text(json.dumps(["Zmod:4", "Zmod:8"]))
+    # Zmod:8 needs 3 multisets in the battery and 5 to prove its traces
+    code, payload = run_cli(capsys, "corpus-scan", "--manifest", str(manifest), "--max-tuples", "4")
+    assert code == 3
+    assert [("error" in s) for s in payload["trace_surveys"]] == [False, True]
+    assert payload["trace_surveys"][1]["error"]["kind"] == "resource-limit"
+
+    # a failed property elsewhere outranks the limit: exit 1
+    def failing_survey(spec, **kwargs):
+        return {"ring": spec, "failed": 1}
+
+    monkeypatch.setattr(cli, "trace_survey", failing_survey)
+    code, payload = run_cli(capsys, "corpus-scan", "--manifest", str(manifest), "--max-tuples", "2")
+    assert code == 1
+    assert payload["ok"] is False

@@ -140,3 +140,27 @@ def test_zero_diagonal_survey_sampled_mode():
 def test_zero_diagonal_survey_rejects_bad_m():
     with pytest.raises(ValueError):
         zero_diagonal_survey("Zmod:4", 0)
+
+
+def test_resource_limits_are_recorded_per_ring():
+    # the zero ideal of Z8 needs 3 multisets at n=1 and 5 at n=3
+    limited = run_ring_audit("Zmod:8", max_tuples=2)
+    assert not limited.ok
+    entry = limited.as_dict()
+    assert entry["error"] == {
+        "kind": "resource-limit",
+        "message": "scan of 3 multisets exceeds the cap 2",
+    }
+    assert entry["ideals"] == [] and entry["ideal_count"] is None
+
+    report = battery_report(run_battery(["Zmod:4", "Zmod:8"], max_tuples=2))
+    assert [r["ring"] for r in report["rings"]] == ["Zmod:4", "Zmod:8"]
+    assert report["rings"][0]["ok"] and "error" not in report["rings"][0]
+    assert not report["ok"]
+
+    survey = trace_survey("Zmod:8", max_tuples=4)
+    assert survey == {
+        "ring": "Zmod:8",
+        "omega": 3,
+        "error": {"kind": "resource-limit", "message": "scan of 5 multisets exceeds the cap 4"},
+    }

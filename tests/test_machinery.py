@@ -238,3 +238,74 @@ def test_walk_result_verifiable_even_without_global_property():
     mat = SquareMatrix(ring, [[1, 1], [1, 0]])
     result = find_zero_diagonal(mat)
     assert mat.entry(result.index, result.index) == ring.zero_value
+
+
+# ---------------------------------------------------------------------------
+# generator power tables
+
+
+_TABLE_GENERATORS = {  # one ring of each kind, four elements that need not be nilpotent
+    "Zmod:16": ["2", "4", "6", "3"],
+    "PolyQuot:{p:2,poly:[0,0,0,1]}": ["[0,1,0]", "[1,1,0]", "[0,0,1]", "[1,0,1]"],
+    "Product:[Zmod:4,Zmod:3]": ["(2,0)", "(1,2)", "(2,1)", "(3,0)"],
+    "Quotient:{ring:Zmod:36,gens:[18]}": ["6", "12", "5", "3"],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("spec", sorted(_TABLE_GENERATORS))
+def test_power_table_agrees_with_eval_monomial_on_the_schedule(spec, n):
+    from absorbing_ideals import induction_multidegrees, monomials_with_multidegree
+    from absorbing_ideals.machinery import power_table
+
+    ring = _ring(spec)
+    gens = [ring.parse_value(text) for text in _TABLE_GENERATORS[spec][:n]]
+    evaluate = power_table(ring, gens)
+    checked = 0
+    for alpha in induction_multidegrees(n):
+        for mono in monomials_with_multidegree(alpha):
+            assert evaluate(mono) == eval_monomial(ring, gens, mono), mono
+            checked += 1
+    assert evaluate((1,) * n) == eval_monomial(ring, gens, (1,) * n)
+    assert evaluate((0,) * n) == ring.one_value
+    assert checked > 0
+
+
+def test_power_table_leaves_other_exponents_to_eval_monomial():
+    from absorbing_ideals.machinery import power_table
+
+    ring = _ring("Zmod:12")
+    gens = [2, 3]  # the table covers exponents 0..2
+    evaluate = power_table(ring, gens)
+    for mono in [(3, 0), (0, 5), (True, 1), (True, False)]:
+        assert evaluate(mono) == eval_monomial(ring, gens, mono)
+    # a negative index would read the table from its end
+    for mono in [(-1, 0), (0, -2), (1,), (1, 1, 1), (2.0, 0), ("1", 0)]:
+        with pytest.raises(Exception) as table_error:
+            evaluate(mono)
+        with pytest.raises(Exception) as direct_error:
+            eval_monomial(ring, gens, mono)
+        assert type(table_error.value) is type(direct_error.value)
+        assert str(table_error.value) == str(direct_error.value)
+
+
+def test_schedule_monomials_are_read_from_the_table(monkeypatch):
+    import absorbing_ideals.machinery as machinery
+
+    ring = _ring("Zmod:16")
+    trace = machinery.prove_radical_power_zero(ring, [2, 4, 6, 2])
+    document = trace.to_json_dict()
+    assert {step["rule"] for step in document["steps"]} == {"direct"}
+
+    evaluated = []
+    eval_direct = machinery.eval_monomial
+
+    def recording(ring, generator_values, exponents):
+        evaluated.append(tuple(exponents))
+        return eval_direct(ring, generator_values, exponents)
+
+    monkeypatch.setattr(machinery, "eval_monomial", recording)
+    assert machinery.prove_radical_power_zero(ring, [2, 4, 6, 2]) == trace
+    assert machinery.verify_trace(document).ok
+    # only the final product, once by the prover and once by the verifier
+    assert evaluated == [(1, 1, 1, 1)] * 2

@@ -246,3 +246,34 @@ def test_proved_product_matches_direct_multiplication_everywhere():
     trace = prove_radical_power_zero(ring, gens)
     assert trace.final_product == "0"
     assert verify_trace(trace).ok
+
+
+def _odd_exponent(value):
+    def mutate(document):
+        step = document["steps"][0]
+        step["monomial"] = [value] + step["monomial"][1:]
+        step["alpha"] = sorted(step["monomial"], reverse=True)
+
+    return mutate
+
+
+_SCHEDULE = ("schedule", None, "step sequence does not match the induction order")
+
+
+@pytest.mark.parametrize(
+    "value, failures",
+    [
+        (-1, [_SCHEDULE, ("exception", 0, "ValueError: exponents must be nonnegative")]),
+        (7, [_SCHEDULE]),  # above n^2 - n = 6, so outside the power table
+        (True, [_SCHEDULE, ("value", 0, "monomial evaluates to 2")]),
+        (2.0, [_SCHEDULE, ("exception", 0,
+                           "TypeError: pow() 3rd argument not allowed unless all arguments are integers")]),
+    ],
+    ids=["negative", "oversized", "bool", "float"],
+)
+def test_odd_recorded_exponents_fail_as_before_the_power_table(value, failures):
+    _, trace = _prove("Zmod:8", ["2", "4", "6"])
+    document = json.loads(json.dumps(trace.to_json_dict()))
+    _odd_exponent(value)(document)
+    result = verify_trace(document)
+    assert [(f["kind"], f["step"], f["detail"]) for f in result.failures] == failures
