@@ -29,7 +29,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .errors import (
@@ -156,9 +155,6 @@ def _scan_multisets(ideal: Ideal, n: int, candidates: tuple):
     return True, None, scanned
 
 
-_exhaustive_scan = lru_cache(maxsize=None)(_scan_multisets)
-
-
 def is_n_absorbing(
     ideal: Ideal,
     n: int,
@@ -175,42 +171,31 @@ def is_n_absorbing(
     `samples` (at least 1) asks for a randomized scan instead; sampling
     draws that many sorted (n+1)-multisets of those candidates using
     `seed` (required) and can only ever refute the property, so a
-    sampled "holds" is evidence, not proof.  Exhaustive scans are cached
-    per process by (ideal, n); the candidates are kept on the ideal
-    instance, so a cached scan costs no unit multiplications.
+    sampled "holds" is evidence, not proof.
+
+    The candidates and every exhaustive report are kept on the ring,
+    keyed by the ideal's element set, so a repeated decision on any
+    instance of the same ideal multiplies nothing.  Sampled reports are
+    not kept, and a freshly built ring starts with none.
     """
-    return _decide(ideal, n, _exhaustive_scan, _kept_candidates, max_tuples, samples, seed)
-
-
-def is_n_absorbing_uncached(
-    ideal: Ideal, n: int, *, max_tuples: int = DEFAULT_MAX_TUPLES
-) -> AbsorbingReport:
-    """`is_n_absorbing` without sampling, without the scan cache and
-    without candidates kept on the ideal, for a replay that must redo
-    the search rather than inherit it."""
-    return _decide(ideal, n, _scan_multisets, _scan_candidates, max_tuples, None, None)
-
-
-def _kept_candidates(ideal: Ideal) -> tuple:
-    """`_scan_candidates`, computed once per ideal instance and kept on it."""
-    if ideal._scan_candidates is None:
-        ideal._scan_candidates = _scan_candidates(ideal)
-    return ideal._scan_candidates
-
-
-def _decide(ideal, n, scan, candidates_of, max_tuples, samples, seed) -> AbsorbingReport:
     if n < 1:
         raise ValueError(f"the absorbing level must be at least 1, got {n}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if ideal.is_unit:
         raise ImproperIdealError("the absorbing property is defined for proper ideals")
-    candidates = candidates_of(ideal)
+    ring = ideal.ring
+    memo = ring._scans.get(ideal.element_values)
+    if memo is None:
+        memo = ring._scans[ideal.element_values] = (_scan_candidates(ideal), {})
+    candidates, reports = memo
     multisets = math.comb(len(candidates) + n, n + 1)
     if multisets <= max_tuples or not candidates:
-        holds, witness_values, scanned = scan(ideal, n, candidates)
-        witness = AbsorbingWitness(witness_values, n) if witness_values else None
-        return AbsorbingReport(n, holds, "exhaustive", witness, scanned)
+        if n not in reports:
+            holds, witness_values, scanned = _scan_multisets(ideal, n, candidates)
+            witness = AbsorbingWitness(witness_values, n) if witness_values else None
+            reports[n] = AbsorbingReport(n, holds, "exhaustive", witness, scanned)
+        return reports[n]
     if samples is None:
         raise ResourceLimitError(
             f"scan of {multisets} multisets exceeds the cap {max_tuples}",
@@ -218,7 +203,6 @@ def _decide(ideal, n, scan, candidates_of, max_tuples, samples, seed) -> Absorbi
         )
     if seed is None:
         raise ValueError("sampled scans need an explicit seed for reproducibility")
-    ring = ideal.ring
     rng = random.Random(seed)
     members = ideal.element_values
     for drawn in range(1, samples + 1):
@@ -231,6 +215,18 @@ def _decide(ideal, n, scan, candidates_of, max_tuples, samples, seed) -> Absorbi
         if _violates(ring, members, factors):
             return AbsorbingReport(n, False, "sampled", AbsorbingWitness(factors, n), drawn)
     return AbsorbingReport(n, True, "sampled", None, samples)
+
+
+def require_absorbing(ideal: Ideal, n: int, message: str, **scan_options) -> AbsorbingReport:
+    """The report that the ideal is n-absorbing, or, when it is not,
+    HypothesisNotSatisfiedError with tag "{n}-absorbing", the scan's
+    witness and `message`."""
+    report = is_n_absorbing(ideal, n, **scan_options)
+    if not report.holds:
+        raise HypothesisNotSatisfiedError(
+            f"{n}-absorbing", witness=report.witness, message=message
+        )
+    return report
 
 
 @dataclass(frozen=True)
@@ -321,13 +317,10 @@ def check_radical_power(ideal: Ideal, n: int, **scan_options) -> RadicalPowerRep
     precondition fails; the report then never claims anything about the
     containment.
     """
-    report = is_n_absorbing(ideal, n, **scan_options)
-    if not report.holds:
-        raise HypothesisNotSatisfiedError(
-            f"{n}-absorbing",
-            witness=report.witness,
-            message=f"the ideal is not {n}-absorbing, so the power bound does not apply",
-        )
+    report = require_absorbing(
+        ideal, n, f"the ideal is not {n}-absorbing, so the power bound does not apply",
+        **scan_options,
+    )
     ring = ideal.ring
     rad = radical(ideal)
     power = ideal_power(rad, n)
@@ -373,13 +366,10 @@ class ElementPowerReport:
 
 def check_element_power(ideal: Ideal, n: int, **scan_options) -> ElementPowerReport:
     """Elementwise variant: x^n lies in I for each x in the radical."""
-    report = is_n_absorbing(ideal, n, **scan_options)
-    if not report.holds:
-        raise HypothesisNotSatisfiedError(
-            f"{n}-absorbing",
-            witness=report.witness,
-            message=f"the ideal is not {n}-absorbing, so the power bound does not apply",
-        )
+    report = require_absorbing(
+        ideal, n, f"the ideal is not {n}-absorbing, so the power bound does not apply",
+        **scan_options,
+    )
     ring = ideal.ring
     rad = radical(ideal)
     counterexample = None
@@ -443,13 +433,7 @@ def check_quotient_reduction(ideal: Ideal, n: int, **scan_options) -> ReductionR
 
 
 def _require_colon_preconditions(ideal: Ideal, scan_options: dict) -> tuple:
-    report = is_n_absorbing(ideal, 3, **scan_options)
-    if not report.holds:
-        raise HypothesisNotSatisfiedError(
-            "3-absorbing",
-            witness=report.witness,
-            message="the ideal is not 3-absorbing",
-        )
+    report = require_absorbing(ideal, 3, "the ideal is not 3-absorbing", **scan_options)
     rad = radical(ideal)
     if not rad.is_prime():
         raise HypothesisNotSatisfiedError(

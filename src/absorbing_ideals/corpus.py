@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .absorbing import (
+    DEFAULT_MAX_TUPLES,
     DEFAULT_OMEGA_CAP,
     check_colon_chain,
     check_colons_two_absorbing,
@@ -281,17 +282,17 @@ def trace_survey(
     seed: int = 0,
     limit: int = DEFAULT_TRACE_LIMIT,
     cap: int = DEFAULT_OMEGA_CAP,
-    short_circuit: bool = True,
     max_ring_size: int = DEFAULT_MAX_RING_SIZE,
-    **prove_options,
+    max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> dict:
     """Generate and replay derivation traces for one ring's zero ideal.
 
     Trace generators range over tuples of nilpotents, all of them when
     there are at most `limit`, otherwise `limit` seeded random draws.
     Every trace must replay cleanly, and the radical power identity is
-    cross-checked by plain ideal arithmetic.  A resource limit hit while
-    proving is recorded in the survey (`error`) instead of raised.
+    cross-checked by plain ideal arithmetic.  `max_tuples` bounds every
+    absorbing scan, omega's included; a resource limit hit on the way is
+    recorded in the survey (`error`) instead of raised.
     """
     if limit < 1:
         raise ValueError(f"the trace limit must be at least 1, got {limit}")
@@ -299,7 +300,10 @@ def trace_survey(
     ring = build_ring(descriptor, max_size=max_ring_size)
     spec = render_ring_spec(ring.descriptor)
     zero = Ideal.zero(ring)
-    result = omega(zero, cap)
+    try:
+        result = omega(zero, cap, max_tuples=max_tuples)
+    except ResourceLimitError as exc:
+        return {"ring": spec, "omega": None, "error": _limit_error(exc.limit)}
     if result.value is None:
         return {
             "ring": spec,
@@ -324,9 +328,7 @@ def trace_survey(
     failures: list[dict] = []
     for gens in tuples:
         try:
-            trace = prove_radical_power_zero(
-                ring, gens, short_circuit=short_circuit, **prove_options
-            )
+            trace = prove_radical_power_zero(ring, gens, max_tuples=max_tuples)
         except ResourceLimitError as exc:
             return {"ring": spec, "omega": n, "error": _limit_error(exc.limit)}
         total_steps += len(trace.steps)

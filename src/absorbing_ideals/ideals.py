@@ -26,15 +26,13 @@ DEFAULT_MAX_IDEALS = 100_000
 class Ideal:
     """An ideal with materialized element set and recorded generators."""
 
-    __slots__ = ("ring", "generator_values", "element_values", "_hash", "_scan_candidates")
+    __slots__ = ("ring", "generator_values", "element_values", "_hash")
 
     def __init__(self, ring: Ring, generator_values: Iterable, element_values: frozenset):
         self.ring = ring
         self.generator_values = tuple(generator_values)
         self.element_values = element_values
         self._hash = hash((ring, element_values))
-        # the absorbing scan's candidates, filled in on first use there
-        self._scan_candidates: tuple | None = None
 
     # construction -------------------------------------------------------
 

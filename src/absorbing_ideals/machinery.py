@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .absorbing import DEFAULT_MAX_TUPLES, is_n_absorbing, is_n_absorbing_uncached
+from .absorbing import DEFAULT_MAX_TUPLES, is_n_absorbing, require_absorbing
 from .errors import (
     HypothesisNotSatisfiedError,
     InvariantViolationError,
@@ -45,7 +45,7 @@ from .errors import (
 from .ideals import Ideal
 from .monomials import (
     grlex_compare,
-    induction_multidegrees,
+    induction_schedule,
     monomial_text,
     monomials_with_multidegree,
     multidegree,
@@ -511,7 +511,6 @@ def _matrix_step(
     g,
     proven: set,
     *,
-    max_vectors: int,
     samples: Optional[int],
     seed: Optional[int],
 ) -> dict:
@@ -561,7 +560,7 @@ def _matrix_step(
                 )
             justifications.append({"i": k, "j": j, "beta": list(beta)})
 
-    pz = is_projectively_zero(matrix, max_vectors=max_vectors, samples=samples, seed=seed)
+    pz = is_projectively_zero(matrix, samples=samples, seed=seed)
     if not pz.holds:
         raise LemmaPreconditionError(
             "matrix image misses a zero coordinate", vector=pz.counterexample
@@ -599,7 +598,6 @@ def prove_radical_power_zero(
     *,
     short_circuit: bool = True,
     max_tuples: int = DEFAULT_MAX_TUPLES,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> ProofTrace:
@@ -627,15 +625,10 @@ def prove_radical_power_zero(
                 witness=g,
                 message=f"generator {ring.render_value(g)} is not nilpotent",
             )
-    absorbing_report = is_n_absorbing(
-        Ideal.zero(ring), n, max_tuples=max_tuples, samples=samples, seed=seed
+    require_absorbing(
+        Ideal.zero(ring), n, f"the zero ideal is not {n}-absorbing",
+        max_tuples=max_tuples, samples=samples, seed=seed,
     )
-    if not absorbing_report.holds:
-        raise HypothesisNotSatisfiedError(
-            f"{n}-absorbing",
-            witness=absorbing_report.witness,
-            message=f"the zero ideal is not {n}-absorbing",
-        )
 
     zero = ring.zero_value
     for g in gen_values:
@@ -645,29 +638,20 @@ def prove_radical_power_zero(
             )
 
     steps: list[dict] = []
-    if n >= 2:
-        evaluate = power_table(ring, gen_values)
-        proven: set = set()
-        for alpha in induction_multidegrees(n):
-            for mono in monomials_with_multidegree(alpha):
-                value = evaluate(mono)
-                if short_circuit and value == zero:
-                    steps.append(_direct_step(ring, alpha, mono))
-                else:
-                    steps.append(
-                        _matrix_step(
-                            ring,
-                            gen_values,
-                            alpha,
-                            mono,
-                            value,
-                            proven,
-                            max_vectors=max_vectors,
-                            samples=samples,
-                            seed=seed,
-                        )
+    evaluate = power_table(ring, gen_values)
+    proven: set = set()
+    for alpha, monomials in induction_schedule(n):
+        for mono in monomials:
+            value = evaluate(mono)
+            if short_circuit and value == zero:
+                steps.append(_direct_step(ring, alpha, mono))
+            else:
+                steps.append(
+                    _matrix_step(
+                        ring, gen_values, alpha, mono, value, proven, samples=samples, seed=seed
                     )
-            proven.add(alpha)
+                )
+        proven.add(alpha)
 
     final_value = eval_monomial(ring, gen_values, (1,) * n)
     if final_value != zero:
@@ -707,7 +691,6 @@ def _verify_matrix_step(
     g,
     fail,
     index: int,
-    max_vectors: int,
 ) -> None:
     """Replay the zero-diagonal step for `mono`, whose value is `g`."""
     zero = ring.zero_value
@@ -745,9 +728,9 @@ def _verify_matrix_step(
     # rebuilt here; legacy records replay the plain vector scan
     method = record.get("method")
     if method == "factored":
-        result = is_projectively_zero(matrix, max_vectors=max_vectors)
+        result = is_projectively_zero(matrix)
     elif method == "exhaustive":
-        result = is_projectively_zero(SquareMatrix(ring, matrix.rows), max_vectors=max_vectors)
+        result = is_projectively_zero(SquareMatrix(ring, matrix.rows))
     elif method == "sampled":
         result = is_projectively_zero(
             SquareMatrix(ring, matrix.rows),
@@ -779,7 +762,6 @@ def verify_trace(
     *,
     max_ring_size: int = DEFAULT_MAX_RING_SIZE,
     max_tuples: int = DEFAULT_MAX_TUPLES,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> VerificationResult:
     """Replay a trace from its own text, trusting nothing in it.
 
@@ -787,6 +769,11 @@ def verify_trace(
     re-decided, the step schedule is recomputed, and every step is
     checked by direct arithmetic.  All problems found are collected
     into the result rather than raised.
+
+    The hypothesis is re-decided on the zero ideal of the ring built
+    here, whose scan memo starts empty, so no scan of the prover's is
+    reused.  The schedule is the same `induction_schedule(n)` the prover
+    walks: a pure function of n that carries nothing from the trace.
     """
     failures: list[dict] = []
 
@@ -826,7 +813,7 @@ def verify_trace(
         if not _is_nilpotent(ring, g):
             fail(None, "nilpotency", f"generator {ring.render_value(g)} is not nilpotent")
     try:
-        report = is_n_absorbing_uncached(Ideal.zero(ring), n, max_tuples=max_tuples)
+        report = is_n_absorbing(Ideal.zero(ring), n, max_tuples=max_tuples)
         if not report.holds:
             fail(None, "absorbing", f"the zero ideal is not {n}-absorbing")
     except ResourceLimitError as exc:
@@ -838,14 +825,9 @@ def verify_trace(
     if trace.high_degree_bound != n * n - n + 1:
         fail(None, "bound", f"high_degree_bound should be {n * n - n + 1}")
 
-    if n == 1:
-        expected_schedule: list = []
-    else:
-        expected_schedule = [
-            (alpha, mono)
-            for alpha in induction_multidegrees(n)
-            for mono in monomials_with_multidegree(alpha)
-        ]
+    expected_schedule = [
+        (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
+    ]
     recorded: list = []
     for step in trace.steps:
         try:
@@ -874,9 +856,7 @@ def verify_trace(
             if rule == "direct":
                 pass
             elif rule == "zero-diagonal":
-                _verify_matrix_step(
-                    ring, gen_values, step, alpha, mono, value, fail, index, max_vectors
-                )
+                _verify_matrix_step(ring, gen_values, step, alpha, mono, value, fail, index)
             else:
                 fail(index, "rule", f"unknown rule {rule!r}")
         except Exception as exc:  # malformed step content must not abort the replay

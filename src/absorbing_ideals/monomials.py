@@ -9,6 +9,7 @@ here is pure combinatorics with no ring dependence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -86,6 +87,25 @@ def monomials_with_multidegree(profile: tuple[int, ...]) -> list[tuple[int, ...]
     if tuple(sorted(profile, reverse=True)) != tuple(profile):
         raise ValueError("multidegree profile must be non-increasing")
     return sorted(set(itertools.permutations(profile)), reverse=True)
+
+
+@functools.lru_cache(maxsize=4)
+def induction_schedule(n: int) -> tuple:
+    """The induction at level n: `(alpha, monomials of alpha)` pairs in
+    `induction_multidegrees(n)` order, monomials lex-descending; `()`
+    for n < 2, where the statement needs no induction.
+
+    A pure function of n, kept for the few most recent levels: the
+    prover and the verifier walk the same immutable schedule, and it
+    carries nothing from any ring or trace.  The bound keeps large
+    levels (n = 6 has 1,947,330 monomials) from living on.
+    """
+    if n < 2:
+        return ()
+    return tuple(
+        (alpha, tuple(monomials_with_multidegree(alpha)))
+        for alpha in induction_multidegrees(n)
+    )
 
 
 def monomial_text(exponents: tuple[int, ...], names: list[str] | None = None) -> str:

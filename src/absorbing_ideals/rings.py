@@ -181,6 +181,9 @@ class Ring:
 
     def __init__(self):
         self._units: frozenset | None = None
+        # the absorbing scan's memo, filled in there: ideal element set ->
+        # (scan candidates, {n: exhaustive report})
+        self._scans: dict = {}
 
     # value-level ops -------------------------------------------------
 
@@ -709,7 +712,8 @@ def build_ring(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> R
     """Materialize a descriptor, enforcing the element count cap.
 
     Every call builds a fresh ring, so a caller that must redo work (the
-    trace verifier, for one) never inherits another caller's unit table.
+    trace verifier, for one) never inherits another caller's unit table
+    or absorbing scans.
     """
     validate_descriptor(desc, max_size)
     if isinstance(desc, ZMod):

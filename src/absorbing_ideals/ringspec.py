@@ -10,9 +10,10 @@ Grammar (whitespace is allowed around every token):
 Polynomial coefficients run from the constant term upward.  Quotient
 generators are written in the element syntax of the base ring, e.g.
 plain residues for Zmod, "[c0,c1]" for polynomial rings, "(a,b)" for
-products.  Parsing also builds the ring once, so a spec that parses is
-guaranteed to satisfy all structural constraints including the size
-cap.
+products.  Parsing also validates the descriptor, so a spec that parses
+satisfies all structural constraints including the size cap.  It builds
+only the base ring of a quotient, to read its generators; `build_ring`
+then builds the ring itself, and refuses a quotient by the unit ideal.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .rings import (
     build_ring,
     descriptor_size,
     split_top_level,
+    validate_descriptor,
 )
 
 
@@ -159,14 +161,14 @@ def _parse_spec(cursor: _Cursor, max_size: int) -> RingDescriptor:
 
 
 def parse_ring_spec(text: str, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingDescriptor:
-    """Parse a ring spec and validate it by building the ring once."""
+    """Parse a ring spec and validate its descriptor without building it."""
     if not isinstance(text, str):
         raise ParseError(f"ring spec must be text, got {type(text).__name__}")
     cursor = _Cursor(text)
     descriptor = _parse_spec(cursor, max_size)
     if not cursor.at_end():
         raise ParseError("unexpected trailing text", position=cursor.pos)
-    build_ring(descriptor, max_size)
+    validate_descriptor(descriptor, max_size)
     return descriptor
 
 

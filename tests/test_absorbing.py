@@ -175,6 +175,16 @@ def test_radical_power_containment_report():
     assert exc.value.hypothesis == "2-absorbing"
 
 
+def test_element_power_hypothesis_failure_keeps_tag_message_and_witness():
+    ring = build_ring(parse_ring_spec("Zmod:8"))
+    with pytest.raises(HypothesisNotSatisfiedError) as exc:
+        check_element_power(Ideal.zero(ring), 2)
+    assert exc.value.hypothesis == "2-absorbing"
+    assert str(exc.value) == "the ideal is not 2-absorbing, so the power bound does not apply"
+    assert exc.value.witness.elements == (2, 2, 2)
+    assert exc.value.witness.n == 2
+
+
 def test_radical_power_counterexample_when_product_escapes():
     # Zmod:16 zero ideal has omega 4; level 3 containment fails
     ring = build_ring(parse_ring_spec("Zmod:16"))
@@ -352,36 +362,43 @@ def test_sampled_scan_rejects_empty_sample_count():
             is_n_absorbing(Ideal.zero(ring), 2, max_tuples=1, samples=samples, seed=1)
 
 
-def test_scan_candidates_are_kept_per_ideal_instance(monkeypatch):
+def test_scan_memo_is_kept_on_the_ring(monkeypatch):
     import absorbing_ideals.absorbing as absorbing
-    from absorbing_ideals.absorbing import is_n_absorbing_uncached
 
     computed = []
     scan_candidates = absorbing._scan_candidates
 
     def recording(ideal):
-        computed.append(ideal)
+        computed.append(ideal.ring)
         return scan_candidates(ideal)
 
     monkeypatch.setattr(absorbing, "_scan_candidates", recording)
     ring = build_ring(parse_ring_spec("Zmod:36"))
-    ideal = Ideal.zero(ring)
-    first = is_n_absorbing(ideal, 2)
-    is_n_absorbing(ideal, 3)
-    assert [id(i) for i in computed] == [id(ideal)]
+    first = is_n_absorbing(Ideal.zero(ring), 2)
+    is_n_absorbing(Ideal.zero(ring), 3)
+    assert computed == [ring]
+    assert ring._scans[frozenset({0})][1].keys() == {2, 3}
 
-    # a cached scan on the same instance multiplies nothing
+    # another instance of the same ideal on the same ring reuses the
+    # candidates and the report, and multiplies nothing
+    other = Ideal.from_generators(ring, [0])
     multiplications = []
     mul = ring.mul_values
     monkeypatch.setattr(ring, "mul_values", lambda a, b: multiplications.append(1) or mul(a, b))
-    assert is_n_absorbing(ideal, 2) == first
+    assert is_n_absorbing(other, 2) is first
     assert multiplications == []
+    assert computed == [ring]
 
-    # another instance of the same ideal computes its own candidates,
-    # and the uncached decision keeps none on its ideal
-    other = Ideal.zero(ring)
-    is_n_absorbing(other, 2)
-    replay = Ideal.zero(ring)
-    assert is_n_absorbing_uncached(replay, 2) == first
-    assert [id(i) for i in computed] == [id(ideal), id(other), id(replay)]
-    assert replay._scan_candidates is None
+    # a freshly built ring of the same spec computes its own
+    fresh = build_ring(parse_ring_spec("Zmod:36"))
+    assert is_n_absorbing(Ideal.zero(fresh), 2) == first
+    assert [id(r) for r in computed] == [id(ring), id(fresh)]
+
+    # sampled reports are not memoised, and the budget is checked before
+    # the memo: a sampled decision stays sampled after an exhaustive one
+    lone = build_ring(parse_ring_spec("Zmod:36"))
+    sampled = is_n_absorbing(Ideal.zero(lone), 3, max_tuples=10, samples=5, seed=1)
+    assert sampled.mode == "sampled"
+    assert lone._scans[frozenset({0})][1] == {}
+    assert is_n_absorbing(Ideal.zero(lone), 3).mode == "exhaustive"
+    assert is_n_absorbing(Ideal.zero(lone), 3, max_tuples=10, samples=5, seed=1) == sampled

@@ -18,7 +18,6 @@ from absorbing_ideals import (
     prove_radical_power_zero,
     verify_trace,
 )
-from absorbing_ideals.absorbing import _exhaustive_scan
 from oracles import naive_projectively_zero
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -199,11 +198,22 @@ def test_verify_rejects_exhaustive_record_relabelled_factored():
     assert _projective_failures(document)
 
 
-def test_verifier_does_not_reuse_the_provers_scan_cache():
-    _, trace = _prove("Zmod:27", ["3", "3", "3"])
-    hits = _exhaustive_scan.cache_info().hits
+def test_verifier_runs_its_own_absorbing_scan(monkeypatch):
+    import absorbing_ideals.absorbing as absorbing
+
+    prover_ring, trace = _prove("Zmod:27", ["3", "3", "3"])
+    assert prover_ring._scans  # the prover's scan is memoised on its ring
+    scan, scanned = absorbing._scan_multisets, []
+
+    def recording_scan(ideal, n, candidates):
+        scanned.append((ideal.ring, n))
+        return scan(ideal, n, candidates)
+
+    monkeypatch.setattr(absorbing, "_scan_multisets", recording_scan)
     assert verify_trace(trace).ok
-    assert _exhaustive_scan.cache_info().hits == hits
+    [(verifier_ring, n)] = scanned
+    assert n == 3
+    assert verifier_ring is not prover_ring
 
 
 def test_verifier_builds_its_own_ring(monkeypatch):

@@ -633,7 +633,8 @@ def test_corpus_scan_limit_in_a_trace_survey_and_exit_precedence(tmp_path, capsy
 
     manifest = tmp_path / "rings.json"
     manifest.write_text(json.dumps(["Zmod:4", "Zmod:8"]))
-    # Zmod:8 needs 3 multisets in the battery and 5 to prove its traces
+    # Zmod:8 needs 5 multisets to decide level 3, in the battery and in
+    # its survey's omega scan
     code, payload = run_cli(capsys, "corpus-scan", "--manifest", str(manifest), "--max-tuples", "4")
     assert code == 3
     assert [("error" in s) for s in payload["trace_surveys"]] == [False, True]

@@ -9,6 +9,7 @@ from absorbing_ideals import (
     grlex_compare,
     grlex_key,
     induction_multidegrees,
+    induction_schedule,
     lex_compare,
     monomial_text,
     monomials_with_multidegree,
@@ -118,3 +119,15 @@ def test_monomial_text():
     assert monomial_text((2, 1, 0)) == "x1^2*x2"
     assert monomial_text((0, 0)) == "1"
     assert monomial_text((1, 3), names=["a", "b"]) == "a*b^3"
+
+
+def test_induction_schedule_pairs_each_multidegree_with_its_monomials():
+    assert induction_schedule(0) == induction_schedule(1) == ()
+    for n in range(2, 5):
+        schedule = induction_schedule(n)
+        assert [alpha for alpha, _ in schedule] == induction_multidegrees(n)
+        for alpha, monomials in schedule:
+            assert monomials == tuple(monomials_with_multidegree(alpha))
+        assert induction_schedule(n) is schedule
+    # kept for a few levels only, so a large level does not live on
+    assert induction_schedule.cache_info().maxsize == 4

@@ -12,6 +12,7 @@ from absorbing_ideals import (
     build_ring,
     eval_monomial,
     induction_multidegrees,
+    induction_schedule,
     parse_ring_spec,
     prove_radical_power_zero,
     verify_trace,
@@ -277,3 +278,51 @@ def test_odd_recorded_exponents_fail_as_before_the_power_table(value, failures):
     _odd_exponent(value)(document)
     result = verify_trace(document)
     assert [(f["kind"], f["step"], f["detail"]) for f in result.failures] == failures
+
+
+@pytest.mark.parametrize(
+    "value, failures",
+    [
+        (True, []),
+        (1.0, [("exception", "TypeError: pow() 3rd argument not allowed unless all arguments are integers")]),
+    ],
+    ids=["bool", "float"],
+)
+def test_odd_last_monomial_replays_as_recorded(value, failures):
+    # equal to 1 as a schedule entry, so only the evaluation can object
+    _, trace = _prove("Zmod:8", ["2", "4", "6"])
+    document = json.loads(json.dumps(trace.to_json_dict()))
+    document["steps"][-1]["monomial"] = [value, 1, 1]
+    result = verify_trace(document)
+    last = len(document["steps"]) - 1
+    assert [(f["kind"], f["detail"]) for f in result.failures] == failures
+    assert all(f["step"] == last for f in result.failures)
+
+
+@pytest.mark.parametrize(
+    "spec, gens",
+    [
+        ("Zmod:2", ["0"]),
+        ("Zmod:4", ["2", "2"]),
+        ("Zmod:8", ["2", "4", "6"]),
+        ("Zmod:16", ["2", "4", "6", "2"]),
+    ],
+)
+def test_prover_and_verifier_walk_the_shared_schedule(spec, gens, monkeypatch):
+    import absorbing_ideals.machinery as machinery
+
+    n = len(gens)
+    schedule, walked = machinery.induction_schedule, []
+
+    def recording_schedule(level):
+        walked.append((level, schedule(level)))
+        return walked[-1][1]
+
+    monkeypatch.setattr(machinery, "induction_schedule", recording_schedule)
+    _, trace = _prove(spec, gens)
+    assert verify_trace(trace).ok
+    expected = induction_schedule(n)
+    assert walked == [(n, expected), (n, expected)]
+    assert [(tuple(s["alpha"]), tuple(s["monomial"])) for s in trace.steps] == [
+        (alpha, mono) for alpha, monomials in expected for mono in monomials
+    ]
