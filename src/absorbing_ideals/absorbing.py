@@ -93,15 +93,12 @@ class AbsorbingReport:
 def _violates(ring: Ring, ideal_values: frozenset, factors: tuple) -> bool:
     """Product of all factors lies in the ideal, no drop-one product does."""
     mul = ring.mul_values
-    product = ring.one_value
-    for v in factors:
-        product = mul(product, v)
-    if product not in ideal_values:
-        return False
     m = len(factors)
     prefixes = [ring.one_value] * (m + 1)
     for i in range(m):
         prefixes[i + 1] = mul(prefixes[i], factors[i])
+    if prefixes[m] not in ideal_values:
+        return False
     suffixes = [ring.one_value] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffixes[i] = mul(factors[i], suffixes[i + 1])

@@ -158,6 +158,8 @@ def _limit_error(limit: str) -> dict:
 
 def audit_ideal(ideal: Ideal, cap: int = DEFAULT_OMEGA_CAP, **scan_options) -> IdealAudit:
     """Run the full per-ideal check list; the unit ideal is only noted."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     ring = ideal.ring
     if ideal.is_unit:
         return IdealAudit(

@@ -18,6 +18,7 @@ from .rings import (
     RingElement,
     additive_closure_values,
     generated_ideal_values,
+    values_with_power_in,
 )
 
 DEFAULT_MAX_IDEALS = 100_000
@@ -149,21 +150,11 @@ class Ideal:
 def radical(ideal: Ideal) -> Ideal:
     """Elements with some power in the ideal.
 
-    Walks successive powers of each element; in a finite ring the power
-    sequence cycles within |R| steps, so the scan is bounded.
+    An ideal is closed under multiplication, so one walk over the powers
+    (`values_with_power_in`) classifies every element.
     """
     ring = ideal.ring
-    members: set = set()
-    for v in ring.iter_values():
-        seen: set = set()
-        x = v
-        while x not in seen:
-            if x in ideal.element_values:
-                members.add(v)
-                break
-            seen.add(x)
-            x = ring.mul_values(x, v)
-    return Ideal.from_elements(ring, members)
+    return Ideal.from_elements(ring, values_with_power_in(ring, ideal.element_values))
 
 
 def ideal_product(left: Ideal, right: Ideal) -> Ideal:

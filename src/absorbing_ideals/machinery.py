@@ -57,6 +57,7 @@ from .rings import (
     RingElement,
     build_ring,
     generated_ideal_values,
+    values_with_power_in,
 )
 from .ringspec import parse_ring_spec, render_ring_spec
 
@@ -483,17 +484,6 @@ class ProofTrace:
         )
 
 
-def _is_nilpotent(ring: Ring, value) -> bool:
-    seen: set = set()
-    x = value
-    while x not in seen:
-        if x == ring.zero_value:
-            return True
-        seen.add(x)
-        x = ring.mul_values(x, value)
-    return False
-
-
 def _direct_step(ring: Ring, alpha: tuple, mono: tuple) -> dict:
     return {
         "alpha": list(alpha),
@@ -618,8 +608,10 @@ def prove_radical_power_zero(
     if n < 1:
         raise ValueError("at least one generator is required")
 
+    zero = ring.zero_value
+    nilpotents = values_with_power_in(ring, {zero})
     for g in gen_values:
-        if not _is_nilpotent(ring, g):
+        if g not in nilpotents:
             raise HypothesisNotSatisfiedError(
                 "nilpotent-generators",
                 witness=g,
@@ -630,7 +622,6 @@ def prove_radical_power_zero(
         max_tuples=max_tuples, samples=samples, seed=seed,
     )
 
-    zero = ring.zero_value
     for g in gen_values:
         if ring.pow_value(g, n) != zero:
             raise TraceInconsistencyError(
@@ -809,8 +800,9 @@ def verify_trace(
         return VerificationResult(False, tuple(failures))
 
     zero = ring.zero_value
+    nilpotents = values_with_power_in(ring, {zero})
     for g in gen_values:
-        if not _is_nilpotent(ring, g):
+        if g not in nilpotents:
             fail(None, "nilpotency", f"generator {ring.render_value(g)} is not nilpotent")
     try:
         report = is_n_absorbing(Ideal.zero(ring), n, max_tuples=max_tuples)

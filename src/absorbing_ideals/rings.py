@@ -184,6 +184,8 @@ class Ring:
         # the absorbing scan's memo, filled in there: ideal element set ->
         # (scan candidates, {n: exhaustive report})
         self._scans: dict = {}
+        # quotient_ring's memo: ideal element set -> R/I
+        self._quotients: dict = {}
 
     # value-level ops -------------------------------------------------
 
@@ -237,33 +239,11 @@ class Ring:
     def unit_values(self) -> frozenset:
         """Set of invertible element values (computed once, cached).
 
-        For k >= 1, a**k is a unit exactly when a is: ab = 1 gives
-        a**k b**k = 1, and a**k c = 1 gives a (a**(k-1) c) = 1.  So the
-        walk a, a**2, a**3, ... stops at the first element already
-        classified (the table starts with 1 a unit and 0 not), and that
-        element decides a and every power met on the way.  The powers of
-        a unit run through the finite unit group and reach 1 before they
-        repeat, so a walk that closes on itself without meeting a
-        classified element starts at a non-unit.  Each multiplication
-        classifies one new element, so at most |R| of them are needed.
+        a is a unit exactly when some a**k = 1: a * a**(k-1) = 1, and the
+        powers of a unit run through the finite unit group back to 1.
         """
         if self._units is None:
-            mul = self.mul_values
-            # None marks an element on the walk in progress
-            status: dict = {self.one_value: True, self.zero_value: False}
-            for a in self.iter_values():
-                if a in status:
-                    continue
-                path = []
-                x = a
-                while x not in status:
-                    status[x] = None
-                    path.append(x)
-                    x = mul(x, a)
-                verdict = bool(status[x])
-                for y in path:
-                    status[y] = verdict
-            self._units = frozenset(v for v, unit in status.items() if unit)
+            self._units = values_with_power_in(self, {self.one_value})
         return self._units
 
     def product_of_values(self, values: Sequence):
@@ -638,7 +618,38 @@ class QuotientRing(Ring):
 
 
 # ---------------------------------------------------------------------------
-# ideal closure at value level (shared with ideal_ops)
+# power walk and ideal closure at value level (shared with ideal_ops)
+
+
+def values_with_power_in(ring: Ring, targets: Iterable) -> frozenset:
+    """Values a with some power a**k (k >= 1) in `targets`.
+
+    `targets` (T) must be closed under multiplication.  Then a is in
+    the result S exactly when a**k is, for any k >= 1: a power of a**k
+    is a power of a, and a**j in T puts (a**k)**j = (a**j)**k in T.
+    So the walk a, a**2, ... stops at the first element already
+    classified, and that element decides a and every power met on the
+    way.  T is classified in S before any walk starts, so a walk that
+    closes on itself has met no element of T, and none of its values
+    is in S.  Each multiplication either classifies a new element or
+    ends a walk, so at most 2|R| of them are needed.
+    """
+    mul = ring.mul_values
+    # None marks an element on the walk in progress
+    status: dict = dict.fromkeys(targets, True)
+    for a in ring.iter_values():
+        if a in status:
+            continue
+        path = []
+        x = a
+        while x not in status:
+            status[x] = None
+            path.append(x)
+            x = mul(x, a)
+        verdict = bool(status[x])
+        for y in path:
+            status[y] = verdict
+    return frozenset(v for v, inside in status.items() if inside)
 
 
 def additive_closure_values(ring: Ring, items: Iterable) -> frozenset:
@@ -731,10 +742,16 @@ def quotient_ring(ring: Ring, ideal) -> QuotientRing:
     """Quotient of `ring` by an ideal given as an Ideal or a value set.
 
     The result carries the canonical surjection (`project`) and preimage
-    (`preimage_values`) maps.
+    (`preimage_values`) maps.  It is built once per ideal element set
+    and kept on `ring`, so repeated calls return the same quotient with
+    its unit table and absorbing scans.  `build_ring` never calls this,
+    so a freshly built ring starts with no quotients.
     """
     if hasattr(ideal, "element_values"):
         values = ideal.element_values
     else:
         values = frozenset(ideal)
-    return QuotientRing(ring, values)
+    quotient = ring._quotients.get(values)
+    if quotient is None:
+        quotient = ring._quotients[values] = QuotientRing(ring, values)
+    return quotient

@@ -19,9 +19,9 @@ from absorbing_ideals import (
     is_n_absorbing,
     omega,
     parse_ring_spec,
-    quotient_ring,
     radical,
 )
+from absorbing_ideals.rings import QuotientRing
 from oracles import naive_is_n_absorbing, naive_omega, naive_sorted_witnesses
 
 ORACLE_SPECS = [
@@ -232,7 +232,8 @@ def test_quotient_reduction_matches_direct_computation(spec):
         for n in (1, 2, 3):
             report = check_quotient_reduction(ideal, n)
             assert report.holds, (spec, ideal.text(), n)
-            quotient = quotient_ring(ring, ideal)
+            # a fresh quotient, not the one kept on `ring` for the report
+            quotient = QuotientRing(ring, ideal.element_values)
             zero_q = Ideal.zero(quotient)
             assert report.quotient.holds == is_n_absorbing(zero_q, n).holds
 

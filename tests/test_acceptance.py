@@ -5,6 +5,7 @@ Each test prints a single machine-greppable verdict line; run with
 work (the corpus battery, the trace survey) happens once per module.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -35,6 +36,11 @@ from absorbing_ideals import (
 
 SURVEY_SEED = 0
 SURVEY_LIMIT = 200
+# the report of `corpus-scan --seed 7`; any change to it is a change of
+# verdict, witness or rendering and must be made on purpose
+CORPUS_SCAN_SEED_7_SHA256 = (
+    "e18fdb9e0f901d7918321ae32a067b936b2f09987e39b5300ca5f3c906be9e55"
+)
 
 
 VERDICT_LINES: list = []
@@ -304,8 +310,15 @@ def test_criterion_10_deterministic_reports(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     identical = outputs[0] == outputs[1]
+    digest = hashlib.sha256(outputs[0]).hexdigest()
     payload = json.loads(outputs[0])
-    ok = identical and payload["ok"] is True and payload["seed"] == 7
+    ok = (
+        identical
+        and digest == CORPUS_SCAN_SEED_7_SHA256
+        and payload["ok"] is True
+        and payload["seed"] == 7
+    )
     assert _verdict(10, "byte-identical seeded reports", ok)
     assert identical
+    assert digest == CORPUS_SCAN_SEED_7_SHA256
     assert payload["ok"] is True

@@ -319,6 +319,19 @@ def test_corpus_scan_rejects_bad_manifest(tmp_path, capsys):
     assert payload["error"]["kind"] == "usage"
 
 
+def test_corpus_scan_refuses_cap_below_one_before_any_survey(capsys, monkeypatch):
+    def no_survey(*args, **kwargs):
+        raise AssertionError("a trace survey ran")
+
+    monkeypatch.setattr("absorbing_ideals.cli.trace_survey", no_survey)
+    code, payload = run_cli(capsys, "corpus-scan", "--cap", "0")
+    assert code == 2
+    assert payload["error"] == {
+        "kind": "usage",
+        "message": "cap must be at least 1, got 0",
+    }
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "absorbing_ideals", "omega", "--ring", "Zmod:8"],

@@ -8,12 +8,14 @@ from absorbing_ideals import (
     audit_ideal,
     battery_report,
     build_ring,
+    enumerate_ideals,
     parse_ring_spec,
     run_battery,
     run_ring_audit,
     trace_survey,
     zero_diagonal_survey,
 )
+from absorbing_ideals.rings import QuotientRing
 
 
 def test_builtin_corpus_contents():
@@ -48,6 +50,29 @@ def test_audit_unit_ideal_is_skipped():
     assert audit.skipped
     assert "proper" in audit.skip_reason
     assert audit.ok
+
+
+def test_audit_rejects_cap_below_one():
+    ring = build_ring(parse_ring_spec("Zmod:8"))
+    for ideal in (Ideal.zero(ring), Ideal.unit(ring)):
+        with pytest.raises(ValueError, match="cap must be at least 1, got 0"):
+            audit_ideal(ideal, 0)
+
+
+def test_audit_builds_one_quotient_ring_per_proper_ideal(monkeypatch):
+    built = []
+    init = QuotientRing.__init__
+
+    def counting_init(self, base, ideal_values):
+        built.append(frozenset(ideal_values))
+        init(self, base, ideal_values)
+
+    monkeypatch.setattr(QuotientRing, "__init__", counting_init)
+    ring = build_ring(parse_ring_spec("Zmod:12"))
+    for ideal in enumerate_ideals(ring):
+        built.clear()
+        audit_ideal(ideal, 4)
+        assert built == ([] if ideal.is_unit else [ideal.element_values])
 
 
 def test_audit_marks_inapplicable_checks_none():

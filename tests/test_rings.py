@@ -15,6 +15,7 @@ from absorbing_ideals import (
     RingBuildError,
     ZMod,
     build_ring,
+    enumerate_ideals,
     parse_ring_spec,
     quotient_ring,
 )
@@ -24,8 +25,9 @@ from absorbing_ideals.rings import (
     generated_ideal_values,
     split_top_level,
     validate_descriptor,
+    values_with_power_in,
 )
-from oracles import naive_units
+from oracles import naive_radical, naive_units
 from test_absorbing import ORACLE_SPECS
 
 DESCRIPTOR_POOL = [
@@ -114,6 +116,22 @@ def test_quotient_by_unit_ideal_rejected():
     base = build_ring(ZMod(6))
     with pytest.raises(ValueError):
         quotient_ring(base, Ideal.from_generators(base, [1]))
+
+
+def test_quotient_ring_is_kept_on_its_base_ring():
+    base = build_ring(ZMod(12))
+    ideal = Ideal.from_generators(base, [4])
+    ring = quotient_ring(base, ideal)
+    assert quotient_ring(base, ideal) is ring
+    assert quotient_ring(base, {0, 4, 8}) is ring
+    assert quotient_ring(base, Ideal.from_generators(base, [6])) is not ring
+    assert quotient_ring(build_ring(ZMod(12)), ideal) is not ring
+    # build_ring never reads that memo: each call is a fresh quotient
+    desc = Quotient(ZMod(12), (4,))
+    first, second = build_ring(desc), build_ring(desc)
+    assert first == ring
+    assert first is not ring and second is not ring and first is not second
+    assert first.base._quotients == {}
 
 
 def test_validate_descriptor_errors():
@@ -286,10 +304,8 @@ def test_unit_values_match_oracle(spec):
     assert ring.unit_values() == naive_units(ring)
 
 
-@pytest.mark.parametrize("spec", UNIT_SPECS)
-def test_unit_values_make_at_most_two_multiplications_per_element(spec):
-    ring = copy.copy(build_ring(parse_ring_spec(spec)))
-    ring._units = None
+def _count_multiplications(ring, call):
+    """Run `call()` and return the number of `ring.mul_values` calls."""
     calls = 0
     mul = ring.mul_values
 
@@ -299,6 +315,39 @@ def test_unit_values_make_at_most_two_multiplications_per_element(spec):
         return mul(a, b)
 
     ring.mul_values = counting_mul
-    ring.unit_values()
+    call()
+    return calls
+
+
+@pytest.mark.parametrize("spec", UNIT_SPECS)
+def test_unit_values_make_at_most_two_multiplications_per_element(spec):
+    ring = copy.copy(build_ring(parse_ring_spec(spec)))
+    ring._units = None
+    calls = _count_multiplications(ring, ring.unit_values)
     assert 64 <= ring.size <= 512
+    assert calls <= 2 * ring.size
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_values_with_power_in_matches_oracles(spec):
+    ring = build_ring(parse_ring_spec(spec))
+    assert values_with_power_in(ring, {ring.one_value}) == naive_units(ring)
+    assert values_with_power_in(ring, {ring.zero_value}) == naive_radical(
+        Ideal.zero(ring)
+    )
+    for ideal in enumerate_ideals(ring):
+        assert values_with_power_in(ring, ideal.element_values) == naive_radical(ideal)
+
+
+@pytest.mark.parametrize("spec", UNIT_SPECS)
+@pytest.mark.parametrize("target", ["zero", "nilradical"])
+def test_values_with_power_in_makes_at_most_two_multiplications_per_element(
+    spec, target
+):
+    # the target {1} is covered by the unit_values test above
+    ring = build_ring(parse_ring_spec(spec))
+    targets = {ring.zero_value}
+    if target == "nilradical":
+        targets = values_with_power_in(ring, targets)
+    calls = _count_multiplications(ring, lambda: values_with_power_in(ring, targets))
     assert calls <= 2 * ring.size

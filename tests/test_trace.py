@@ -159,7 +159,8 @@ def test_verify_rejects_non_nilpotent_generators():
     _, trace = _prove("Zmod:4", ["2", "2"])
     result = verify_trace(_tampered(trace, lambda d: d.update(generators=["2", "3"])))
     assert not result.ok
-    assert any(f["kind"] in {"nilpotency", "schedule", "final-product"} for f in result.failures)
+    failure = {"step": None, "kind": "nilpotency", "detail": "generator 3 is not nilpotent"}
+    assert failure in result.failures
 
 
 def test_verify_rejects_dropped_step():
@@ -229,6 +230,16 @@ def test_prove_requires_nilpotent_generators():
     with pytest.raises(HypothesisNotSatisfiedError) as exc:
         prove_radical_power_zero(ring, [ring.parse_value("3")])
     assert exc.value.hypothesis == "nilpotent-generators"
+
+
+def test_prove_names_the_first_non_nilpotent_generator():
+    ring = _ring("Zmod:8")
+    gens = [ring.parse_value(g) for g in ("2", "5", "4", "3")]
+    with pytest.raises(HypothesisNotSatisfiedError) as exc:
+        prove_radical_power_zero(ring, gens)
+    assert exc.value.hypothesis == "nilpotent-generators"
+    assert exc.value.witness == 5
+    assert str(exc.value) == "generator 5 is not nilpotent"
 
 
 def test_prove_requires_absorbing_zero_ideal():
