@@ -203,12 +203,7 @@ def is_n_absorbing(
     rng = random.Random(seed)
     members = ideal.element_values
     for drawn in range(1, samples + 1):
-        factors = tuple(
-            sorted(
-                (rng.choice(candidates) for _ in range(n + 1)),
-                key=ring.sort_key,
-            )
-        )
+        factors = tuple(sorted(rng.choice(candidates) for _ in range(n + 1)))
         if _violates(ring, members, factors):
             return AbsorbingReport(n, False, "sampled", AbsorbingWitness(factors, n), drawn)
     return AbsorbingReport(n, True, "sampled", None, samples)
@@ -318,11 +313,10 @@ def check_radical_power(ideal: Ideal, n: int, **scan_options) -> RadicalPowerRep
         ideal, n, f"the ideal is not {n}-absorbing, so the power bound does not apply",
         **scan_options,
     )
-    ring = ideal.ring
     rad = radical(ideal)
     power = ideal_power(rad, n)
     stray = power.element_values - ideal.element_values
-    counterexample = min(stray, key=ring.sort_key) if stray else None
+    counterexample = min(stray) if stray else None
     return RadicalPowerReport(
         n=n,
         absorbing=report,
@@ -370,7 +364,7 @@ def check_element_power(ideal: Ideal, n: int, **scan_options) -> ElementPowerRep
     ring = ideal.ring
     rad = radical(ideal)
     counterexample = None
-    for x in sorted(rad.element_values, key=ring.sort_key):
+    for x in sorted(rad.element_values):
         if ring.pow_value(x, n) not in ideal.element_values:
             counterexample = x
             break
@@ -485,9 +479,8 @@ def check_colons_two_absorbing(ideal: Ideal, **scan_options) -> ColonsReport:
     the radical but outside I must be 2-absorbing.  Elements of I are
     skipped: their colon is the unit ideal."""
     precondition, rad = _require_colon_preconditions(ideal, scan_options)
-    ring = ideal.ring
     entries: list[ColonEntry] = []
-    for x in sorted(rad.element_values, key=ring.sort_key):
+    for x in sorted(rad.element_values):
         if x in ideal.element_values:
             entries.append(
                 ColonEntry(
@@ -557,7 +550,7 @@ def check_colon_chain(ideal: Ideal, **scan_options) -> ChainReport:
     value; products inside I are skipped (their colon is the unit ideal)."""
     precondition, rad = _require_colon_preconditions(ideal, scan_options)
     ring = ideal.ring
-    rad_values = sorted(rad.element_values, key=ring.sort_key)
+    rad_values = sorted(rad.element_values)
     first_factors: dict = {}
     for x, y in itertools.combinations_with_replacement(rad_values, 2):
         p = ring.mul_values(x, y)
@@ -567,14 +560,14 @@ def check_colon_chain(ideal: Ideal, **scan_options) -> ChainReport:
             first_factors[p] = (x, y)
     entries: list[ChainEntry] = []
     colons: dict = {}
-    for p in sorted(first_factors, key=ring.sort_key):
+    for p in sorted(first_factors):
         c = colon(ideal, p)
         colons[p] = c
         entries.append(
             ChainEntry(product=p, factors=first_factors[p], colon=c, prime=c.is_prime())
         )
     incomparable: list[tuple] = []
-    products = sorted(colons, key=ring.sort_key)
+    products = sorted(colons)
     for a, b in itertools.combinations(products, 2):
         ca, cb = colons[a], colons[b]
         if not (ca.element_values <= cb.element_values or cb.element_values <= ca.element_values):

@@ -314,7 +314,7 @@ def trace_survey(
         }
     n = result.value
     rad = radical(zero)
-    nilpotents = sorted(rad.element_values, key=ring.sort_key)
+    nilpotents = sorted(rad.element_values)
     total = len(nilpotents) ** n
     if total <= limit:
         mode = "exhaustive"

@@ -9,7 +9,6 @@ colon, enumeration) works directly on those sets.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
@@ -57,7 +56,7 @@ class Ideal:
         )
         gens: list = []
         have: frozenset = frozenset({ring.zero_value})
-        for v in sorted(values, key=ring.sort_key):
+        for v in sorted(values):
             if v not in have:
                 gens.append(v)
                 have = generated_ideal_values(ring, gens)
@@ -120,10 +119,7 @@ class Ideal:
         return [self.ring.wrap(v) for v in self.generator_values]
 
     def elements(self) -> list[RingElement]:
-        return [
-            self.ring.wrap(v)
-            for v in sorted(self.element_values, key=self.ring.sort_key)
-        ]
+        return [self.ring.wrap(v) for v in sorted(self.element_values)]
 
     def text(self) -> str:
         if not self.generator_values:
@@ -151,14 +147,22 @@ def radical(ideal: Ideal) -> Ideal:
     """Elements with some power in the ideal.
 
     An ideal is closed under multiplication, so one walk over the powers
-    (`values_with_power_in`) classifies every element.
+    (`values_with_power_in`) classifies every element.  The result is
+    kept on the ring, keyed by the ideal's element set, so each ideal's
+    radical is walked once per ring.
     """
     ring = ideal.ring
-    return Ideal.from_elements(ring, values_with_power_in(ring, ideal.element_values))
+    rad = ring._radicals.get(ideal.element_values)
+    if rad is None:
+        rad = ring._radicals[ideal.element_values] = Ideal.from_elements(
+            ring, values_with_power_in(ring, ideal.element_values)
+        )
+    return rad
 
 
 def ideal_product(left: Ideal, right: Ideal) -> Ideal:
-    """Ideal generated by all products of one generator from each side."""
+    """Ideal generated by all products of one generator from each side,
+    passed as generators in canonical order."""
     if left.ring != right.ring:
         raise ValueError("ideals live in different rings")
     ring = left.ring
@@ -169,7 +173,7 @@ def ideal_product(left: Ideal, right: Ideal) -> Ideal:
         for a in left.generator_values
         for b in right.generator_values
     }
-    return Ideal.from_generators(ring, products)
+    return Ideal.from_generators(ring, sorted(products))
 
 
 def ideal_power(ideal: Ideal, k: int) -> Ideal:
@@ -231,12 +235,10 @@ def enumerate_ideals(ring: Ring, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[I
                     seen[extended.element_values] = extended
                     next_frontier.append(extended)
         frontier = next_frontier
-    def order_key(ideal: Ideal):
-        return (
-            len(ideal.element_values),
-            sorted(ring.sort_key(v) for v in ideal.element_values),
-        )
-    return sorted(seen.values(), key=order_key)
+    return sorted(
+        seen.values(),
+        key=lambda ideal: (len(ideal.element_values), sorted(ideal.element_values)),
+    )
 
 
 def proper_ideals(ring: Ring, max_ideals: int = DEFAULT_MAX_IDEALS) -> Iterator[Ideal]:

@@ -315,7 +315,7 @@ def _factored_certificate(matrix: ShiftMatrix) -> Optional[ProjectiveZeroResult]
             return None
         lowered.append(d_k)
     checked = 0
-    for s in sorted(generated_ideal_values(ring, column_gens), key=ring.sort_key):
+    for s in sorted(generated_ideal_values(ring, column_gens)):
         checked += 1
         if all(mul(d_k, s) != zero for d_k in lowered):
             return None
@@ -484,12 +484,12 @@ class ProofTrace:
         )
 
 
-def _direct_step(ring: Ring, alpha: tuple, mono: tuple) -> dict:
+def _direct_step(alpha: tuple, mono: tuple, zero_text: str) -> dict:
     return {
         "alpha": list(alpha),
         "monomial": list(mono),
         "rule": "direct",
-        "conclusion": ring.render_value(ring.zero_value),
+        "conclusion": zero_text,
     }
 
 
@@ -500,11 +500,13 @@ def _matrix_step(
     mono: tuple,
     g,
     proven: set,
+    zero_text: str,
     *,
     samples: Optional[int],
     seed: Optional[int],
 ) -> dict:
-    """The zero-diagonal step for `mono`, whose value is `g`."""
+    """The zero-diagonal step for `mono`, whose value is `g`; its
+    conclusion reads `zero_text`, the rendered zero."""
     zero = ring.zero_value
     mul = ring.mul_values
     matrix = build_shift_matrix(ring, gen_values, mono)
@@ -578,7 +580,7 @@ def _matrix_step(
         "projective_zero": pz_record,
         "j_sequence": list(walk.j_sequence),
         "diagonal_index": walk.index,
-        "conclusion": ring.render_value(zero),
+        "conclusion": zero_text,
     }
 
 
@@ -630,16 +632,18 @@ def prove_radical_power_zero(
 
     steps: list[dict] = []
     evaluate = power_table(ring, gen_values)
+    zero_text = ring.render_value(zero)
     proven: set = set()
     for alpha, monomials in induction_schedule(n):
         for mono in monomials:
             value = evaluate(mono)
             if short_circuit and value == zero:
-                steps.append(_direct_step(ring, alpha, mono))
+                steps.append(_direct_step(alpha, mono, zero_text))
             else:
                 steps.append(
                     _matrix_step(
-                        ring, gen_values, alpha, mono, value, proven, samples=samples, seed=seed
+                        ring, gen_values, alpha, mono, value, proven, zero_text,
+                        samples=samples, seed=seed,
                     )
                 )
         proven.add(alpha)

@@ -2,11 +2,22 @@
 
 Four structural kinds are supported: integers mod n, a prime field
 polynomial ring modulo a monic polynomial, finite direct products, and
-quotients by a finitely generated ideal.  Every ring enumerates its
-elements in one fixed total order, which makes all exhaustive searches
-downstream deterministic.  Elements are plain hashable payloads (ints,
-coefficient tuples, component tuples) wrapped in `RingElement` for
-arithmetic; value-level methods on the ring are the fast path.
+quotients by a finitely generated ideal.  Every ring numbers its
+elements 0..|R|-1 in one fixed canonical order, and an element value is
+that number: zero is 0, `iter_values()` is `range(size)`, and canonical
+order is integer order, which makes all exhaustive searches downstream
+deterministic.  The numbering of each kind:
+
+- Zmod: the residue itself;
+- PolyQuot: the coefficients c0, c1, ... read as a base-p number, the
+  constant coefficient least significant;
+- Product: the component values in mixed radix, the leftmost factor
+  most significant;
+- Quotient: cosets in the order of their least members in the base.
+
+A kind supplies only its arithmetic on values and their text form
+(`render_value`, `parse_value`).  `RingElement` wraps a value for
+operator arithmetic; value-level methods on the ring are the fast path.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ImproperIdealError,
@@ -152,11 +163,11 @@ class RingElement:
 
     def __lt__(self, other):
         other = self._other(other)
-        return self.ring.sort_key(self.value) < self.ring.sort_key(other.value)
+        return self.value < other.value
 
     def __le__(self, other):
         other = self._other(other)
-        return self.ring.sort_key(self.value) <= self.ring.sort_key(other.value)
+        return self.value <= other.value
 
     @property
     def is_zero(self) -> bool:
@@ -174,18 +185,27 @@ class RingElement:
 
 
 class Ring:
-    """Common interface; subclasses implement value-level arithmetic."""
+    """Common interface; subclasses implement value-level arithmetic.
+
+    Element values are the ints 0..size-1 in canonical order, with zero
+    at 0.  Each kind passes its size and the value of its identity to
+    `__init__` and supplies the arithmetic and the text form.
+    """
 
     descriptor: RingDescriptor
-    size: int
+    zero_value = 0
 
-    def __init__(self):
+    def __init__(self, size: int, one_value: int):
+        self.size = size
+        self.one_value = one_value
         self._units: frozenset | None = None
         # the absorbing scan's memo, filled in there: ideal element set ->
         # (scan candidates, {n: exhaustive report})
         self._scans: dict = {}
         # quotient_ring's memo: ideal element set -> R/I
         self._quotients: dict = {}
+        # ideals.radical's memo: ideal element set -> radical Ideal
+        self._radicals: dict = {}
 
     # value-level ops -------------------------------------------------
 
@@ -211,22 +231,11 @@ class Ring:
             k >>= 1
         return result
 
-    @property
-    def zero_value(self):
-        raise NotImplementedError
-
-    @property
-    def one_value(self):
-        raise NotImplementedError
-
-    def iter_values(self) -> Iterator:
-        raise NotImplementedError
-
-    def sort_key(self, value):
-        raise NotImplementedError
+    def iter_values(self) -> range:
+        return range(self.size)
 
     def contains_value(self, value) -> bool:
-        raise NotImplementedError
+        return type(value) is int and 0 <= value < self.size
 
     def render_value(self, value) -> str:
         raise NotImplementedError
@@ -328,13 +337,12 @@ def _parse_int(text: str) -> int:
 
 
 class ZModRing(Ring):
-    """Residues 0..n-1 with arithmetic mod n."""
+    """Residues 0..n-1 with arithmetic mod n; a value is its residue."""
 
     def __init__(self, n: int):
-        super().__init__()
+        super().__init__(n, 1)
         self.n = n
         self.descriptor = ZMod(n)
-        self.size = n
 
     def add_values(self, a, b):
         return (a + b) % self.n
@@ -350,23 +358,6 @@ class ZModRing(Ring):
             raise ValueError("exponent must be nonnegative")
         return pow(a, k, self.n)
 
-    @property
-    def zero_value(self):
-        return 0
-
-    @property
-    def one_value(self):
-        return 1
-
-    def iter_values(self):
-        return iter(range(self.n))
-
-    def sort_key(self, value):
-        return value
-
-    def contains_value(self, value):
-        return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < self.n
-
     def render_value(self, value):
         return str(value)
 
@@ -378,32 +369,37 @@ class ZModRing(Ring):
 
 
 class PolyQuotRing(Ring):
-    """(Z/p)[x] mod a monic modulus; values are coefficient tuples.
+    """(Z/p)[x] mod a monic modulus of degree d.
 
-    A value lists the coefficients of 1, x, ..., x^(d-1) where d is the
-    modulus degree.  The canonical order reads a tuple as a base-p
-    integer with the constant coefficient least significant.
+    The value of c0 + c1*x + ... + c(d-1)*x^(d-1) is the base-p number
+    with digits c0 (least significant) up to c(d-1).  `_coeffs` lists
+    the coefficient tuple of every value and `_index` maps a tuple back
+    to its value, so arithmetic reads and writes values by lookup.
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
-        super().__init__()
         self.p = p
         self.modulus = tuple(modulus)
         self.degree = len(self.modulus) - 1
         self.descriptor = PolyQuot(p, self.modulus)
-        self.size = p ** self.degree
+        # itertools.product varies its last position fastest; reversed,
+        # that position is the constant coefficient
+        self._coeffs = [c[::-1] for c in itertools.product(range(p), repeat=self.degree)]
+        self._index = {c: v for v, c in enumerate(self._coeffs)}
+        super().__init__(len(self._coeffs), 1)
 
     def add_values(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        p, coeffs = self.p, self._coeffs
+        return self._index[tuple((x + y) % p for x, y in zip(coeffs[a], coeffs[b]))]
 
     def mul_values(self, a, b):
         p = self.p
         d = self.degree
-        conv = [0] * (2 * d - 1) if d > 1 else [0]
-        for i, x in enumerate(a):
+        coeffs = self._coeffs
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(coeffs[a]):
             if x:
-                for j, y in enumerate(b):
+                for j, y in enumerate(coeffs[b]):
                     if y:
                         conv[i + j] = (conv[i + j] + x * y) % p
         # reduce by the monic modulus, top degree first
@@ -415,45 +411,14 @@ class PolyQuotRing(Ring):
                 for j, m in enumerate(self.modulus[:-1]):
                     if m:
                         conv[base + j] = (conv[base + j] - c * m) % p
-        return tuple(conv[:d])
+        return self._index[tuple(conv[:d])]
 
     def neg_value(self, a):
         p = self.p
-        return tuple((-x) % p for x in a)
-
-    @property
-    def zero_value(self):
-        return (0,) * self.degree
-
-    @property
-    def one_value(self):
-        return (1,) + (0,) * (self.degree - 1)
-
-    def iter_values(self):
-        p, d = self.p, self.degree
-        for i in range(self.size):
-            digits = []
-            n = i
-            for _ in range(d):
-                digits.append(n % p)
-                n //= p
-            yield tuple(digits)
-
-    def sort_key(self, value):
-        key = 0
-        for c in reversed(value):
-            key = key * self.p + c
-        return key
-
-    def contains_value(self, value):
-        return (
-            isinstance(value, tuple)
-            and len(value) == self.degree
-            and all(isinstance(c, int) and 0 <= c < self.p for c in value)
-        )
+        return self._index[tuple((-x) % p for x in self._coeffs[a])]
 
     def render_value(self, value):
-        return "[" + ",".join(str(c) for c in value) + "]"
+        return "[" + ",".join(str(c) for c in self._coeffs[value]) + "]"
 
     def parse_value(self, text):
         text = text.strip()
@@ -469,55 +434,54 @@ class PolyQuotRing(Ring):
             if not 0 <= c < self.p:
                 raise ParseError(f"coefficient {c} outside [0, {self.p})")
         coeffs.extend([0] * (self.degree - len(coeffs)))
-        return tuple(coeffs)
+        return self._index[tuple(coeffs)]
 
 
 class ProductRing(Ring):
-    """Componentwise arithmetic on tuples, leftmost factor first."""
+    """Componentwise arithmetic, leftmost factor first.
+
+    A value is its component values in mixed radix with the leftmost
+    factor most significant, so integer order is the lexicographic order
+    of the components.  `_parts` lists the components of every value and
+    `_weights` holds the place value of each factor.
+    """
 
     def __init__(self, factors: Sequence[Ring]):
-        super().__init__()
         self.factors = tuple(factors)
         self.descriptor = Product(tuple(f.descriptor for f in self.factors))
-        self.size = math.prod(f.size for f in self.factors)
+        self._parts = list(itertools.product(*(f.iter_values() for f in self.factors)))
+        self._weights = tuple(
+            math.prod(f.size for f in self.factors[i + 1:]) for i in range(len(self.factors))
+        )
+        super().__init__(len(self._parts), self._encode(f.one_value for f in self.factors))
+
+    def _encode(self, components) -> int:
+        return sum(x * w for x, w in zip(components, self._weights))
 
     def add_values(self, a, b):
-        return tuple(f.add_values(x, y) for f, x, y in zip(self.factors, a, b))
+        parts = self._parts
+        out = 0
+        for f, w, x, y in zip(self.factors, self._weights, parts[a], parts[b]):
+            out += f.add_values(x, y) * w
+        return out
 
     def mul_values(self, a, b):
-        return tuple(f.mul_values(x, y) for f, x, y in zip(self.factors, a, b))
+        parts = self._parts
+        out = 0
+        for f, w, x, y in zip(self.factors, self._weights, parts[a], parts[b]):
+            out += f.mul_values(x, y) * w
+        return out
 
     def neg_value(self, a):
-        return tuple(f.neg_value(x) for f, x in zip(self.factors, a))
+        return self._encode(f.neg_value(x) for f, x in zip(self.factors, self._parts[a]))
 
     def pow_value(self, a, k):
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return tuple(f.pow_value(x, k) for f, x in zip(self.factors, a))
-
-    @property
-    def zero_value(self):
-        return tuple(f.zero_value for f in self.factors)
-
-    @property
-    def one_value(self):
-        return tuple(f.one_value for f in self.factors)
-
-    def iter_values(self):
-        return itertools.product(*(f.iter_values() for f in self.factors))
-
-    def sort_key(self, value):
-        return tuple(f.sort_key(x) for f, x in zip(self.factors, value))
-
-    def contains_value(self, value):
-        return (
-            isinstance(value, tuple)
-            and len(value) == len(self.factors)
-            and all(f.contains_value(x) for f, x in zip(self.factors, value))
-        )
+        return self._encode(f.pow_value(x, k) for f, x in zip(self.factors, self._parts[a]))
 
     def render_value(self, value):
-        return "(" + ",".join(f.render_value(x) for f, x in zip(self.factors, value)) + ")"
+        return "(" + ",".join(
+            f.render_value(x) for f, x in zip(self.factors, self._parts[value])
+        ) + ")"
 
     def parse_value(self, text):
         text = text.strip()
@@ -528,18 +492,18 @@ class ProductRing(Ring):
             raise ParseError(
                 f"expected {len(self.factors)} components, got {len(chunks)}"
             )
-        return tuple(f.parse_value(c) for f, c in zip(self.factors, chunks))
+        return self._encode(f.parse_value(c) for f, c in zip(self.factors, chunks))
 
 
 class QuotientRing(Ring):
-    """Cosets of an ideal, represented by their least member.
+    """Cosets of an ideal, numbered in the order of their least members.
 
-    The representative of a coset is its minimum under the base ring's
-    canonical order; arithmetic maps back through that choice.
+    `_lift` lists the least member (a base value) of each coset and
+    `_proj` maps each base value to its coset; arithmetic lifts the
+    operands, computes in the base ring and projects back.
     """
 
     def __init__(self, base: Ring, ideal_values: Iterable):
-        super().__init__()
         ideal_values = frozenset(ideal_values)
         for v in ideal_values:
             if not base.contains_value(v):
@@ -552,69 +516,47 @@ class QuotientRing(Ring):
             )
         self.base = base
         self.ideal_values = ideal_values
-        reps: dict = {}
-        order: list = []
+        proj: list = [None] * base.size
+        lift: list = []
         for v in base.iter_values():
-            # first visit in ascending canonical order is the coset minimum
-            if v in reps:
-                continue
-            order.append(v)
-            for i in ideal_values:
-                reps[base.add_values(v, i)] = v
-        self._reps = reps
-        self._values = tuple(order)
-        self.size = len(order)
-        self.descriptor = Quotient(
-            base.descriptor, tuple(sorted(ideal_values, key=base.sort_key))
-        )
+            # first visit in ascending order is the coset's least member
+            if proj[v] is None:
+                for i in ideal_values:
+                    proj[base.add_values(v, i)] = len(lift)
+                lift.append(v)
+        self._proj = proj
+        self._lift = lift
+        self.descriptor = Quotient(base.descriptor, tuple(sorted(ideal_values)))
+        super().__init__(len(lift), proj[base.one_value])
 
     # surjection and preimage -------------------------------------------
 
     def project_value(self, base_value):
-        return self._reps[base_value]
-
-    def project(self, elem: RingElement) -> RingElement:
-        if elem.ring != self.base:
-            raise MixedRingError("element does not belong to the base ring")
-        return RingElement(self, self._reps[elem.value])
+        return self._proj[base_value]
 
     def preimage_values(self, quotient_values: Iterable) -> frozenset:
         target = set(quotient_values)
-        return frozenset(v for v in self.base.iter_values() if self._reps[v] in target)
+        proj = self._proj
+        return frozenset(v for v in self.base.iter_values() if proj[v] in target)
 
     # ring interface -----------------------------------------------------
 
     def add_values(self, a, b):
-        return self._reps[self.base.add_values(a, b)]
+        lift = self._lift
+        return self._proj[self.base.add_values(lift[a], lift[b])]
 
     def mul_values(self, a, b):
-        return self._reps[self.base.mul_values(a, b)]
+        lift = self._lift
+        return self._proj[self.base.mul_values(lift[a], lift[b])]
 
     def neg_value(self, a):
-        return self._reps[self.base.neg_value(a)]
-
-    @property
-    def zero_value(self):
-        return self._reps[self.base.zero_value]
-
-    @property
-    def one_value(self):
-        return self._reps[self.base.one_value]
-
-    def iter_values(self):
-        return iter(self._values)
-
-    def sort_key(self, value):
-        return self.base.sort_key(value)
-
-    def contains_value(self, value):
-        return self._reps.get(value) == value
+        return self._proj[self.base.neg_value(self._lift[a])]
 
     def render_value(self, value):
-        return self.base.render_value(value)
+        return self.base.render_value(self._lift[value])
 
     def parse_value(self, text):
-        return self._reps[self.base.parse_value(text)]
+        return self._proj[self.base.parse_value(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +683,8 @@ def build_ring(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> R
 def quotient_ring(ring: Ring, ideal) -> QuotientRing:
     """Quotient of `ring` by an ideal given as an Ideal or a value set.
 
-    The result carries the canonical surjection (`project`) and preimage
-    (`preimage_values`) maps.  It is built once per ideal element set
+    The result carries the canonical surjection (`project_value`) and
+    preimage (`preimage_values`) maps.  It is built once per ideal element set
     and kept on `ring`, so repeated calls return the same quotient with
     its unit table and absorbing scans.  `build_ring` never calls this,
     so a freshly built ring starts with no quotients.

@@ -57,7 +57,7 @@ def naive_sorted_witnesses(ideal, n):
     ring = ideal.ring
     members = ideal.element_values
     out = []
-    values = sorted(ring.iter_values(), key=ring.sort_key)
+    values = sorted(ring.iter_values())
     for tup in itertools.combinations_with_replacement(values, n + 1):
         if naive_product(ring, tup) not in members:
             continue

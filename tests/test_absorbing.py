@@ -158,7 +158,7 @@ def test_resource_gate_and_sampled_mode():
     # Z12 zero ideal is not 2-absorbing; 400 draws find 2*2*3 with ease
     assert not report.holds
     assert report.witness.check(ideal)
-    values = [ring.sort_key(v) for v in report.witness.elements]
+    values = list(report.witness.elements)
     assert values == sorted(values)
     again = is_n_absorbing(ideal, 2, max_tuples=10, samples=400, seed=5)
     assert again.witness.elements == report.witness.elements

@@ -75,7 +75,7 @@ def shift_matrices(draw):
     """Shift matrices of arbitrary (often non-nilpotent) generators, some
     with one entry altered so that the rows no longer factor."""
     ring = _ring(draw(shift_rings))
-    values = sorted(ring.iter_values(), key=ring.sort_key)
+    values = list(ring.iter_values())
     k = draw(st.integers(min_value=1, max_value=3))
     gens = [draw(st.sampled_from(values)) for _ in range(k)]
     exponents = draw(

@@ -96,6 +96,18 @@ def test_radical_power_hypothesis_failure(capsys):
     assert payload["error"]["witness"]["elements"] == ["2", "2", "2"]
 
 
+def test_radical_power_generators_in_canonical_order(capsys):
+    code, payload = run_cli(
+        capsys,
+        "radical-power",
+        "--ring", "Product:[Zmod:4,Zmod:3]",
+        "--ideal", "((0,1))",
+        "--n", "2",
+    )
+    assert code == 0
+    assert payload["report"]["radical_power"]["generators"] == ["(0,0)", "(0,1)"]
+
+
 def test_corollaries_z27(capsys):
     code, payload = run_cli(capsys, "corollaries", "--ring", "Zmod:27")
     assert code == 0
@@ -169,6 +181,21 @@ def test_trace_hypothesis_error(capsys):
     assert code == 1
     assert payload["error"]["kind"] == "hypothesis"
     assert payload["error"]["hypothesis"] == "nilpotent-generators"
+
+
+@pytest.mark.parametrize(
+    "ring, gen",
+    [
+        ("Product:[Zmod:2,Zmod:4]", "(1,0)"),
+        ("PolyQuot:{p:2,poly:[0,0,1]}", "[1,0]"),
+        ("Quotient:{ring:Product:[Zmod:4,Zmod:6],gens:[(2,0)]}", "(1,2)"),
+    ],
+)
+def test_trace_hypothesis_witness_is_rendered_on_every_ring_kind(ring, gen, capsys):
+    code, payload = run_cli(capsys, "trace", "--ring", ring, "--gens", gen)
+    assert code == 1
+    assert payload["error"]["hypothesis"] == "nilpotent-generators"
+    assert payload["error"]["witness"] == gen
 
 
 def test_parse_errors_exit_2(capsys):

@@ -6,17 +6,26 @@ output of an earlier case), the exit code, and stdout itself or, for
 long traces, its SHA-256.  A case with `out_file` writes its report to a
 file instead.  All cases run in one process, so later ones also run on
 the parser the earlier ones left behind.
+
+`fixtures/lemma_survey_golden.json` does the same for
+`scripts/lemma_survey.py`: each case is an argv, its exit code and its
+stdout, replayed in a fresh interpreter.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from absorbing_ideals.cli import main
 
-CASES = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())["cases"]
+FIXTURES = Path(__file__).parent / "fixtures"
+CASES = json.loads((FIXTURES / "cli_golden.json").read_text())["cases"]
+SURVEY_CASES = json.loads((FIXTURES / "lemma_survey_golden.json").read_text())["cases"]
+LEMMA_SURVEY = Path(__file__).parent.parent / "scripts" / "lemma_survey.py"
 
 
 def _run(argv, capsys):
@@ -74,3 +83,13 @@ def test_full_machinery_golden_trace_has_zero_diagonal_steps(name, tmp_path, mon
     code, out = _run(case["argv"], capsys)
     assert code == 0
     assert any(step["rule"] == "zero-diagonal" for step in json.loads(out)["steps"])
+
+
+@pytest.mark.parametrize("case", SURVEY_CASES, ids=lambda case: " ".join(case["argv"]))
+def test_lemma_survey_output_is_byte_identical(case):
+    # the second case samples matrices, drawing entries from iter_values
+    done = subprocess.run(
+        [sys.executable, str(LEMMA_SURVEY), *case["argv"]],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (done.returncode, done.stdout) == (case["exit"], case["stdout"])

@@ -15,6 +15,7 @@ from absorbing_ideals import (
     trace_survey,
     zero_diagonal_survey,
 )
+from absorbing_ideals import ideals as ideals_module
 from absorbing_ideals.rings import QuotientRing
 
 
@@ -73,6 +74,22 @@ def test_audit_builds_one_quotient_ring_per_proper_ideal(monkeypatch):
         built.clear()
         audit_ideal(ideal, 4)
         assert built == ([] if ideal.is_unit else [ideal.element_values])
+
+
+def test_audit_walks_each_radical_once(monkeypatch):
+    # each (ring, ideal) pair is walked once: the ring keeps the radical
+    walks = []
+    walk = ideals_module.values_with_power_in
+
+    def counting_walk(ring, targets):
+        walks.append((id(ring), frozenset(targets)))
+        return walk(ring, targets)
+
+    monkeypatch.setattr(ideals_module, "values_with_power_in", counting_walk)
+    audit = run_ring_audit("Zmod:12", 4)
+    assert audit.ok and audit.ideal_count == 6
+    # 5 proper ideals of Zmod:12 and the zero ideal of each quotient
+    assert len(walks) == len(set(walks)) == 10
 
 
 def test_audit_marks_inapplicable_checks_none():

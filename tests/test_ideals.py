@@ -127,6 +127,7 @@ def test_colon_matches_oracle(ideal):
 def test_product_matches_oracle(ideal):
     square = ideal_product(ideal, ideal)
     assert square.element_values == naive_ideal_product_elements(ideal, ideal)
+    assert list(square.generator_values) == sorted(square.generator_values)
     assert square.element_values <= ideal.element_values
 
 

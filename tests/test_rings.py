@@ -18,6 +18,7 @@ from absorbing_ideals import (
     enumerate_ideals,
     parse_ring_spec,
     quotient_ring,
+    render_ring_spec,
 )
 from absorbing_ideals.rings import (
     additive_closure_values,
@@ -72,34 +73,38 @@ def test_zmod_basics():
 
 def test_polyquot_basics():
     ring = build_ring(PolyQuot(2, (0, 0, 1)))  # square of the variable is 0
+    text, value = ring.render_value, ring.parse_value
     assert ring.size == 4
-    assert list(ring.iter_values()) == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    x = (0, 1)
-    assert ring.mul_values(x, x) == (0, 0)
-    assert ring.add_values(x, ring.one_value) == (1, 1)
-    assert ring.unit_values() == frozenset({(1, 0), (1, 1)})
+    assert [text(v) for v in ring.iter_values()] == ["[0,0]", "[1,0]", "[0,1]", "[1,1]"]
+    x = value("[0,1]")
+    assert ring.mul_values(x, x) == value("[0,0]")
+    assert ring.add_values(x, ring.one_value) == value("[1,1]")
+    assert ring.unit_values() == frozenset({value("[1,0]"), value("[1,1]")})
 
 
 def test_polyquot_field():
     # an irreducible modulus gives a field: every nonzero element a unit
     ring = build_ring(PolyQuot(2, (1, 1, 1)))
-    assert ring.unit_values() == frozenset(set(ring.iter_values()) - {(0, 0)})
+    zero = ring.parse_value("[0,0]")
+    assert ring.unit_values() == frozenset(set(ring.iter_values()) - {zero})
 
 
 def test_polyquot_reduction_uses_modulus():
     # cube of the variable reduces via x^3 = -x - 1 over F2: x^3 = x + 1
     ring = build_ring(PolyQuot(2, (1, 1, 0, 1)))
-    x = (0, 1, 0)
-    assert ring.pow_value(x, 3) == (1, 1, 0)
+    x = ring.parse_value("[0,1,0]")
+    assert ring.pow_value(x, 3) == ring.parse_value("[1,1,0]")
 
 
 def test_product_basics():
     ring = build_ring(Product((ZMod(4), ZMod(3))))
+    text, value = ring.render_value, ring.parse_value
     assert ring.size == 12
     values = list(ring.iter_values())
-    assert values[0] == (0, 0) and values[1] == (0, 1) and values[3] == (1, 0)
-    assert ring.mul_values((2, 2), (2, 2)) == (0, 1)
-    assert ring.one_value == (1, 1)
+    assert text(values[0]) == "(0,0)" and text(values[1]) == "(0,1)"
+    assert text(values[3]) == "(1,0)"
+    assert ring.mul_values(value("(2,2)"), value("(2,2)")) == value("(0,1)")
+    assert text(ring.one_value) == "(1,1)"
 
 
 def test_quotient_basics():
@@ -205,8 +210,7 @@ def test_power_matches_repeated_multiplication(data, k):
 def test_canonical_order_is_total_and_stable(ring):
     values = list(ring.iter_values())
     assert len(values) == ring.size == len(set(values))
-    keys = [ring.sort_key(v) for v in values]
-    assert keys == sorted(keys)
+    assert values == sorted(values)
     assert all(ring.contains_value(v) for v in values)
 
 
@@ -214,6 +218,46 @@ def test_canonical_order_is_total_and_stable(ring):
 def test_render_parse_round_trip(data):
     ring, (a,) = data
     assert ring.parse_value(ring.render_value(a)) == a
+
+
+# element texts in canonical order for DESCRIPTOR_POOL and two more quotients
+CANONICAL_TEXTS = {
+    ZMod(2): ["0", "1"],
+    ZMod(4): ["0", "1", "2", "3"],
+    ZMod(6): [str(v) for v in range(6)],
+    ZMod(9): [str(v) for v in range(9)],
+    ZMod(12): [str(v) for v in range(12)],
+    PolyQuot(2, (0, 0, 1)): ["[0,0]", "[1,0]", "[0,1]", "[1,1]"],
+    PolyQuot(2, (1, 1, 1)): ["[0,0]", "[1,0]", "[0,1]", "[1,1]"],
+    PolyQuot(3, (0, 0, 1)): [
+        "[0,0]", "[1,0]", "[2,0]", "[0,1]", "[1,1]", "[2,1]", "[0,2]", "[1,2]", "[2,2]",
+    ],
+    Product((ZMod(2), ZMod(3))): ["(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)", "(1,2)"],
+    Product((ZMod(4), ZMod(2))): [
+        "(0,0)", "(0,1)", "(1,0)", "(1,1)", "(2,0)", "(2,1)", "(3,0)", "(3,1)",
+    ],
+    Quotient(ZMod(12), (4,)): ["0", "1", "2", "3"],
+    # generators are base values: 4 is [0,0,1], the square of the variable
+    Quotient(PolyQuot(2, (0, 0, 0, 1)), (4,)): ["[0,0,0]", "[1,0,0]", "[0,1,0]", "[1,1,0]"],
+    # 1 is (0,1); the cosets' least members are (0,0) and (1,0)
+    Quotient(Product((ZMod(2), ZMod(2))), (1,)): ["(0,0)", "(1,0)"],
+}
+
+
+@pytest.mark.parametrize(
+    "desc",
+    DESCRIPTOR_POOL + [d for d in CANONICAL_TEXTS if d not in DESCRIPTOR_POOL],
+    ids=render_ring_spec,
+)
+def test_values_are_canonical_indices(desc):
+    ring = build_ring(desc)
+    assert ring.iter_values() == range(ring.size)
+    assert ring.zero_value == 0
+    assert [ring.render_value(v) for v in ring.iter_values()] == CANONICAL_TEXTS[desc]
+    for v in ring.iter_values():
+        assert ring.parse_value(ring.render_value(v)) == v
+    for outsider in (True, -1, ring.size, (0, 0)):
+        assert not ring.contains_value(outsider)
 
 
 # ---------------------------------------------------------------------------

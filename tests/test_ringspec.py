@@ -122,9 +122,9 @@ def test_parse_ideal_text():
 def test_parse_ideal_text_product_ring():
     ring = build_ring(parse_ring_spec("Product:[Zmod:2,Zmod:4]"))
     ideal = parse_ideal_text(ring, "((0,2))")
-    assert ideal.element_values == frozenset({(0, 0), (0, 2)})
+    assert ideal.element_values == frozenset(map(ring.parse_value, ["(0,0)", "(0,2)"]))
     two_gens = parse_ideal_text(ring, "((1,0),(0,2))")
-    assert (1, 0) in two_gens.element_values
+    assert ring.parse_value("(1,0)") in two_gens.element_values
 
 
 @pytest.mark.parametrize(
