@@ -126,7 +126,7 @@ def _build_ring(args, report: _Report):
         raise ParseError("a --ring spec is required")
     descriptor = parse_ring_spec(args.ring, max_size=args.max_ring_size)
     report.ring = build_ring(descriptor, max_size=args.max_ring_size)
-    report["ring"] = render_ring_spec(report.ring.descriptor)
+    report["ring"] = render_ring_spec(report.ring)
     return report.ring
 
 

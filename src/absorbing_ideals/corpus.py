@@ -244,7 +244,7 @@ def run_ring_audit(
     is recorded in the result (`limit`) instead of raised."""
     descriptor = parse_ring_spec(spec_text, max_size=max_ring_size)
     ring = build_ring(descriptor, max_size=max_ring_size)
-    spec = render_ring_spec(ring.descriptor)
+    spec = render_ring_spec(ring)
     try:
         ideals = enumerate_ideals(ring)
         audits = tuple(audit_ideal(ideal, cap, **scan_options) for ideal in ideals)
@@ -300,7 +300,7 @@ def trace_survey(
         raise ValueError(f"the trace limit must be at least 1, got {limit}")
     descriptor = parse_ring_spec(spec_text, max_size=max_ring_size)
     ring = build_ring(descriptor, max_size=max_ring_size)
-    spec = render_ring_spec(ring.descriptor)
+    spec = render_ring_spec(ring)
     zero = Ideal.zero(ring)
     try:
         result = omega(zero, cap, max_tuples=max_tuples)
@@ -464,7 +464,7 @@ def zero_diagonal_survey(
         else:
             walk_succeeded += 1
     survey = {
-        "ring": render_ring_spec(ring.descriptor),
+        "ring": render_ring_spec(ring),
         "m": m,
         "mode": mode,
         "matrices_planned": planned,

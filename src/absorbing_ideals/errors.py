@@ -5,10 +5,6 @@ class RingBuildError(ValueError):
     """A ring descriptor violates one of its structural constraints."""
 
 
-class MixedRingError(ValueError):
-    """Operands belong to different rings."""
-
-
 class ParseError(ValueError):
     """Malformed ring spec, element text, or ideal text."""
 

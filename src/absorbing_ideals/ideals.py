@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 from .errors import ResourceLimitError
 from .rings import (
     Ring,
-    RingElement,
     additive_closure_values,
     generated_ideal_values,
     values_with_power_in,
@@ -38,10 +37,9 @@ class Ideal:
 
     @classmethod
     def from_generators(cls, ring: Ring, generators: Iterable) -> "Ideal":
-        """Ideal generated by the given elements (values or wrapped)."""
-        values = [g.value if isinstance(g, RingElement) else g for g in generators]
-        closure = generated_ideal_values(ring, values)
-        return cls(ring, values, closure)
+        """Ideal generated by the given element values."""
+        values = list(generators)
+        return cls(ring, values, generated_ideal_values(ring, values))
 
     @classmethod
     def from_elements(cls, ring: Ring, elements: Iterable) -> "Ideal":
@@ -51,9 +49,7 @@ class Ideal:
         element when it is not yet generated by the ones already kept.
         Raises ValueError if the set is not actually an ideal.
         """
-        values = frozenset(
-            e.value if isinstance(e, RingElement) else e for e in elements
-        )
+        values = frozenset(elements)
         gens: list = []
         have: frozenset = frozenset({ring.zero_value})
         for v in sorted(values):
@@ -86,12 +82,8 @@ class Ideal:
     def is_proper(self) -> bool:
         return not self.is_unit
 
-    def contains(self, elem) -> bool:
-        value = elem.value if isinstance(elem, RingElement) else elem
+    def __contains__(self, value) -> bool:
         return value in self.element_values
-
-    def __contains__(self, elem) -> bool:
-        return self.contains(elem)
 
     def __len__(self) -> int:
         return len(self.element_values)
@@ -114,12 +106,6 @@ class Ideal:
         return True
 
     # presentation ----------------------------------------------------------
-
-    def generators(self) -> list[RingElement]:
-        return [self.ring.wrap(v) for v in self.generator_values]
-
-    def elements(self) -> list[RingElement]:
-        return [self.ring.wrap(v) for v in sorted(self.element_values)]
 
     def text(self) -> str:
         if not self.generator_values:
@@ -186,10 +172,9 @@ def ideal_power(ideal: Ideal, k: int) -> Ideal:
     return out
 
 
-def colon(ideal: Ideal, elem) -> Ideal:
+def colon(ideal: Ideal, x) -> Ideal:
     """Colon ideal: all r with r * x in the ideal."""
     ring = ideal.ring
-    x = elem.value if isinstance(elem, RingElement) else elem
     members = [
         v for v in ring.iter_values() if ring.mul_values(v, x) in ideal.element_values
     ]

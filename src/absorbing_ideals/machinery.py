@@ -29,7 +29,9 @@ can replay from nothing but the trace text.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -54,7 +56,6 @@ from .monomials import (
 from .rings import (
     DEFAULT_MAX_RING_SIZE,
     Ring,
-    RingElement,
     build_ring,
     generated_ideal_values,
     values_with_power_in,
@@ -66,8 +67,7 @@ TRACE_SCHEMA = "absorbing-trace/1"
 _INT_ONLY = frozenset({int})  # bool and float exponents are not table indices
 
 
-def _raw_value(ring: Ring, item):
-    value = item.value if isinstance(item, RingElement) else item
+def _checked_value(ring: Ring, value):
     if not ring.contains_value(value):
         raise ValueError(f"{value!r} is not an element of {ring}")
     return value
@@ -163,7 +163,7 @@ class SquareMatrix:
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence]):
         normalized = tuple(
-            tuple(_raw_value(ring, v) for v in row) for row in rows
+            tuple(_checked_value(ring, v) for v in row) for row in rows
         )
         m = len(normalized)
         if m == 0 or any(len(row) != m for row in normalized):
@@ -174,9 +174,6 @@ class SquareMatrix:
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
-
-    def element(self, i: int, j: int) -> RingElement:
-        return self.ring.wrap(self.rows[i][j])
 
     def apply_values(self, vector: Sequence) -> tuple:
         """Matrix times a vector of ring values."""
@@ -241,7 +238,7 @@ def build_shift_matrix(
     ring: Ring, generator_values: Sequence, exponents: Sequence[int]
 ) -> ShiftMatrix:
     """Construct the shift matrix of a monomial from its defining formula."""
-    gens = tuple(_raw_value(ring, g) for g in generator_values)
+    gens = tuple(_checked_value(ring, g) for g in generator_values)
     exponents = tuple(int(e) for e in exponents)
     if len(exponents) != len(gens):
         raise ValueError("one exponent per generator is required")
@@ -474,11 +471,16 @@ class ProofTrace:
         ]
         if missing:
             raise ValueError(f"trace document lacks fields: {', '.join(missing)}")
+        # exact types: int() and tuple() would read 3.5 as 3 and "246" as 2, 4, 6
+        kinds = {"n": int, "high_degree_bound": int, "generators": list, "steps": list}
+        for key, kind in kinds.items():
+            if type(data[key]) is not kind:
+                raise ValueError(f"trace field {key} must be a JSON {kind.__name__}")
         return cls(
             ring_spec=data["ring"],
             generators=tuple(data["generators"]),
-            n=int(data["n"]),
-            high_degree_bound=int(data["high_degree_bound"]),
+            n=data["n"],
+            high_degree_bound=data["high_degree_bound"],
             steps=tuple(data["steps"]),
             final_product=data["final_product"],
         )
@@ -605,7 +607,7 @@ def prove_radical_power_zero(
     runs the full matrix derivation for every monomial, which is the
     honest shape of the argument but much slower.
     """
-    gen_values = tuple(_raw_value(ring, g) for g in generators)
+    gen_values = tuple(_checked_value(ring, g) for g in generators)
     n = len(gen_values)
     if n < 1:
         raise ValueError("at least one generator is required")
@@ -653,7 +655,7 @@ def prove_radical_power_zero(
         raise TraceInconsistencyError("the generator product did not vanish")
 
     return ProofTrace(
-        ring_spec=render_ring_spec(ring.descriptor),
+        ring_spec=render_ring_spec(ring),
         generators=tuple(ring.render_value(g) for g in gen_values),
         n=n,
         high_degree_bound=n * n - n + 1,
@@ -768,7 +770,8 @@ def verify_trace(
     The hypothesis is re-decided on the zero ideal of the ring built
     here, whose scan memo starts empty, so no scan of the prover's is
     reused.  The schedule is the same `induction_schedule(n)` the prover
-    walks: a pure function of n that carries nothing from the trace.
+    walks: a pure function of n that carries nothing from the trace,
+    built only when the trace has as many steps as it has.
     """
     failures: list[dict] = []
 
@@ -821,20 +824,29 @@ def verify_trace(
     if trace.high_degree_bound != n * n - n + 1:
         fail(None, "bound", f"high_degree_bound should be {n * n - n + 1}")
 
-    expected_schedule = [
-        (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
-    ]
-    recorded: list = []
-    for step in trace.steps:
-        try:
-            recorded.append((tuple(step["alpha"]), tuple(step["monomial"])))
-        except (TypeError, KeyError):
-            recorded.append(None)
-    if recorded != expected_schedule:
+    # the schedule holds every n-tuple of total degree n..n^2-n; it and
+    # the power table are built only for a trace with that many steps,
+    # so memory stays proportional to the trace
+    full_length = len(trace.steps) == math.comb(n * n, n) - math.comb(2 * n - 1, n)
+    schedule_ok = False
+    if full_length:
+        recorded: list = []
+        for step in trace.steps:
+            try:
+                recorded.append((tuple(step["alpha"]), tuple(step["monomial"])))
+            except (TypeError, KeyError):
+                recorded.append(None)
+        schedule_ok = recorded == [
+            (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
+        ]
+    if not schedule_ok:
         fail(None, "schedule", "step sequence does not match the induction order")
 
-    # the verifier's own table, from the ring and generators rebuilt here
-    evaluate = power_table(ring, gen_values)
+    # the verifier's own evaluation, from the ring and generators rebuilt here
+    if full_length:
+        evaluate = power_table(ring, gen_values)
+    else:
+        evaluate = functools.partial(eval_monomial, ring, gen_values)
     zero_text = ring.render_value(zero)
     for index, step in enumerate(trace.steps):
         try:

@@ -16,8 +16,7 @@ deterministic.  The numbering of each kind:
 - Quotient: cosets in the order of their least members in the base.
 
 A kind supplies only its arithmetic on values and their text form
-(`render_value`, `parse_value`).  `RingElement` wraps a value for
-operator arithmetic; value-level methods on the ring are the fast path.
+(`render_value`, `parse_value`).
 """
 
 from __future__ import annotations
@@ -27,12 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    ImproperIdealError,
-    MixedRingError,
-    ParseError,
-    RingBuildError,
-)
+from .errors import ImproperIdealError, ParseError, RingBuildError
 
 DEFAULT_MAX_RING_SIZE = 4096
 
@@ -105,79 +99,6 @@ def descriptor_size(desc: RingDescriptor) -> int:
         # exact size needs the ideal; the base size is an upper bound
         return descriptor_size(desc.base)
     raise TypeError(f"not a ring descriptor: {desc!r}")
-
-
-# ---------------------------------------------------------------------------
-# element wrapper
-
-
-class RingElement:
-    """An element of a specific ring, stored in canonical form."""
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring: "Ring", value):
-        self.ring = ring
-        self.value = value
-
-    def _other(self, other) -> "RingElement":
-        if not isinstance(other, RingElement):
-            raise TypeError(f"cannot combine ring element with {type(other).__name__}")
-        if self.ring != other.ring:
-            raise MixedRingError(
-                f"elements of {self.ring} and {other.ring} cannot be combined"
-            )
-        return other
-
-    def __add__(self, other):
-        other = self._other(other)
-        return RingElement(self.ring, self.ring.add_values(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._other(other)
-        return RingElement(
-            self.ring,
-            self.ring.add_values(self.value, self.ring.neg_value(other.value)),
-        )
-
-    def __mul__(self, other):
-        other = self._other(other)
-        return RingElement(self.ring, self.ring.mul_values(self.value, other.value))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg_value(self.value))
-
-    def __pow__(self, k: int):
-        return RingElement(self.ring, self.ring.pow_value(self.value, k))
-
-    def __eq__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.ring == other.ring and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.ring, self.value))
-
-    def __bool__(self):
-        return self.value != self.ring.zero_value
-
-    def __lt__(self, other):
-        other = self._other(other)
-        return self.value < other.value
-
-    def __le__(self, other):
-        other = self._other(other)
-        return self.value <= other.value
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == self.ring.zero_value
-
-    def text(self) -> str:
-        return self.ring.render_value(self.value)
-
-    def __repr__(self):
-        return f"<{self.text()} in {self.ring}>"
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +181,6 @@ class Ring:
         for v in values:
             out = self.mul_values(out, v)
         return out
-
-    # wrapper layer -----------------------------------------------------
-
-    @property
-    def zero(self) -> RingElement:
-        return RingElement(self, self.zero_value)
-
-    @property
-    def one(self) -> RingElement:
-        return RingElement(self, self.one_value)
-
-    def wrap(self, value) -> RingElement:
-        return RingElement(self, value)
-
-    def element(self, value) -> RingElement:
-        if not self.contains_value(value):
-            raise ValueError(f"{value!r} is not an element of {self}")
-        return RingElement(self, value)
-
-    def elements(self) -> list[RingElement]:
-        """All elements, wrapped, in canonical order."""
-        return [RingElement(self, v) for v in self.iter_values()]
 
     def __eq__(self, other):
         if not isinstance(other, Ring):
@@ -681,7 +580,7 @@ def build_ring(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> R
 
 
 def quotient_ring(ring: Ring, ideal) -> QuotientRing:
-    """Quotient of `ring` by an ideal given as an Ideal or a value set.
+    """Quotient of `ring` by an Ideal.
 
     The result carries the canonical surjection (`project_value`) and
     preimage (`preimage_values`) maps.  It is built once per ideal element set
@@ -689,10 +588,7 @@ def quotient_ring(ring: Ring, ideal) -> QuotientRing:
     its unit table and absorbing scans.  `build_ring` never calls this,
     so a freshly built ring starts with no quotients.
     """
-    if hasattr(ideal, "element_values"):
-        values = ideal.element_values
-    else:
-        values = frozenset(ideal)
+    values = ideal.element_values
     quotient = ring._quotients.get(values)
     if quotient is None:
         quotient = ring._quotients[values] = QuotientRing(ring, values)

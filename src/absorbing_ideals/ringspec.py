@@ -29,7 +29,6 @@ from .rings import (
     RingDescriptor,
     ZMod,
     build_ring,
-    descriptor_size,
     split_top_level,
     validate_descriptor,
 )
@@ -172,22 +171,24 @@ def parse_ring_spec(text: str, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingDes
     return descriptor
 
 
-def render_ring_spec(desc: RingDescriptor) -> str:
-    """Canonical text for a descriptor; parses back to an equal ring."""
+def render_ring_spec(ring: Ring) -> str:
+    """Canonical text for a built ring; parses back to an equal ring.
+
+    A product renders its factor rings and a quotient renders its
+    generators through its base ring, so nothing is built here.
+    """
+    desc = ring.descriptor
     if isinstance(desc, ZMod):
         return f"Zmod:{desc.n}"
     if isinstance(desc, PolyQuot):
         coeffs = ",".join(str(c) for c in desc.modulus)
         return f"PolyQuot:{{p:{desc.p},poly:[{coeffs}]}}"
     if isinstance(desc, Product):
-        inner = ",".join(render_ring_spec(f) for f in desc.factors)
+        inner = ",".join(render_ring_spec(f) for f in ring.factors)
         return f"Product:[{inner}]"
     if isinstance(desc, Quotient):
-        base_ring = build_ring(
-            desc.base, max(DEFAULT_MAX_RING_SIZE, descriptor_size(desc.base))
-        )
-        gens = ",".join(base_ring.render_value(v) for v in desc.generators)
-        return f"Quotient:{{ring:{render_ring_spec(desc.base)},gens:[{gens}]}}"
+        gens = ",".join(ring.base.render_value(v) for v in desc.generators)
+        return f"Quotient:{{ring:{render_ring_spec(ring.base)},gens:[{gens}]}}"
     raise TypeError(f"not a ring descriptor: {desc!r}")
 
 

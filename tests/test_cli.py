@@ -158,6 +158,19 @@ def test_verify_trace_flags_tampering(tmp_path, capsys):
     assert any(f["kind"] == "final-product" for f in payload["failures"])
 
 
+def test_verify_trace_refuses_a_mistyped_field(tmp_path, capsys):
+    trace_file = tmp_path / "trace.json"
+    main(["trace", "--ring", "Zmod:8", "--gens", "2,4,6", "--out", str(trace_file)])
+    capsys.readouterr()
+    document = json.loads(trace_file.read_text())
+    document["n"] = "3"
+    trace_file.write_text(json.dumps(document))
+    code, payload = run_cli(capsys, "verify-trace", str(trace_file))
+    assert code == 1
+    assert payload["ok"] is False
+    assert [f["kind"] for f in payload["failures"]] == ["document"]
+
+
 def test_trace_full_machinery_flag(tmp_path, capsys):
     trace_file = tmp_path / "trace.json"
     code = main(

@@ -51,7 +51,6 @@ def test_square_matrix_basics():
     mat = SquareMatrix(ring, [[1, 2], [3, 4]])
     assert mat.m == 2
     assert mat.entry(0, 1) == 2
-    assert mat.element(1, 0).value == 3
     assert mat.apply_values([1, 1]) == (3, 1)
     assert mat.apply_counts([0, 2]) == (4, 2)
     assert mat.rendered_rows() == [["1", "2"], ["3", "4"]]

@@ -1,0 +1,22 @@
+"""The library examples in README.md run and give the values their comments state."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run_as_documented():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    exec(blocks[0], namespace)
+    zero = namespace["zero"]
+    assert namespace["omega"](zero).value == 3
+    assert namespace["check_radical_power"](zero, 3).holds
+    assert namespace["verify_trace"](namespace["trace"]).ok
+    exec(blocks[1], namespace)
+    ring, v = namespace["ring"], namespace["v"]
+    assert v == 7
+    assert ring.render_value(ring.mul_values(v, v)) == "(0,1)"

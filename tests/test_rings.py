@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from absorbing_ideals import (
     DEFAULT_MAX_RING_SIZE,
     Ideal,
-    MixedRingError,
     PolyQuot,
     Product,
     Quotient,
@@ -128,7 +127,8 @@ def test_quotient_ring_is_kept_on_its_base_ring():
     ideal = Ideal.from_generators(base, [4])
     ring = quotient_ring(base, ideal)
     assert quotient_ring(base, ideal) is ring
-    assert quotient_ring(base, {0, 4, 8}) is ring
+    # keyed by element set: (8) has the elements of (4)
+    assert quotient_ring(base, Ideal.from_generators(base, [8])) is ring
     assert quotient_ring(base, Ideal.from_generators(base, [6])) is not ring
     assert quotient_ring(build_ring(ZMod(12)), ideal) is not ring
     # build_ring never reads that memo: each call is a fresh quotient
@@ -247,7 +247,7 @@ CANONICAL_TEXTS = {
 @pytest.mark.parametrize(
     "desc",
     DESCRIPTOR_POOL + [d for d in CANONICAL_TEXTS if d not in DESCRIPTOR_POOL],
-    ids=render_ring_spec,
+    ids=lambda desc: render_ring_spec(build_ring(desc)),
 )
 def test_values_are_canonical_indices(desc):
     ring = build_ring(desc)
@@ -258,44 +258,6 @@ def test_values_are_canonical_indices(desc):
         assert ring.parse_value(ring.render_value(v)) == v
     for outsider in (True, -1, ring.size, (0, 0)):
         assert not ring.contains_value(outsider)
-
-
-# ---------------------------------------------------------------------------
-# wrapped elements
-
-
-def test_element_operators():
-    ring = build_ring(ZMod(10))
-    a, b = ring.wrap(7), ring.wrap(5)
-    assert (a + b).value == 2
-    assert (a - b).value == 2
-    assert (a * b).value == 5
-    assert (-a).value == 3
-    assert (a ** 2).value == 9
-    assert a != b and a == ring.wrap(7)
-    assert bool(a) and not bool(ring.zero)
-    assert ring.wrap(3) < ring.wrap(4) <= ring.wrap(4)
-    assert a.text() == "7"
-    assert ring.one.value == 1 and ring.zero.value == 0
-
-
-def test_mixed_ring_operations_rejected():
-    a = build_ring(ZMod(4)).one
-    b = build_ring(ZMod(6)).one
-    with pytest.raises(MixedRingError):
-        _ = a + b
-    with pytest.raises(MixedRingError):
-        _ = a * b
-    with pytest.raises(TypeError):
-        _ = a + 1
-
-
-def test_element_accessor_validates():
-    ring = build_ring(ZMod(4))
-    with pytest.raises(ValueError):
-        ring.element(17)
-    assert ring.element(3).value == 3
-    assert [e.value for e in ring.elements()] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

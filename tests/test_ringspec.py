@@ -9,11 +9,13 @@ from absorbing_ideals import (
     PolyQuot,
     Product,
     Quotient,
+    Ring,
     RingBuildError,
     ZMod,
     build_ring,
     parse_ideal_text,
     parse_ring_spec,
+    prove_radical_power_zero,
     render_ring_spec,
 )
 
@@ -33,10 +35,35 @@ ROUND_TRIP_SPECS = [
 
 @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS)
 def test_round_trip(spec):
-    descriptor = parse_ring_spec(spec)
-    rendered = render_ring_spec(descriptor)
-    assert parse_ring_spec(rendered) == descriptor
-    build_ring(descriptor)  # must be buildable
+    ring = build_ring(parse_ring_spec(spec))
+    rendered = render_ring_spec(ring)
+    again = build_ring(parse_ring_spec(rendered))
+    assert again == ring
+    assert render_ring_spec(again) == rendered
+
+
+def test_rendering_builds_no_ring(monkeypatch):
+    quotient = build_ring(parse_ring_spec("Quotient:{ring:Zmod:36,gens:[18]}"))
+    product_quotient = build_ring(
+        parse_ring_spec("Quotient:{ring:Product:[Zmod:4,Zmod:6],gens:[(2,0)]}")
+    )
+    built = []
+    init = Ring.__init__
+
+    def counting_init(self, *args):
+        built.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(Ring, "__init__", counting_init)
+    assert render_ring_spec(quotient) == "Quotient:{ring:Zmod:36,gens:[0,18]}"
+    assert render_ring_spec(product_quotient) == (
+        "Quotient:{ring:Product:[Zmod:4,Zmod:6],gens:[(0,0),(2,0)]}"
+    )
+    assert built == []
+    six = quotient.parse_value("6")
+    trace = prove_radical_power_zero(quotient, [six, six, six])
+    assert trace.ring_spec == "Quotient:{ring:Zmod:36,gens:[0,18]}"
+    assert built == []
 
 
 def test_parse_results_match_descriptors():

@@ -110,7 +110,7 @@ def test_json_round_trip_preserves_verification():
 
 
 def test_from_json_dict_validates_document():
-    _, trace = _prove("Zmod:4", ["2", "2"])
+    _, trace = _prove("Zmod:8", ["2", "4", "6"])
     doc = trace.to_json_dict()
     bad_schema = dict(doc, schema="absorbing-trace/999")
     with pytest.raises(ValueError, match="schema"):
@@ -122,6 +122,39 @@ def test_from_json_dict_validates_document():
     with pytest.raises(ValueError):
         ProofTrace.from_json_dict(["not", "an", "object"])
     assert doc["schema"] == TRACE_SCHEMA
+    # no coercion: "generators": "246" would read as the generators 2, 4, 6
+    mistyped = [
+        ("n", 3.5), ("n", "3"), ("n", True), ("high_degree_bound", 7.9),
+        ("generators", "246"), ("steps", {}),
+    ]
+    for key, value in mistyped:
+        bad = dict(doc, **{key: value})
+        with pytest.raises(ValueError, match=f"field {key} must"):
+            ProofTrace.from_json_dict(bad)
+        [failure] = verify_trace(bad).failures
+        assert failure["kind"] == "document"
+    assert verify_trace(doc).ok
+
+
+def test_verifier_does_not_build_a_schedule_no_step_can_match(monkeypatch):
+    import absorbing_ideals.machinery as machinery
+
+    def refuse(n):
+        raise AssertionError(f"built the level-{n} schedule")
+
+    monkeypatch.setattr(machinery, "induction_schedule", refuse)
+    # the level-9 schedule has comb(81, 9) - comb(17, 9) monomials
+    document = {
+        "schema": TRACE_SCHEMA,
+        "ring": "Zmod:2",
+        "generators": ["0"] * 9,
+        "n": 9,
+        "high_degree_bound": 73,
+        "steps": [],
+        "final_product": "0",
+    }
+    result = verify_trace(document)
+    assert [f["kind"] for f in result.failures] == ["schedule"]
 
 
 def _tampered(trace, mutate):
