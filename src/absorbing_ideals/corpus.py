@@ -156,7 +156,9 @@ def _limit_error(limit: str) -> dict:
     return {"kind": "resource-limit", "message": limit}
 
 
-def audit_ideal(ideal: Ideal, cap: int = DEFAULT_OMEGA_CAP, **scan_options) -> IdealAudit:
+def audit_ideal(
+    ideal: Ideal, cap: int = DEFAULT_OMEGA_CAP, *, max_tuples: int = DEFAULT_MAX_TUPLES
+) -> IdealAudit:
     """Run the full per-ideal check list; the unit ideal is only noted."""
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -181,7 +183,7 @@ def audit_ideal(ideal: Ideal, cap: int = DEFAULT_OMEGA_CAP, **scan_options) -> I
             chain_ok=None,
         )
 
-    reports = {n: is_n_absorbing(ideal, n, **scan_options) for n in range(1, cap + 1)}
+    reports = {n: is_n_absorbing(ideal, n, max_tuples=max_tuples) for n in range(1, cap + 1)}
     monotone_ok = all(
         not (reports[n].holds and not reports[n + 1].holds) for n in range(1, cap)
     )
@@ -191,26 +193,26 @@ def audit_ideal(ideal: Ideal, cap: int = DEFAULT_OMEGA_CAP, **scan_options) -> I
     if omega_value is None:
         rad = radical(ideal)
     else:
-        power_report = check_radical_power(ideal, omega_value, **scan_options)
+        power_report = check_radical_power(ideal, omega_value, max_tuples=max_tuples)
         rad = power_report.radical
         radical_power_ok = power_report.holds
-        element_power_ok = check_element_power(ideal, omega_value, **scan_options).holds
+        element_power_ok = check_element_power(ideal, omega_value, max_tuples=max_tuples).holds
         if omega_value > 1:
             lower = ideal_power(rad, omega_value - 1)
             sharp = not lower.element_values <= ideal.element_values
 
     reduction_ok = all(
-        check_quotient_reduction(ideal, n, **scan_options).holds
+        check_quotient_reduction(ideal, n, max_tuples=max_tuples).holds
         for n in range(1, cap + 1)
     )
 
     colons_ok = chain_ok = None
     try:
-        colons_ok = check_colons_two_absorbing(ideal, **scan_options).holds
+        colons_ok = check_colons_two_absorbing(ideal, max_tuples=max_tuples).holds
     except HypothesisNotSatisfiedError:
         pass
     try:
-        chain_ok = check_colon_chain(ideal, **scan_options).holds
+        chain_ok = check_colon_chain(ideal, max_tuples=max_tuples).holds
     except HypothesisNotSatisfiedError:
         pass
 
@@ -238,7 +240,8 @@ def run_ring_audit(
     spec_text: str,
     cap: int = DEFAULT_OMEGA_CAP,
     max_ring_size: int = DEFAULT_MAX_RING_SIZE,
-    **scan_options,
+    *,
+    max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> RingAudit:
     """Audit every ideal of one ring.  A resource limit hit on the way
     is recorded in the result (`limit`) instead of raised."""
@@ -247,7 +250,7 @@ def run_ring_audit(
     spec = render_ring_spec(ring)
     try:
         ideals = enumerate_ideals(ring)
-        audits = tuple(audit_ideal(ideal, cap, **scan_options) for ideal in ideals)
+        audits = tuple(audit_ideal(ideal, cap, max_tuples=max_tuples) for ideal in ideals)
     except ResourceLimitError as exc:
         return RingAudit(spec, ring.size, None, (), limit=exc.limit)
     return RingAudit(
@@ -262,9 +265,10 @@ def run_battery(
     specs: Sequence[str] = BUILTIN_CORPUS,
     cap: int = DEFAULT_OMEGA_CAP,
     max_ring_size: int = DEFAULT_MAX_RING_SIZE,
-    **scan_options,
+    *,
+    max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> list[RingAudit]:
-    return [run_ring_audit(s, cap, max_ring_size, **scan_options) for s in specs]
+    return [run_ring_audit(s, cap, max_ring_size, max_tuples=max_tuples) for s in specs]
 
 
 def battery_report(audits: Sequence[RingAudit]) -> dict:

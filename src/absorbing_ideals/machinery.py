@@ -24,7 +24,9 @@ d_k: a scan of |J| <= |R| elements instead of |R|^m vectors.
 
 Every inference is also recomputed by direct arithmetic as it is made,
 and the whole derivation is serialized as a trace that `verify_trace`
-can replay from nothing but the trace text.
+can replay from nothing but the trace text.  The prover and the
+verifier share one set of step checks (`_shift_checks`): the prover
+raises on the first failure, the verifier collects them all.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .monomials import (
     monomial_text,
     monomials_with_multidegree,
     multidegree,
-    total_degree,
 )
 from .rings import (
     DEFAULT_MAX_RING_SIZE,
@@ -64,27 +65,12 @@ from .ringspec import parse_ring_spec, render_ring_spec
 
 DEFAULT_MAX_VECTORS = 10**6
 TRACE_SCHEMA = "absorbing-trace/1"
-_INT_ONLY = frozenset({int})  # bool and float exponents are not table indices
 
 
 def _checked_value(ring: Ring, value):
     if not ring.contains_value(value):
         raise ValueError(f"{value!r} is not an element of {ring}")
     return value
-
-
-def _int_image(ring: Ring, k: int):
-    """Image of a nonnegative integer under the unique map from Z."""
-    if k < 0:
-        raise ValueError("count vectors must be nonnegative")
-    result = ring.zero_value
-    addend = ring.one_value
-    while k:
-        if k & 1:
-            result = ring.add_values(result, addend)
-        addend = ring.add_values(addend, addend)
-        k >>= 1
-    return result
 
 
 def eval_monomial(ring: Ring, generator_values: Sequence, exponents: Sequence[int]):
@@ -108,11 +94,10 @@ def power_table(ring: Ring, generator_values: Sequence):
     The table holds g_i^e for each of the n generators and every
     exponent e <= n^2 - n, the highest a schedule monomial reaches,
     built by repeated `mul_values` without assuming g_i^n = 0.  A
-    monomial whose n exponents are ints in that range is then a product
-    of at most n - 1 table entries.  Any other exponents (negative,
-    above the range, not ints, or the wrong number of them, as a
-    tampered trace may record) go to `eval_monomial` itself, so the
-    value or the error raised is the same as without the table.
+    monomial is then a product of at most n table entries.  Only the
+    monomials of `induction_schedule(n)` may be passed, so every
+    exponent is an int in 0..n^2 - n; any other exponents are for
+    `eval_monomial`.
     """
     gens = tuple(generator_values)
     n = len(gens)
@@ -127,13 +112,6 @@ def power_table(ring: Ring, generator_values: Sequence):
         rows.append(row)
 
     def evaluate(exponents):
-        if (
-            len(exponents) != n
-            or not _INT_ONLY.issuperset(map(type, exponents))
-            or min(exponents) < 0
-            or max(exponents) > top
-        ):
-            return eval_monomial(ring, gens, exponents)
         out = None
         for row, e in zip(rows, exponents):
             if e:
@@ -188,11 +166,6 @@ class SquareMatrix:
                 acc = add(acc, mul(entry, v))
             out.append(acc)
         return tuple(out)
-
-    def apply_counts(self, vector: Sequence[int]) -> tuple:
-        """Matrix times a vector of nonnegative integer counts."""
-        images = [_int_image(self.ring, k) for k in vector]
-        return self.apply_values(images)
 
     def rendered_rows(self) -> list[list[str]]:
         return [[self.ring.render_value(v) for v in row] for row in self.rows]
@@ -389,10 +362,12 @@ def find_zero_diagonal(matrix: SquareMatrix) -> ZeroDiagonalResult:
 
     Start with the count vector e_(m-1).  Each probe's image must have
     a zero coordinate; take j = the largest zero position, then bump
-    coordinate j of the probe by one and repeat.  A repeat at j
-    certifies that entry (j, j) is zero for any matrix: consecutive
-    probes differ by one extra copy of column j, and position j of both
-    images is zero, so position j of that column is zero.
+    coordinate j of the probe by one and repeat.  The image of the
+    bumped probe is the previous image plus column j, so it is kept up
+    to date by one addition per row.  A repeat at j certifies that
+    entry (j, j) is zero for any matrix: consecutive probes differ by
+    one extra copy of column j, and position j of both images is zero,
+    so position j of that column is zero.
 
     The termination guarantee is narrower: when the matrix is upper
     triangular, bumping coordinate j cannot disturb image positions
@@ -405,13 +380,15 @@ def find_zero_diagonal(matrix: SquareMatrix) -> ZeroDiagonalResult:
     """
     ring = matrix.ring
     zero = ring.zero_value
+    add = ring.add_values
+    rows = matrix.rows
     m = matrix.m
     probe = [0] * m
     probe[m - 1] = 1
+    image = [row[m - 1] for row in rows]
     j_sequence: list[int] = []
     previous: Optional[int] = None
     for _ in range(m + 2):
-        image = matrix.apply_counts(probe)
         zeros = [i for i, v in enumerate(image) if v == zero]
         if not zeros:
             raise LemmaPreconditionError(
@@ -427,6 +404,7 @@ def find_zero_diagonal(matrix: SquareMatrix) -> ZeroDiagonalResult:
                     f"largest zero position climbed from {previous} to {j}"
                 )
         probe[j] += 1
+        image = [add(v, row[j]) for v, row in zip(image, rows)]
         previous = j
     raise InvariantViolationError("probe walk failed to stabilize within m+1 steps")
 
@@ -445,6 +423,15 @@ class ProofTrace:
     high_degree_bound: int
     steps: tuple
     final_product: str
+
+    def __post_init__(self):
+        # exact types: int() and tuple() would read 3.5 as 3 and "246" as 2, 4, 6
+        for key in ("n", "high_degree_bound"):
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"trace field {key} must be a JSON int")
+        for key in ("generators", "steps"):
+            if type(getattr(self, key)) is not tuple:
+                raise ValueError(f"trace field {key} must be a tuple")
 
     def to_json_dict(self) -> dict:
         return {
@@ -471,11 +458,9 @@ class ProofTrace:
         ]
         if missing:
             raise ValueError(f"trace document lacks fields: {', '.join(missing)}")
-        # exact types: int() and tuple() would read 3.5 as 3 and "246" as 2, 4, 6
-        kinds = {"n": int, "high_degree_bound": int, "generators": list, "steps": list}
-        for key, kind in kinds.items():
-            if type(data[key]) is not kind:
-                raise ValueError(f"trace field {key} must be a JSON {kind.__name__}")
+        for key in ("generators", "steps"):
+            if type(data[key]) is not list:
+                raise ValueError(f"trace field {key} must be a JSON list")
         return cls(
             ring_spec=data["ring"],
             generators=tuple(data["generators"]),
@@ -495,81 +480,57 @@ def _direct_step(alpha: tuple, mono: tuple, zero_text: str) -> dict:
     }
 
 
-def _matrix_step(
-    ring: Ring,
-    gen_values: tuple,
-    alpha: tuple,
-    mono: tuple,
-    g,
-    proven: set,
-    zero_text: str,
-    *,
-    samples: Optional[int],
-    seed: Optional[int],
-) -> dict:
-    """The zero-diagonal step for `mono`, whose value is `g`; its
-    conclusion reads `zero_text`, the rendered zero."""
+def _shift_checks(matrix: ShiftMatrix, g, alpha: tuple, fail) -> list:
+    """Check the shift matrix of a zero-diagonal step and return its
+    sub-diagonal justifications; `g` is the value of the monomial.
+
+    One extra factor on the monomial must land on zero (those monomials
+    sit at higher degree, settled earlier or by a_i^n = 0).  Each entry
+    below the diagonal carries a multidegree that must precede alpha in
+    grlex, so an earlier step of the schedule settled it, and must be
+    zero.  A failed check calls `fail(kind, detail)`.
+    """
+    ring = matrix.ring
     zero = ring.zero_value
     mul = ring.mul_values
-    matrix = build_shift_matrix(ring, gen_values, mono)
-
-    # every row must factor as (monomial minus one variable) times the
-    # column's generator; with that, matrix images of arbitrary vectors
-    # are the factored monomial times a generator combination
-    for k, vi in enumerate(matrix.variables):
-        reduced = list(mono)
-        reduced[vi] -= 1
-        d_k = eval_monomial(ring, gen_values, reduced)
-        for j, vj in enumerate(matrix.variables):
-            if matrix.rows[k][j] != mul(d_k, gen_values[vj]):
-                raise TraceInconsistencyError(
-                    f"shift entry ({k},{j}) of {monomial_text(mono)} "
-                    "disagrees with its factored form"
-                )
-
-    # one extra factor on the monomial must land on zero (those
-    # monomials sit at higher degree, settled earlier or by a_i^n = 0)
     for vj in matrix.variables:
-        if mul(g, gen_values[vj]) != zero:
-            raise TraceInconsistencyError(
-                f"degree raise of {monomial_text(mono)} by variable {vj} is nonzero"
-            )
-
+        if mul(g, matrix.generator_values[vj]) != zero:
+            fail("degree-raise", f"monomial times generator {vj} is nonzero")
     justifications = []
     for k in range(matrix.m):
         for j in range(k):
             beta = multidegree(matrix.entry_monomials[k][j])
-            if total_degree(beta) != total_degree(alpha) or grlex_compare(beta, alpha) != 1:
-                raise InvariantViolationError(
-                    f"sub-diagonal profile {beta} does not precede {alpha}"
-                )
-            if beta not in proven:
-                raise InvariantViolationError(
-                    f"sub-diagonal profile {beta} has no earlier step"
-                )
+            if grlex_compare(beta, alpha) != 1:
+                fail("justification-order", f"profile {beta} does not precede {alpha}")
             if matrix.rows[k][j] != zero:
-                raise TraceInconsistencyError(
-                    f"sub-diagonal entry ({k},{j}) of {monomial_text(mono)} "
-                    "is nonzero despite its earlier step"
-                )
+                fail("subdiagonal-nonzero", f"entry ({k},{j}) is nonzero")
             justifications.append({"i": k, "j": j, "beta": list(beta)})
+    return justifications
 
-    pz = is_projectively_zero(matrix, samples=samples, seed=seed)
+
+def _matrix_step(
+    ring: Ring, gen_values: tuple, alpha: tuple, mono: tuple, g, zero_text: str
+) -> dict:
+    """The zero-diagonal step for `mono`, whose value is `g`; its
+    conclusion reads `zero_text`, the rendered zero."""
+    matrix = build_shift_matrix(ring, gen_values, mono)
+
+    def fail(kind, detail):
+        raise TraceInconsistencyError(f"{kind} at {monomial_text(mono)}: {detail}")
+
+    justifications = _shift_checks(matrix, g, alpha, fail)
+
+    pz = is_projectively_zero(matrix)
     if not pz.holds:
         raise LemmaPreconditionError(
             "matrix image misses a zero coordinate", vector=pz.counterexample
         )
-    pz_record = {"method": pz.mode, "vectors_checked": pz.vectors_checked}
 
+    # the diagonal repeats the monomial, so this zero is its value
     walk = find_zero_diagonal(matrix)
-    if matrix.rows[walk.index][walk.index] != zero:
+    if matrix.rows[walk.index][walk.index] != ring.zero_value:
         raise InvariantViolationError(
             "walk certified a diagonal zero that direct arithmetic denies"
-        )
-    if g != zero:
-        raise TraceInconsistencyError(
-            f"diagonal of {monomial_text(mono)} equals the monomial value, "
-            "which did not vanish"
         )
 
     return {
@@ -579,7 +540,7 @@ def _matrix_step(
         "variables": list(matrix.variables),
         "matrix": matrix.rendered_rows(),
         "subdiagonal_justifications": justifications,
-        "projective_zero": pz_record,
+        "projective_zero": {"method": pz.mode, "vectors_checked": pz.vectors_checked},
         "j_sequence": list(walk.j_sequence),
         "diagonal_index": walk.index,
         "conclusion": zero_text,
@@ -600,7 +561,8 @@ def prove_radical_power_zero(
     Preconditions, both verified here: every generator is nilpotent,
     and the zero ideal is n-absorbing for n = number of generators.
     Violations raise HypothesisNotSatisfiedError with tags
-    "nilpotent-generators" or "{n}-absorbing".
+    "nilpotent-generators" or "{n}-absorbing".  `samples` and `seed`
+    reach only that absorbing scan.
 
     With `short_circuit` (the default) a monomial that directly
     evaluates to zero is recorded as a one-line step; passing False
@@ -635,20 +597,13 @@ def prove_radical_power_zero(
     steps: list[dict] = []
     evaluate = power_table(ring, gen_values)
     zero_text = ring.render_value(zero)
-    proven: set = set()
     for alpha, monomials in induction_schedule(n):
         for mono in monomials:
             value = evaluate(mono)
             if short_circuit and value == zero:
                 steps.append(_direct_step(alpha, mono, zero_text))
             else:
-                steps.append(
-                    _matrix_step(
-                        ring, gen_values, alpha, mono, value, proven, zero_text,
-                        samples=samples, seed=seed,
-                    )
-                )
-        proven.add(alpha)
+                steps.append(_matrix_step(ring, gen_values, alpha, mono, value, zero_text))
 
     final_value = eval_monomial(ring, gen_values, (1,) * n)
     if final_value != zero:
@@ -691,7 +646,6 @@ def _verify_matrix_step(
 ) -> None:
     """Replay the zero-diagonal step for `mono`, whose value is `g`."""
     zero = ring.zero_value
-    mul = ring.mul_values
     matrix = build_shift_matrix(ring, gen_values, mono)
 
     if list(matrix.variables) != list(step.get("variables", [])):
@@ -701,19 +655,7 @@ def _verify_matrix_step(
         fail(index, "matrix-entries", "recorded matrix disagrees with the defining formula")
         return
 
-    for vj in matrix.variables:
-        if mul(g, gen_values[vj]) != zero:
-            fail(index, "degree-raise", f"monomial times generator {vj} is nonzero")
-
-    expected_justs = []
-    for k in range(matrix.m):
-        for j in range(k):
-            beta = multidegree(matrix.entry_monomials[k][j])
-            if grlex_compare(beta, alpha) != 1:
-                fail(index, "justification-order", f"profile {beta} does not precede {alpha}")
-            if matrix.rows[k][j] != zero:
-                fail(index, "subdiagonal-nonzero", f"entry ({k},{j}) is nonzero")
-            expected_justs.append({"i": k, "j": j, "beta": list(beta)})
+    expected_justs = _shift_checks(matrix, g, alpha, functools.partial(fail, index))
     if step.get("subdiagonal_justifications") != expected_justs:
         fail(index, "justifications", "recorded justifications do not match the matrix")
 
@@ -828,22 +770,23 @@ def verify_trace(
     # the power table are built only for a trace with that many steps,
     # so memory stays proportional to the trace
     full_length = len(trace.steps) == math.comb(n * n, n) - math.comb(2 * n - 1, n)
-    schedule_ok = False
+    recorded: list = []
     if full_length:
-        recorded: list = []
         for step in trace.steps:
             try:
                 recorded.append((tuple(step["alpha"]), tuple(step["monomial"])))
             except (TypeError, KeyError):
                 recorded.append(None)
-        schedule_ok = recorded == [
-            (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
-        ]
+    schedule_ok = full_length and recorded == [
+        (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
+    ]
     if not schedule_ok:
         fail(None, "schedule", "step sequence does not match the induction order")
 
-    # the verifier's own evaluation, from the ring and generators rebuilt here
-    if full_length:
+    # the verifier's own evaluation, from the ring and generators rebuilt
+    # here; the power table takes schedule monomials only, so a recorded
+    # 2.0 where the schedule has 2 goes to eval_monomial like any misfit
+    if schedule_ok and all(isinstance(e, int) for _, mono in recorded for e in mono):
         evaluate = power_table(ring, gen_values)
     else:
         evaluate = functools.partial(eval_monomial, ring, gen_values)

@@ -136,9 +136,6 @@ class Ring:
     def mul_values(self, a, b):
         raise NotImplementedError
 
-    def neg_value(self, a):
-        raise NotImplementedError
-
     def pow_value(self, a, k: int):
         # repeated squaring; k = 0 gives the identity
         if k < 0:
@@ -249,9 +246,6 @@ class ZModRing(Ring):
     def mul_values(self, a, b):
         return (a * b) % self.n
 
-    def neg_value(self, a):
-        return (-a) % self.n
-
     def pow_value(self, a, k):
         if k < 0:
             raise ValueError("exponent must be nonnegative")
@@ -312,10 +306,6 @@ class PolyQuotRing(Ring):
                         conv[base + j] = (conv[base + j] - c * m) % p
         return self._index[tuple(conv[:d])]
 
-    def neg_value(self, a):
-        p = self.p
-        return self._index[tuple((-x) % p for x in self._coeffs[a])]
-
     def render_value(self, value):
         return "[" + ",".join(str(c) for c in self._coeffs[value]) + "]"
 
@@ -370,9 +360,6 @@ class ProductRing(Ring):
         for f, w, x, y in zip(self.factors, self._weights, parts[a], parts[b]):
             out += f.mul_values(x, y) * w
         return out
-
-    def neg_value(self, a):
-        return self._encode(f.neg_value(x) for f, x in zip(self.factors, self._parts[a]))
 
     def pow_value(self, a, k):
         return self._encode(f.pow_value(x, k) for f, x in zip(self.factors, self._parts[a]))
@@ -447,9 +434,6 @@ class QuotientRing(Ring):
     def mul_values(self, a, b):
         lift = self._lift
         return self._proj[self.base.mul_values(lift[a], lift[b])]
-
-    def neg_value(self, a):
-        return self._proj[self.base.neg_value(self._lift[a])]
 
     def render_value(self, value):
         return self.base.render_value(self._lift[value])

@@ -178,3 +178,44 @@ def naive_projectively_zero(matrix):
         if zero not in image:
             return False, vector
     return True, None
+
+
+def naive_zero_diagonal_walk(matrix):
+    """The probe walk of `find_zero_diagonal`, each image recomputed in full.
+
+    Every probe is a vector of counts; count k maps to k copies of one
+    added to zero, and the image is the full matrix product.  Returns
+    ("zero", index, j_sequence), ("no-zero", probe) for a probe whose
+    image has no zero coordinate, ("climb", None) when the largest zero
+    position climbs, or ("stall", None) after m + 2 probes.
+    """
+    ring = matrix.ring
+    zero = ring.zero_value
+    m = matrix.m
+    probe = [0] * m
+    probe[m - 1] = 1
+    j_sequence = []
+    for _ in range(m + 2):
+        vector = []
+        for k in probe:
+            v = zero
+            for _ in range(k):
+                v = ring.add_values(v, ring.one_value)
+            vector.append(v)
+        image = []
+        for row in matrix.rows:
+            acc = zero
+            for entry, v in zip(row, vector):
+                acc = ring.add_values(acc, ring.mul_values(entry, v))
+            image.append(acc)
+        zeros = [i for i, v in enumerate(image) if v == zero]
+        if not zeros:
+            return "no-zero", tuple(probe)
+        j = max(zeros)
+        if j_sequence and j == j_sequence[-1]:
+            return "zero", j, tuple(j_sequence + [j])
+        if j_sequence and j > j_sequence[-1]:
+            return "climb", None
+        j_sequence.append(j)
+        probe[j] += 1
+    return "stall", None

@@ -1,6 +1,7 @@
 """Derivation traces: generation, serialization, verification, tampering."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -134,6 +135,15 @@ def test_from_json_dict_validates_document():
         [failure] = verify_trace(bad).failures
         assert failure["kind"] == "document"
     assert verify_trace(doc).ok
+
+
+@pytest.mark.parametrize("key, value", [("n", 3.0), ("generators", "246")])
+def test_replaced_trace_fields_are_checked_like_a_document(key, value):
+    # a ProofTrace handed to verify_trace skips from_json_dict, so the
+    # exact-type checks belong to the trace itself
+    _, trace = _prove("Zmod:8", ["2", "4", "6"])
+    with pytest.raises(ValueError, match=f"field {key} must"):
+        dataclasses.replace(trace, **{key: value})
 
 
 def test_verifier_does_not_build_a_schedule_no_step_can_match(monkeypatch):
@@ -322,6 +332,21 @@ def test_odd_recorded_exponents_fail_as_before_the_power_table(value, failures):
     _odd_exponent(value)(document)
     result = verify_trace(document)
     assert [(f["kind"], f["step"], f["detail"]) for f in result.failures] == failures
+
+
+def test_out_of_order_trace_never_builds_the_power_table(monkeypatch):
+    import absorbing_ideals.machinery as machinery
+
+    def refuse(ring, generator_values):
+        raise AssertionError("built the power table")
+
+    _, trace = _prove("Zmod:8", ["2", "4", "6"])
+    document = json.loads(json.dumps(trace.to_json_dict()))
+    steps = document["steps"]
+    steps[0], steps[1] = steps[1], steps[0]
+    monkeypatch.setattr(machinery, "power_table", refuse)
+    result = verify_trace(document)
+    assert [(f["kind"], f["step"], f["detail"]) for f in result.failures] == [_SCHEDULE]
 
 
 @pytest.mark.parametrize(
