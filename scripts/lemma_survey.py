@@ -10,13 +10,17 @@ full; the summary table is written as JSON.
 """
 
 import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from absorbing_ideals import zero_diagonal_survey  # noqa: E402
+from absorbing_ideals.cli import render_json  # noqa: E402
+from absorbing_ideals.corpus import (  # noqa: E402
+    DEFAULT_FEASIBILITY,
+    DEFAULT_SAMPLE_SIZE,
+    zero_diagonal_survey,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,13 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--feasibility",
         type=int,
-        default=10**6,
+        default=DEFAULT_FEASIBILITY,
         help="largest |R|^(m*m) still enumerated exhaustively",
     )
     parser.add_argument(
         "--sample-size",
         type=int,
-        default=10**4,
+        default=DEFAULT_SAMPLE_SIZE,
         help="matrices drawn when over the exhaustive gate",
     )
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -52,21 +56,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    surveys = [
-        zero_diagonal_survey(
-            spec,
-            m,
-            feasibility=args.feasibility,
-            sample_size=args.sample_size,
-            seed=args.seed,
-        )
-        for spec in args.rings
-        for m in args.sizes
-    ]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        surveys = [
+            zero_diagonal_survey(
+                spec,
+                m,
+                feasibility=args.feasibility,
+                sample_size=args.sample_size,
+                seed=args.seed,
+            )
+            for spec in args.rings
+            for m in args.sizes
+        ]
+    except ValueError as exc:  # a bad ring spec, size or sample size
+        parser.error(str(exc))
     violations = sum(len(s["lemma_violations"]) for s in surveys)
     report = {"surveys": surveys, "violations": violations, "ok": violations == 0}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = render_json(report) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

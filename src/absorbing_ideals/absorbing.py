@@ -340,20 +340,6 @@ class ElementPowerReport:
     def __bool__(self) -> bool:
         return self.holds
 
-    def as_dict(self) -> dict:
-        ring = self.radical.ring
-        return {
-            "n": self.n,
-            "absorbing": self.absorbing.as_dict(ring),
-            "holds": self.holds,
-            "counterexample": (
-                ring.render_value(self.counterexample)
-                if self.counterexample is not None
-                else None
-            ),
-            "radical": _ideal_summary(self.radical),
-        }
-
 
 def check_element_power(ideal: Ideal, n: int, **scan_options) -> ElementPowerReport:
     """Elementwise variant: x^n lies in I for each x in the radical."""

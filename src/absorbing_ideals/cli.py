@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import Optional
 
@@ -386,32 +385,6 @@ _escape = json.encoder.encode_basestring_ascii
 _INT_ONLY = frozenset({int})  # a flat list of exact ints is joined in one go
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def render_json(obj) -> str:
     """Exactly `json.dumps(obj, indent=2, sort_keys=True)`, in one pass.
 
@@ -421,7 +394,8 @@ def render_json(obj) -> str:
     dict subclass renders as a dict; no class derives from two of str,
     dict, list or tuple, int and float, so testing containers first
     changes nothing, and True and False are tested before int, as json
-    does.
+    does.  Floats, non-string keys and unserializable objects go through
+    `json.dumps` itself, for the same text or json's own TypeError.
     """
     parts: list[str] = []
     write = parts.append
@@ -436,7 +410,9 @@ def render_json(obj) -> str:
             inner = pad + "  "
             separator = "{" + inner
             for k, v in sorted(o.items()):
-                write(separator + _escape(_key_text(k)) + ": ")
+                # json.dumps({k: 0}) is '{<key text>: 0}'
+                key = _escape(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+                write(separator + key + ": ")
                 separator = "," + inner
                 value(v, inner)
             write(pad + "}")
@@ -462,10 +438,8 @@ def render_json(obj) -> str:
             write("false")
         elif isinstance(o, int):
             write(int.__repr__(o))
-        elif isinstance(o, float):
-            write(_float_text(o))
         else:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            write(json.dumps(o))
 
     value(obj, "\n")
     return "".join(parts)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .absorbing import (
@@ -60,28 +60,31 @@ BUILTIN_CORPUS: tuple[str, ...] = tuple(
 )
 
 DEFAULT_TRACE_LIMIT = 200
+# zero_diagonal_survey's gate on |R|^(m*m) to enumerate, and its draws past it
+DEFAULT_FEASIBILITY = 10**6
+DEFAULT_SAMPLE_SIZE = 10**4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class IdealAudit:
-    """Everything the battery checks about one ideal."""
+    """Everything the battery checks about one ideal; a check not run is None."""
 
     ideal_text: str
     size: int
-    skipped: bool
-    skip_reason: Optional[str]
-    omega_value: Optional[int]
+    skipped: bool = False
+    skip_reason: Optional[str] = None
+    omega_value: Optional[int] = None
     omega_cap: int
-    levels: dict  # n -> AbsorbingReport.as_dict
-    monotone_ok: Optional[bool]
-    radical_text: Optional[str]
-    radical_size: Optional[int]
-    radical_power_ok: Optional[bool]
-    element_power_ok: Optional[bool]
-    sharp: Optional[bool]
-    reduction_ok: Optional[bool]
-    colons_ok: Optional[bool]
-    chain_ok: Optional[bool]
+    levels: dict = field(default_factory=dict)  # n -> AbsorbingReport.as_dict
+    monotone_ok: Optional[bool] = None
+    radical_text: Optional[str] = None
+    radical_size: Optional[int] = None
+    radical_power_ok: Optional[bool] = None
+    element_power_ok: Optional[bool] = None
+    sharp: Optional[bool] = None
+    reduction_ok: Optional[bool] = None
+    colons_ok: Optional[bool] = None
+    chain_ok: Optional[bool] = None
 
     @property
     def ok(self) -> bool:
@@ -169,18 +172,7 @@ def audit_ideal(
             size=len(ideal),
             skipped=True,
             skip_reason="unit ideal: the absorbing property is defined for proper ideals",
-            omega_value=None,
             omega_cap=cap,
-            levels={},
-            monotone_ok=None,
-            radical_text=None,
-            radical_size=None,
-            radical_power_ok=None,
-            element_power_ok=None,
-            sharp=None,
-            reduction_ok=None,
-            colons_ok=None,
-            chain_ok=None,
         )
 
     reports = {n: is_n_absorbing(ideal, n, max_tuples=max_tuples) for n in range(1, cap + 1)}
@@ -219,8 +211,6 @@ def audit_ideal(
     return IdealAudit(
         ideal_text=ideal.text(),
         size=len(ideal),
-        skipped=False,
-        skip_reason=None,
         omega_value=omega_value,
         omega_cap=cap,
         levels={str(n): reports[n].as_dict(ring) for n in reports},
@@ -373,8 +363,8 @@ def zero_diagonal_survey(
     spec_text: str,
     m: int,
     *,
-    feasibility: int = 10**6,
-    sample_size: int = 10**4,
+    feasibility: int = DEFAULT_FEASIBILITY,
+    sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
     max_ring_size: int = DEFAULT_MAX_RING_SIZE,
 ) -> dict:
@@ -391,6 +381,8 @@ def zero_diagonal_survey(
     """
     if m < 1:
         raise ValueError(f"matrix size must be at least 1, got {m}")
+    if sample_size < 1:
+        raise ValueError(f"the sample size must be at least 1, got {sample_size}")
     descriptor = parse_ring_spec(spec_text, max_size=max_ring_size)
     ring = build_ring(descriptor, max_size=max_ring_size)
     values = list(ring.iter_values())
@@ -403,83 +395,55 @@ def zero_diagonal_survey(
             rows[i][j] = v
         return rows
 
+    survey = {"ring": render_ring_spec(ring), "m": m}
     if len(values) ** (m * m) <= feasibility:
-        mode = "exhaustive"
         assignments = itertools.product(values, repeat=len(cells))
-        planned = len(values) ** len(cells)
+        survey.update(mode="exhaustive", matrices_planned=len(values) ** len(cells))
     else:
-        mode = "sampled"
         rng = random.Random(seed)
         assignments = (
             tuple(rng.choice(values) for _ in cells) for _ in range(sample_size)
         )
-        planned = sample_size
+        survey.update(
+            mode="sampled", matrices_planned=sample_size, sample_size=sample_size, seed=seed
+        )
 
-    checked = 0
-    walk_succeeded = 0
-    walk_rejected = 0
-    property_count = 0
-    all_nonzero_diagonal_count = 0
+    checked = property_count = all_nonzero_diagonal_count = 0
+    walks = {"walk_succeeded": 0, "walk_rejected": 0}
     violations: list[dict] = []
     for assignment in assignments:
         checked += 1
         matrix = SquareMatrix(ring, rows_from(assignment))
-        property_holds = is_projectively_zero(matrix).holds
+        holds = is_projectively_zero(matrix).holds
         diagonal_all_nonzero = all(matrix.rows[i][i] != zero for i in range(m))
-        if property_holds:
-            property_count += 1
-        if diagonal_all_nonzero:
-            all_nonzero_diagonal_count += 1
-            if property_holds:
-                violations.append(
-                    {
-                        "matrix": matrix.rendered_rows(),
-                        "problem": "property holds but every diagonal entry is nonzero",
-                    }
-                )
-                continue
-        try:
-            walk = find_zero_diagonal(matrix)
-        except (LemmaPreconditionError, InvariantViolationError) as exc:
-            if property_holds:
-                violations.append(
-                    {
-                        "matrix": matrix.rendered_rows(),
-                        "problem": f"property holds but the walk failed: {exc}",
-                    }
-                )
-            else:
-                walk_rejected += 1
-            continue
-        if matrix.rows[walk.index][walk.index] != zero:
-            violations.append(
-                {
-                    "matrix": matrix.rendered_rows(),
-                    "problem": f"walk certified nonzero entry ({walk.index},{walk.index})",
-                }
-            )
-        elif len(walk.j_sequence) > m + 1:
-            violations.append(
-                {
-                    "matrix": matrix.rendered_rows(),
-                    "problem": f"walk needed {len(walk.j_sequence)} probes for m = {m}",
-                }
-            )
+        property_count += holds
+        all_nonzero_diagonal_count += diagonal_all_nonzero
+        outcome = _walk_outcome(matrix, holds, diagonal_all_nonzero)
+        if outcome in walks:
+            walks[outcome] += 1
         else:
-            walk_succeeded += 1
-    survey = {
-        "ring": render_ring_spec(ring),
-        "m": m,
-        "mode": mode,
-        "matrices_planned": planned,
-        "matrices_checked": checked,
-        "property_holds_count": property_count,
-        "all_nonzero_diagonal_count": all_nonzero_diagonal_count,
-        "walk_succeeded": walk_succeeded,
-        "walk_rejected": walk_rejected,
-        "lemma_violations": violations,
-    }
-    if mode == "sampled":
-        survey["sample_size"] = sample_size
-        survey["seed"] = seed
+            violations.append({"matrix": matrix.rendered_rows(), "problem": outcome})
+    survey.update(
+        walks,
+        matrices_checked=checked,
+        property_holds_count=property_count,
+        all_nonzero_diagonal_count=all_nonzero_diagonal_count,
+        lemma_violations=violations,
+    )
     return survey
+
+
+def _walk_outcome(matrix: SquareMatrix, holds: bool, diagonal_all_nonzero: bool) -> str:
+    """The walk's outcome on one matrix: "walk_succeeded", "walk_rejected"
+    (refused without the property) or the text of the lemma violation."""
+    if holds and diagonal_all_nonzero:
+        return "property holds but every diagonal entry is nonzero"
+    try:
+        walk = find_zero_diagonal(matrix)
+    except (LemmaPreconditionError, InvariantViolationError) as exc:
+        return f"property holds but the walk failed: {exc}" if holds else "walk_rejected"
+    if matrix.rows[walk.index][walk.index] != matrix.ring.zero_value:
+        return f"walk certified nonzero entry ({walk.index},{walk.index})"
+    if len(walk.j_sequence) > matrix.m + 1:
+        return f"walk needed {len(walk.j_sequence)} probes for m = {matrix.m}"
+    return "walk_succeeded"

@@ -47,10 +47,9 @@ class HypothesisNotSatisfiedError(ValueError):
 class LemmaPreconditionError(ValueError):
     """Input matrix violates a precondition of the zero-diagonal search."""
 
-    def __init__(self, message, vector=None, entry=None):
+    def __init__(self, message, vector=None):
         super().__init__(message)
         self.vector = vector
-        self.entry = entry
 
 
 class InvariantViolationError(RuntimeError):

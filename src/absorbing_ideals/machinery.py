@@ -64,7 +64,15 @@ from .rings import (
 from .ringspec import parse_ring_spec, render_ring_spec
 
 DEFAULT_MAX_VECTORS = 10**6
+# the prover's cap on steps: 1,947,330 at n = 6, 85,898,868 at n = 7
+MAX_TRACE_STEPS = 10**7
 TRACE_SCHEMA = "absorbing-trace/1"
+
+
+def _trace_length(n: int) -> int:
+    """Steps of a derivation at level n: one per n-tuple of total degree
+    n..n^2-n, the C(d+n-1, n-1) tuples of each degree d summed."""
+    return math.comb(n * n, n) - math.comb(2 * n - 1, n)
 
 
 def _checked_value(ring: Ring, value):
@@ -562,7 +570,8 @@ def prove_radical_power_zero(
     and the zero ideal is n-absorbing for n = number of generators.
     Violations raise HypothesisNotSatisfiedError with tags
     "nilpotent-generators" or "{n}-absorbing".  `samples` and `seed`
-    reach only that absorbing scan.
+    reach only that absorbing scan.  A derivation of more than
+    MAX_TRACE_STEPS steps (n >= 7) raises ResourceLimitError unbuilt.
 
     With `short_circuit` (the default) a monomial that directly
     evaluates to zero is recorded as a one-line step; passing False
@@ -593,6 +602,12 @@ def prove_radical_power_zero(
             raise TraceInconsistencyError(
                 f"generator {ring.render_value(g)} does not vanish at power {n}"
             )
+
+    step_count = _trace_length(n)
+    if step_count > MAX_TRACE_STEPS:
+        raise ResourceLimitError(
+            f"derivation of {step_count} steps at n = {n} exceeds the cap {MAX_TRACE_STEPS}"
+        )
 
     steps: list[dict] = []
     evaluate = power_table(ring, gen_values)
@@ -766,10 +781,9 @@ def verify_trace(
     if trace.high_degree_bound != n * n - n + 1:
         fail(None, "bound", f"high_degree_bound should be {n * n - n + 1}")
 
-    # the schedule holds every n-tuple of total degree n..n^2-n; it and
-    # the power table are built only for a trace with that many steps,
-    # so memory stays proportional to the trace
-    full_length = len(trace.steps) == math.comb(n * n, n) - math.comb(2 * n - 1, n)
+    # the schedule and the power table are built only for a trace with
+    # as many steps, so memory stays proportional to the trace
+    full_length = len(trace.steps) == _trace_length(n)
     recorded: list = []
     if full_length:
         for step in trace.steps:

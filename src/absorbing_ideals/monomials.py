@@ -19,19 +19,6 @@ def multidegree(exponents: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(exponents, reverse=True))
 
 
-def total_degree(exponents: tuple[int, ...]) -> int:
-    return sum(exponents)
-
-
-def lex_compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """-1, 0, or 1 comparing left to right."""
-    if len(a) != len(b):
-        raise ValueError("tuples of different lengths are not comparable")
-    if a == b:
-        return 0
-    return 1 if a > b else -1
-
-
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
     """Sort key for graded lexicographic order (degree first, then lex)."""
     return (sum(exponents), exponents)
@@ -108,14 +95,12 @@ def induction_schedule(n: int) -> tuple:
     )
 
 
-def monomial_text(exponents: tuple[int, ...], names: list[str] | None = None) -> str:
+def monomial_text(exponents: tuple[int, ...]) -> str:
     """Readable form like 'x1^2*x2' (exponent 1 suppressed, 0 skipped)."""
-    if names is None:
-        names = [f"x{i + 1}" for i in range(len(exponents))]
     parts = []
-    for name, e in zip(names, exponents):
+    for i, e in enumerate(exponents, 1):
         if e == 1:
-            parts.append(name)
+            parts.append(f"x{i}")
         elif e > 1:
-            parts.append(f"{name}^{e}")
+            parts.append(f"x{i}^{e}")
     return "*".join(parts) if parts else "1"

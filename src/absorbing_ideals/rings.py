@@ -173,12 +173,6 @@ class Ring:
             self._units = values_with_power_in(self, {self.one_value})
         return self._units
 
-    def product_of_values(self, values: Sequence):
-        out = self.one_value
-        for v in values:
-            out = self.mul_values(out, v)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Ring):
             return NotImplemented

@@ -247,6 +247,19 @@ def test_resource_limit_exit_3(capsys):
     assert payload["error"]["kind"] == "resource-limit"
 
 
+def test_trace_over_the_step_cap_exits_3(capsys):
+    code, payload = run_cli(capsys, "trace", "--ring", "Zmod:2", "--gens", "0,0,0,0,0,0,0")
+    assert code == 3
+    assert payload == {
+        "schema": "absorbing-report/1",
+        "command": "trace",
+        "error": {
+            "kind": "resource-limit",
+            "message": "derivation of 85898868 steps at n = 7 exceeds the cap 10000000",
+        },
+    }
+
+
 def test_omega_z64_cap_6_is_exhaustive_at_default_budget(capsys):
     code, payload = run_cli(capsys, "omega", "--ring", "Zmod:64", "--cap", "6")
     assert code == 0

@@ -93,3 +93,13 @@ def test_lemma_survey_output_is_byte_identical(case):
         capture_output=True, text=True, timeout=300,
     )
     assert (done.returncode, done.stdout) == (case["exit"], case["stdout"])
+
+
+def test_lemma_survey_refuses_a_sample_size_below_1():
+    done = subprocess.run(
+        [sys.executable, str(LEMMA_SURVEY), "--rings", "Zmod:4", "--sizes", "2",
+         "--feasibility", "10", "--sample-size", "-3"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "the sample size must be at least 1, got -3" in done.stderr

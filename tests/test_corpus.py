@@ -16,7 +16,7 @@ from absorbing_ideals import (
     zero_diagonal_survey,
 )
 from absorbing_ideals import ideals as ideals_module
-from absorbing_ideals.rings import QuotientRing
+from absorbing_ideals.rings import QuotientRing, ZMod
 
 
 def test_builtin_corpus_contents():
@@ -182,6 +182,59 @@ def test_zero_diagonal_survey_sampled_mode():
 def test_zero_diagonal_survey_rejects_bad_m():
     with pytest.raises(ValueError):
         zero_diagonal_survey("Zmod:4", 0)
+
+
+@pytest.mark.parametrize("sample_size", [0, -3])
+def test_zero_diagonal_survey_rejects_a_sample_size_below_1(sample_size):
+    with pytest.raises(ValueError, match="sample size must be at least 1"):
+        zero_diagonal_survey("Zmod:4", 2, feasibility=10, sample_size=sample_size)
+
+
+@pytest.mark.parametrize(
+    "spec, m, feasibility",
+    [
+        ("Zmod:4", 2, 10**6),
+        ("Zmod:8", 2, 10**6),
+        ("Product:[Zmod:2,Zmod:2]", 2, 10**6),
+        ("Zmod:4", 3, 10),
+        ("Zmod:12", 3, 10),
+        ("PolyQuot:{p:2,poly:[0,0,1]}", 4, 10),
+    ],
+)
+def test_zero_diagonal_survey_gives_each_matrix_one_outcome(spec, m, feasibility):
+    survey = zero_diagonal_survey(spec, m, feasibility=feasibility, sample_size=150, seed=2)
+    assert survey["mode"] == ("exhaustive" if feasibility == 10**6 else "sampled")
+    assert survey["matrices_checked"] == survey["matrices_planned"]
+    assert (
+        survey["walk_succeeded"] + survey["walk_rejected"] + len(survey["lemma_violations"])
+        == survey["matrices_checked"]
+    )
+    # the lemma holds, and the walk refuses only matrices without the property
+    assert survey["lemma_violations"] == []
+    assert survey["walk_rejected"] <= survey["matrices_checked"] - survey["property_holds_count"]
+
+
+def test_unit_ideal_audit_records_only_the_skip():
+    audit = audit_ideal(Ideal.unit(build_ring(ZMod(6))))
+    assert audit.as_dict() == {
+        "ideal": "(1)",
+        "size": 6,
+        "skipped": True,
+        "skip_reason": "unit ideal: the absorbing property is defined for proper ideals",
+        "omega": None,
+        "omega_cap": 4,
+        "levels": {},
+        "monotone_ok": None,
+        "radical": None,
+        "radical_size": None,
+        "radical_power_ok": None,
+        "element_power_ok": None,
+        "sharp": None,
+        "reduction_ok": None,
+        "colons_ok": None,
+        "chain_ok": None,
+        "ok": True,
+    }
 
 
 def test_resource_limits_are_recorded_per_ring():

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from absorbing_ideals import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -20,3 +22,10 @@ def test_readme_python_blocks_run_as_documented():
     ring, v = namespace["ring"], namespace["v"]
     assert v == 7
     assert ring.render_value(ring.mul_values(v, v)) == "(0,1)"
+
+
+def test_readme_command_table_lists_exactly_the_cli_subcommands():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([a-z-]+)", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(cli._RUNNERS)

@@ -9,6 +9,7 @@ import pytest
 from absorbing_ideals import (
     HypothesisNotSatisfiedError,
     ProofTrace,
+    ResourceLimitError,
     TRACE_SCHEMA,
     build_ring,
     eval_monomial,
@@ -18,6 +19,7 @@ from absorbing_ideals import (
     prove_radical_power_zero,
     verify_trace,
 )
+from oracles import naive_product
 
 
 def _ring(spec):
@@ -44,7 +46,7 @@ def test_round_trip_known_rings(spec, gens, n):
     assert trace.high_degree_bound == n * n - n + 1
     assert trace.generators == tuple(gens)
     # the recorded final product equals the direct ring product
-    direct = ring.product_of_values([ring.parse_value(g) for g in gens])
+    direct = naive_product(ring, [ring.parse_value(g) for g in gens])
     assert trace.final_product == ring.render_value(direct)
     assert direct == ring.zero_value
     result = verify_trace(trace)
@@ -395,3 +397,19 @@ def test_prover_and_verifier_walk_the_shared_schedule(spec, gens, monkeypatch):
     assert [(tuple(s["alpha"]), tuple(s["monomial"])) for s in trace.steps] == [
         (alpha, mono) for alpha, monomials in expected for mono in monomials
     ]
+
+
+def test_prover_refuses_a_derivation_over_the_step_cap_before_building_it(monkeypatch):
+    import math
+
+    import absorbing_ideals.machinery as machinery
+
+    def refuse(*args):
+        raise AssertionError("built the schedule or the power table")
+
+    # every level that completes today stays under the cap
+    assert math.comb(36, 6) - math.comb(11, 6) == 1_947_330 <= machinery.MAX_TRACE_STEPS
+    monkeypatch.setattr(machinery, "induction_schedule", refuse)
+    monkeypatch.setattr(machinery, "power_table", refuse)
+    with pytest.raises(ResourceLimitError, match="derivation of 85898868 steps at n = 7"):
+        prove_radical_power_zero(_ring("Zmod:2"), [0] * 7)
