@@ -383,6 +383,8 @@ def _parser() -> argparse.ArgumentParser:
 
 _escape = json.encoder.encode_basestring_ascii
 _INT_ONLY = frozenset({int})  # a flat list of exact ints is joined in one go
+_DICT_ONLY = frozenset({dict})
+_STR_ONLY = frozenset({str})
 
 
 def render_json(obj) -> str:
@@ -396,6 +398,12 @@ def render_json(obj) -> str:
     changes nothing, and True and False are tested before int, as json
     does.  Floats, non-string keys and unserializable objects go through
     `json.dumps` itself, for the same text or json's own TypeError.
+
+    A list of plain dicts that all have the same exact-str keys, such as
+    a trace's steps, is written a row at a time: the keys are sorted and
+    escaped once for the whole list, which is json's order for every
+    row because the key sets are equal.  Exact `type` tests keep dict
+    subclasses and other key sets on the general path.
     """
     parts: list[str] = []
     write = parts.append
@@ -423,13 +431,15 @@ def render_json(obj) -> str:
             inner = pad + "  "
             if _INT_ONLY.issuperset(map(type, o)):
                 write("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
-                return
-            separator = "[" + inner
-            for x in o:
-                write(separator)
-                separator = "," + inner
-                value(x, inner)
-            write(pad + "]")
+            elif _DICT_ONLY.issuperset(map(type, o)) and o[0] and _same_str_keys(o):
+                rows(o, pad)
+            else:
+                separator = "[" + inner
+                for x in o:
+                    write(separator)
+                    separator = "," + inner
+                    value(x, inner)
+                write(pad + "]")
         elif o is None:
             write("null")
         elif o is True:
@@ -441,8 +451,41 @@ def render_json(obj) -> str:
         else:
             write(json.dumps(o))
 
+    def rows(dicts, pad: str) -> None:  # a list of same-keyed plain dicts
+        keys = sorted(dicts[0])
+        row_pad = pad + "  "
+        cell_pad = row_pad + "  "
+        heads = ["," + cell_pad + _escape(k) + ": " for k in keys]
+        heads[0] = "{" + heads[0][1:]
+        columns = tuple(zip(keys, heads))
+        open_ints, int_separator = "[" + cell_pad + "  ", "," + cell_pad + "  "
+        close_ints, close_row = cell_pad + "]", row_pad + "}"
+        ints_only, int_text, escape = _INT_ONLY.issuperset, int.__repr__, _escape
+        separator = "[" + row_pad
+        for row in dicts:
+            write(separator)
+            separator = "," + row_pad
+            for k, head in columns:
+                v = row[k]
+                t = type(v)
+                if t is str:
+                    write(head + escape(v))
+                elif t is list and v and ints_only(map(type, v)):
+                    write(head + open_ints + int_separator.join(map(int_text, v)) + close_ints)
+                else:
+                    write(head)
+                    value(v, cell_pad)
+            write(close_row)
+        write(pad + "]")
+
     value(obj, "\n")
     return "".join(parts)
+
+
+def _same_str_keys(dicts) -> bool:
+    """Do the dicts all have the first one's keys, every one an exact str?"""
+    keys = dicts[0].keys()
+    return _STR_ONLY.issuperset(map(type, keys)) and all(d.keys() == keys for d in dicts)
 
 
 def _emit(payload: dict, stream) -> None:

@@ -53,6 +53,7 @@ from .monomials import (
     monomial_text,
     monomials_with_multidegree,
     multidegree,
+    schedule_program,
 )
 from .rings import (
     DEFAULT_MAX_RING_SIZE,
@@ -96,37 +97,35 @@ def eval_monomial(ring: Ring, generator_values: Sequence, exponents: Sequence[in
     return out
 
 
-def power_table(ring: Ring, generator_values: Sequence):
-    """`eval_monomial` on fixed generators, reading powers from a table.
+def schedule_values(ring: Ring, generator_values: Sequence) -> list:
+    """`eval_monomial` on every monomial of `induction_schedule(n)`, for
+    n the number of generators, in schedule order, by running
+    `schedule_program(n)`.
 
-    The table holds g_i^e for each of the n generators and every
-    exponent e <= n^2 - n, the highest a schedule monomial reaches,
-    built by repeated `mul_values` without assuming g_i^n = 0.  A
-    monomial is then a product of at most n table entries.  Only the
-    monomials of `induction_schedule(n)` may be passed, so every
-    exponent is an int in 0..n^2 - n; any other exponents are for
-    `eval_monomial`.
+    The power rows hold g_i^e for each generator and every exponent
+    e <= n^2 - n, the highest a schedule monomial reaches, built by
+    repeated `mul_values` without assuming g_i^n = 0.  Each trie node is
+    then one `mul_values` of its parent's value by one row entry.  The
+    node multiplies the same factors as `eval_monomial`, grouped
+    differently, which commutativity and associativity make equal.
     """
     gens = tuple(generator_values)
     n = len(gens)
-    top = n * n - n
+    nodes, leaves = schedule_program(n)
     mul = ring.mul_values
     one = ring.one_value
     rows = []
     for g in gens:
         row = [one]
-        for _ in range(top):
+        for _ in range(n * n - n):
             row.append(mul(row[-1], g))
         rows.append(row)
-
-    def evaluate(exponents):
-        out = None
-        for row, e in zip(rows, exponents):
-            if e:
-                out = row[e] if out is None else mul(out, row[e])
-        return one if out is None else out
-
-    return evaluate
+    values: list = []
+    append = values.append
+    for parent, variable, e in nodes:
+        factor = rows[variable][e]
+        append(factor if parent < 0 else mul(values[parent], factor))
+    return [values[leaf] for leaf in leaves]
 
 
 def monomial_image_ideal(ring: Ring, generator_values: Sequence, profile: tuple[int, ...]) -> Ideal:
@@ -610,11 +609,12 @@ def prove_radical_power_zero(
         )
 
     steps: list[dict] = []
-    evaluate = power_table(ring, gen_values)
     zero_text = ring.render_value(zero)
+    # one value per schedule monomial; zip takes each group's monomials
+    # first, so it stops at a group's end without consuming a value
+    values = iter(schedule_values(ring, gen_values))
     for alpha, monomials in induction_schedule(n):
-        for mono in monomials:
-            value = evaluate(mono)
+        for mono, value in zip(monomials, values):
             if short_circuit and value == zero:
                 steps.append(_direct_step(alpha, mono, zero_text))
             else:
@@ -728,7 +728,14 @@ def verify_trace(
     here, whose scan memo starts empty, so no scan of the prover's is
     reused.  The schedule is the same `induction_schedule(n)` the prover
     walks: a pure function of n that carries nothing from the trace,
-    built only when the trace has as many steps as it has.
+    flattened once and only when the trace has as many steps as it has.
+
+    When the recorded `(alpha, monomial)` pairs equal the schedule and
+    every exponent is an exact int, each step's shape is the schedule's
+    own, so it is not re-checked; the verifier evaluates its own
+    monomials with `schedule_values` and checks each step's value,
+    conclusion and rule against them.  Every other trace is replayed
+    step by step: shape, then `eval_monomial` on the recorded monomial.
     """
     failures: list[dict] = []
 
@@ -781,51 +788,64 @@ def verify_trace(
     if trace.high_degree_bound != n * n - n + 1:
         fail(None, "bound", f"high_degree_bound should be {n * n - n + 1}")
 
-    # the schedule and the power table are built only for a trace with
-    # as many steps, so memory stays proportional to the trace
-    full_length = len(trace.steps) == _trace_length(n)
-    recorded: list = []
-    if full_length:
+    # the schedule is built only for a trace with as many steps, so
+    # memory stays proportional to the trace; `own_steps` is the schedule
+    # when the recorded steps equal it with exact int exponents
+    schedule_ok = False
+    own_steps = None
+    if len(trace.steps) == _trace_length(n):
+        schedule = [
+            (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
+        ]
+        recorded: list = []
         for step in trace.steps:
             try:
                 recorded.append((tuple(step["alpha"]), tuple(step["monomial"])))
             except (TypeError, KeyError):
                 recorded.append(None)
-    schedule_ok = full_length and recorded == [
-        (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
-    ]
+        schedule_ok = recorded == schedule
+        if schedule_ok and set(
+            map(type, itertools.chain.from_iterable(a + m for a, m in recorded))
+        ) <= {int}:
+            own_steps = schedule
     if not schedule_ok:
         fail(None, "schedule", "step sequence does not match the induction order")
 
-    # the verifier's own evaluation, from the ring and generators rebuilt
-    # here; the power table takes schedule monomials only, so a recorded
-    # 2.0 where the schedule has 2 goes to eval_monomial like any misfit
-    if schedule_ok and all(isinstance(e, int) for _, mono in recorded for e in mono):
-        evaluate = power_table(ring, gen_values)
-    else:
-        evaluate = functools.partial(eval_monomial, ring, gen_values)
     zero_text = ring.render_value(zero)
-    for index, step in enumerate(trace.steps):
-        try:
-            alpha = tuple(step["alpha"])
-            mono = tuple(step["monomial"])
-            if len(mono) != n or multidegree(mono) != alpha:
-                fail(index, "step-shape", "monomial does not have the stated multidegree")
-                continue
-            value = evaluate(mono)
-            if value != zero:
-                fail(index, "value", f"monomial evaluates to {ring.render_value(value)}")
-            if step.get("conclusion") != zero_text:
-                fail(index, "conclusion", f"conclusion should read {zero_text!r}")
-            rule = step.get("rule")
-            if rule == "direct":
-                pass
-            elif rule == "zero-diagonal":
-                _verify_matrix_step(ring, gen_values, step, alpha, mono, value, fail, index)
-            else:
-                fail(index, "rule", f"unknown rule {rule!r}")
-        except Exception as exc:  # malformed step content must not abort the replay
-            fail(index, "exception", f"{type(exc).__name__}: {exc}")
+
+    def check(index, step, alpha, mono, value):
+        if value != zero:
+            fail(index, "value", f"monomial evaluates to {ring.render_value(value)}")
+        if step.get("conclusion") != zero_text:
+            fail(index, "conclusion", f"conclusion should read {zero_text!r}")
+        rule = step.get("rule")
+        if rule == "zero-diagonal":
+            _verify_matrix_step(ring, gen_values, step, alpha, mono, value, fail, index)
+        elif rule != "direct":
+            fail(index, "rule", f"unknown rule {rule!r}")
+
+    # on the schedule's own steps no step shape can be wrong, and the
+    # verifier evaluates its own monomials from the ring and generators
+    # rebuilt here; every other trace, a recorded true or 2.0 included,
+    # replays step by step through eval_monomial
+    if own_steps is not None:
+        values = schedule_values(ring, gen_values)
+        for index, (step, (alpha, mono), value) in enumerate(zip(trace.steps, own_steps, values)):
+            try:
+                check(index, step, alpha, mono, value)
+            except Exception as exc:  # malformed step content must not abort the replay
+                fail(index, "exception", f"{type(exc).__name__}: {exc}")
+    else:
+        for index, step in enumerate(trace.steps):
+            try:
+                alpha = tuple(step["alpha"])
+                mono = tuple(step["monomial"])
+                if len(mono) != n or multidegree(mono) != alpha:
+                    fail(index, "step-shape", "monomial does not have the stated multidegree")
+                    continue
+                check(index, step, alpha, mono, eval_monomial(ring, gen_values, mono))
+            except Exception as exc:  # malformed step content must not abort the replay
+                fail(index, "exception", f"{type(exc).__name__}: {exc}")
 
     try:
         final_value = eval_monomial(ring, gen_values, (1,) * n)

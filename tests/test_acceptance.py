@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +324,13 @@ def test_criterion_10_deterministic_reports(tmp_path):
     assert identical
     assert digest == CORPUS_SCAN_SEED_7_SHA256
     assert payload["ok"] is True
+
+
+def test_corpus_scan_bench_checks_criterion_10s_digest():
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "scripts" / "bench_corpus_scan.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus_scan", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.CORPUS_SCAN_SEED_7_SHA256 == CORPUS_SCAN_SEED_7_SHA256

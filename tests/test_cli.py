@@ -615,6 +615,61 @@ def test_writer_renders_reports_and_edge_cases_like_json_dumps():
             render_json(bad)
 
 
+def _same_keyed_rows():
+    """Lists of dicts that share one key set, with mixed cells."""
+    keys = st.text(alphabet=st.sampled_from('ab"\\\né😀'), max_size=3)
+    cells = st.recursive(
+        st.text(max_size=4)
+        | st.integers()
+        | st.booleans()
+        | st.floats(allow_nan=False)
+        | st.none()
+        | st.lists(st.integers(), min_size=1, max_size=4)
+        | st.lists(st.integers() | st.booleans(), min_size=1, max_size=4)
+        | st.just([])
+        | st.tuples(st.integers(), st.text(max_size=2)),
+        lambda children: st.dictionaries(keys, children, max_size=3)
+        | st.lists(children, max_size=3),
+        max_leaves=6,
+    )
+
+    def rows(key_list):
+        row = st.fixed_dictionaries({k: cells for k in key_list})
+        # the same keys in another insertion order
+        shuffled = row.map(lambda r: dict(reversed(list(r.items()))))
+        return st.lists(row | shuffled, min_size=1, max_size=5)
+
+    return st.lists(keys, min_size=1, max_size=4, unique=True).flatmap(rows)
+
+
+@settings(max_examples=100)
+@given(_same_keyed_rows())
+def test_writer_writes_same_keyed_rows_like_json_dumps(rows):
+    for value in (rows, {"steps": rows}, [rows, rows], tuple(rows)):
+        assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_writer_row_path_keeps_json_order_on_edge_cases():
+    report = _Report(b=1, a=[2])
+    for value in [
+        [{"b": 1, "a": [2]}, {"a": [3], "b": 4}],  # another insertion order
+        [{"a": 1, "b": 2}, report],  # a dict subclass among plain dicts
+        [report, {"a": 1, "b": 2}],
+        [{"v": True, "w": [True, 1]}, {"v": 1, "w": [1, True]}],  # True beside 1
+        [{"v": [1, 2]}, {"v": (1, 2)}, {"v": []}, {"v": [1.0]}],
+        [{'"q"': 1, "\\": 2, "\n": 3, "é😀": 4}] * 2,  # keys that need escapes
+        [{"a": 1}, {"a": 1, "b": 2}],  # other key sets
+        [{"a": 1}, {"b": 1}],
+        [{"a": 1}, {1: 1}],
+        [{"1": 1}, {1: 1}],
+        [{}, {}],
+        [{"a": {"b": [{"c": 1}, {"c": 2}]}}, {"a": None}],
+    ]:
+        assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        render_json([{"a": 1}, {"a": object()}])
+
+
 def test_parser_is_built_once_and_reused(monkeypatch, capsys):
     import absorbing_ideals.cli as cli
 

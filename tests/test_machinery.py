@@ -265,34 +265,34 @@ def test_walk_result_verifiable_even_without_global_property():
 
 
 # ---------------------------------------------------------------------------
-# generator power tables
+# the schedule as one straight-line program
 
 
-_TABLE_GENERATORS = {  # one ring of each kind, four elements that need not be nilpotent
-    "Zmod:16": ["2", "4", "6", "3"],
+_PROGRAM_GENERATORS = {  # one ring of each kind; the second generator is a unit
+    "Zmod:16": ["2", "3", "6", "4"],
     "PolyQuot:{p:2,poly:[0,0,0,1]}": ["[0,1,0]", "[1,1,0]", "[0,0,1]", "[1,0,1]"],
     "Product:[Zmod:4,Zmod:3]": ["(2,0)", "(1,2)", "(2,1)", "(3,0)"],
-    "Quotient:{ring:Zmod:36,gens:[18]}": ["6", "12", "5", "3"],
+    "Quotient:{ring:Zmod:36,gens:[18]}": ["6", "5", "12", "3"],
 }
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("spec", sorted(_TABLE_GENERATORS))
-def test_power_table_agrees_with_eval_monomial_on_the_schedule(spec, n):
-    from absorbing_ideals import induction_multidegrees, monomials_with_multidegree
-    from absorbing_ideals.machinery import power_table
+@pytest.mark.parametrize("spec", sorted(_PROGRAM_GENERATORS))
+def test_schedule_values_agree_with_eval_monomial_on_the_schedule(spec, n):
+    from absorbing_ideals import induction_schedule
+    from absorbing_ideals.machinery import schedule_values
 
     ring = _ring(spec)
-    gens = [ring.parse_value(text) for text in _TABLE_GENERATORS[spec][:n]]
-    evaluate = power_table(ring, gens)
-    checked = 0
-    for alpha in induction_multidegrees(n):
-        for mono in monomials_with_multidegree(alpha):
-            assert evaluate(mono) == eval_monomial(ring, gens, mono), mono
-            checked += 1
-    assert evaluate((1,) * n) == eval_monomial(ring, gens, (1,) * n)
-    assert evaluate((0,) * n) == ring.one_value
-    assert checked > 0
+    gens = [ring.parse_value(text) for text in _PROGRAM_GENERATORS[spec][:n]]
+    expected = [
+        eval_monomial(ring, gens, mono)
+        for _, monomials in induction_schedule(n)
+        for mono in monomials
+    ]
+    assert schedule_values(ring, gens) == expected
+    # a unit among the generators keeps some schedule monomials nonzero,
+    # so the program is checked on more than zeros
+    assert any(value != ring.zero_value for value in expected)
 
 
 def test_schedule_monomials_are_read_from_the_table(monkeypatch):
@@ -315,3 +315,12 @@ def test_schedule_monomials_are_read_from_the_table(monkeypatch):
     assert machinery.verify_trace(document).ok
     # only the final product, once by the prover and once by the verifier
     assert evaluated == [(1, 1, 1, 1)] * 2
+
+
+@pytest.mark.parametrize("spec", sorted(_PROGRAM_GENERATORS))
+def test_a_true_exponent_powers_like_1(spec):
+    # a trace that records true for an exponent 1 replays through
+    # eval_monomial, so true must power exactly like 1 on every ring kind
+    ring = _ring(spec)
+    for g in ring.iter_values():
+        assert ring.pow_value(g, True) == ring.pow_value(g, 1) == g

@@ -14,6 +14,7 @@ from absorbing_ideals import (
     monomials_with_multidegree,
     multidegree,
 )
+from absorbing_ideals.monomials import schedule_program
 
 exponent_tuples = st.lists(
     st.integers(min_value=0, max_value=6), min_size=1, max_size=5
@@ -123,3 +124,31 @@ def test_induction_schedule_pairs_each_multidegree_with_its_monomials():
         assert induction_schedule(n) is schedule
     # kept for a few levels only, so a large level does not live on
     assert induction_schedule.cache_info().maxsize == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_schedule_program_rebuilds_every_schedule_monomial(n):
+    nodes, leaves = schedule_program(n)
+    assert len(set(nodes)) == len(nodes)
+
+    def monomial(node):
+        exponents = [0] * n
+        last = n
+        while node >= 0:
+            parent, variable, e = nodes[node]
+            assert parent < node and variable < last and e > 0
+            exponents[variable] = e
+            node, last = parent, variable
+        return tuple(exponents)
+
+    assert [monomial(leaf) for leaf in leaves] == [
+        mono for _, monomials in induction_schedule(n) for mono in monomials
+    ]
+
+
+def test_schedule_program_is_one_node_per_distinct_prefix():
+    # 1,804 multiplications for the 1,785 monomials at n = 4
+    assert [len(schedule_program(n)[0]) for n in (2, 3, 4)] == [4, 79, 1804]
+    assert schedule_program(0) == schedule_program(1) == ((), ())
+    assert schedule_program(4) is schedule_program(4)
+    assert schedule_program.cache_info().maxsize == 4

@@ -321,7 +321,7 @@ _SCHEDULE = ("schedule", None, "step sequence does not match the induction order
     "value, failures",
     [
         (-1, [_SCHEDULE, ("exception", 0, "ValueError: exponents must be nonnegative")]),
-        (7, [_SCHEDULE]),  # above n^2 - n = 6, so outside the power table
+        (7, [_SCHEDULE]),  # above n^2 - n = 6, so in no schedule monomial
         (True, [_SCHEDULE, ("value", 0, "monomial evaluates to 2")]),
         (2.0, [_SCHEDULE, ("exception", 0,
                            "TypeError: pow() 3rd argument not allowed unless all arguments are integers")]),
@@ -336,17 +336,18 @@ def test_odd_recorded_exponents_fail_as_before_the_power_table(value, failures):
     assert [(f["kind"], f["step"], f["detail"]) for f in result.failures] == failures
 
 
-def test_out_of_order_trace_never_builds_the_power_table(monkeypatch):
+def test_out_of_order_trace_never_builds_the_schedule_program(monkeypatch):
     import absorbing_ideals.machinery as machinery
 
-    def refuse(ring, generator_values):
-        raise AssertionError("built the power table")
+    def refuse(*args):
+        raise AssertionError("built the schedule program or its values")
 
     _, trace = _prove("Zmod:8", ["2", "4", "6"])
     document = json.loads(json.dumps(trace.to_json_dict()))
     steps = document["steps"]
     steps[0], steps[1] = steps[1], steps[0]
-    monkeypatch.setattr(machinery, "power_table", refuse)
+    monkeypatch.setattr(machinery, "schedule_program", refuse)
+    monkeypatch.setattr(machinery, "schedule_values", refuse)
     result = verify_trace(document)
     assert [(f["kind"], f["step"], f["detail"]) for f in result.failures] == [_SCHEDULE]
 
@@ -405,11 +406,12 @@ def test_prover_refuses_a_derivation_over_the_step_cap_before_building_it(monkey
     import absorbing_ideals.machinery as machinery
 
     def refuse(*args):
-        raise AssertionError("built the schedule or the power table")
+        raise AssertionError("built the schedule, its program or its values")
 
     # every level that completes today stays under the cap
     assert math.comb(36, 6) - math.comb(11, 6) == 1_947_330 <= machinery.MAX_TRACE_STEPS
     monkeypatch.setattr(machinery, "induction_schedule", refuse)
-    monkeypatch.setattr(machinery, "power_table", refuse)
+    monkeypatch.setattr(machinery, "schedule_program", refuse)
+    monkeypatch.setattr(machinery, "schedule_values", refuse)
     with pytest.raises(ResourceLimitError, match="derivation of 85898868 steps at n = 7"):
         prove_radical_power_zero(_ring("Zmod:2"), [0] * 7)
