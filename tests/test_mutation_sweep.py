@@ -1,4 +1,4 @@
-"""Single-field mutations of two proved traces, replayed by the verifier.
+"""Single-field mutations of four proved traces, replayed by the verifier.
 
 Each mutation changes one field of one trace document: an exponent set
 to e+1, e-1, -1, true or 2.0, a changed `conclusion` or `rule`, a
@@ -23,6 +23,12 @@ FIXTURE = Path(__file__).parent / "fixtures" / "mutation_sweep.json"
 TRACES = {
     "Zmod:8 2,4,6 full": ("Zmod:8", ("2", "4", "6"), True, (0, 37, 73), True),
     "Zmod:16 2,4,6,8": ("Zmod:16", ("2", "4", "6", "8"), False, (0, 900, 1784), False),
+    "Quotient:{ring:Zmod:36,gens:[18]} 6,12,6 full": (
+        "Quotient:{ring:Zmod:36,gens:[18]}", ("6", "12", "6"), True, (0, 37, 73), True
+    ),
+    "Product:[Zmod:4,Zmod:3] (2,0),(2,0),(0,0)": (
+        "Product:[Zmod:4,Zmod:3]", ("(2,0)", "(2,0)", "(0,0)"), False, (0, 37, 73), False
+    ),
 }
 
 _HEADER_TEXT = {
