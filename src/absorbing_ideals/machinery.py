@@ -54,6 +54,7 @@ from .monomials import (
     monomials_with_multidegree,
     multidegree,
     schedule_program,
+    schedule_steps,
 )
 from .rings import (
     DEFAULT_MAX_RING_SIZE,
@@ -68,6 +69,8 @@ DEFAULT_MAX_VECTORS = 10**6
 # the prover's cap on steps: 1,947,330 at n = 6, 85,898,868 at n = 7
 MAX_TRACE_STEPS = 10**7
 TRACE_SCHEMA = "absorbing-trace/1"
+# exponent types a recorded alpha may hold; a JSON `true` counts as 1
+_EXPONENT_TYPES = frozenset({int, bool})
 
 
 def _trace_length(n: int) -> int:
@@ -727,8 +730,9 @@ def verify_trace(
     The hypothesis is re-decided on the zero ideal of the ring built
     here, whose scan memo starts empty, so no scan of the prover's is
     reused.  The schedule is the same `induction_schedule(n)` the prover
-    walks: a pure function of n that carries nothing from the trace,
-    flattened once and only when the trace has as many steps as it has.
+    walks, flattened by `schedule_steps(n)`: a pure function of n that
+    carries nothing from the trace, cached per n like the schedule and
+    built only when the trace has as many steps as it has.
 
     When the recorded `(alpha, monomial)` pairs equal the schedule and
     every exponent is an exact int, each step's shape is the schedule's
@@ -736,6 +740,9 @@ def verify_trace(
     monomials with `schedule_values` and checks each step's value,
     conclusion and rule against them.  Every other trace is replayed
     step by step: shape, then `eval_monomial` on the recorded monomial.
+    A step's shape is wrong when its monomial does not have the stated
+    multidegree, or when its monomial evaluates but its alpha holds
+    anything other than exact ints and `true`.
     """
     failures: list[dict] = []
 
@@ -794,15 +801,11 @@ def verify_trace(
     schedule_ok = False
     own_steps = None
     if len(trace.steps) == _trace_length(n):
-        schedule = [
-            (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
-        ]
-        recorded: list = []
-        for step in trace.steps:
-            try:
-                recorded.append((tuple(step["alpha"]), tuple(step["monomial"])))
-            except (TypeError, KeyError):
-                recorded.append(None)
+        schedule = schedule_steps(n)
+        try:
+            recorded = tuple((tuple(s["alpha"]), tuple(s["monomial"])) for s in trace.steps)
+        except (TypeError, KeyError):
+            recorded = None
         schedule_ok = recorded == schedule
         if schedule_ok and set(
             map(type, itertools.chain.from_iterable(a + m for a, m in recorded))
@@ -843,7 +846,13 @@ def verify_trace(
                 if len(mono) != n or multidegree(mono) != alpha:
                     fail(index, "step-shape", "monomial does not have the stated multidegree")
                     continue
-                check(index, step, alpha, mono, eval_monomial(ring, gen_values, mono))
+                # evaluated first: a float in the monomial fails as the
+                # evaluation's TypeError, as the float.json golden pins
+                value = eval_monomial(ring, gen_values, mono)
+                if not _EXPONENT_TYPES.issuperset(map(type, alpha)):
+                    fail(index, "step-shape", "alpha entries must be integers")
+                    continue
+                check(index, step, alpha, mono, value)
             except Exception as exc:  # malformed step content must not abort the replay
                 fail(index, "exception", f"{type(exc).__name__}: {exc}")
 

@@ -96,6 +96,18 @@ def induction_schedule(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=4)
+def schedule_steps(n: int) -> tuple:
+    """`induction_schedule(n)` flattened into one `(alpha, monomial)`
+    pair per step, in schedule order.  The verifier compares a trace's
+    recorded pairs with it; cached like the schedule it flattens, and
+    for the same reason.
+    """
+    return tuple(
+        (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
+    )
+
+
+@functools.lru_cache(maxsize=4)
 def schedule_program(n: int) -> tuple:
     """The monomials of `induction_schedule(n)` as one straight-line
     program: `(nodes, leaves)`.

@@ -17,6 +17,27 @@ deterministic.  The numbering of each kind:
 
 A kind supplies only its arithmetic on values and their text form
 (`render_value`, `parse_value`).
+
+Products are memoised per ring.  A PolyQuot, Product or Quotient ring
+of at most `MEMO_MAX_SIZE` elements gets its own `mul_values`, which
+keeps a flat |R|*|R| list of products filled on first use: the first
+product of a and b is computed by the kind's arithmetic and stored at
+both (a, b) and (b, a), and every later one is read back.  This gives
+the same answers as the kind's arithmetic:
+
+- each cell holds exactly the value that arithmetic returns;
+- the transpose holds the same value, as every kind is commutative;
+- values reaching `mul_values` are elements, 0..|R|-1, so `a*|R| + b`
+  names the pair: `parse_value` and the callers that take values from
+  outside check them, as the `_coeffs`, `_parts` and `_lift` lookups
+  already require;
+- the memo belongs to one ring instance and `build_ring` returns a
+  fresh ring, so a caller that rebuilds its ring (the trace verifier)
+  fills its own memo from its own multiplications.
+
+The table is never filled in advance: most rings built in one run use
+a small share of their pairs.  Zmod keeps `(a * b) % n`, which already
+costs one C expression, and larger rings keep the kind's arithmetic.
 """
 
 from __future__ import annotations
@@ -29,6 +50,8 @@ from typing import Iterable, Sequence
 from .errors import ImproperIdealError, ParseError, RingBuildError
 
 DEFAULT_MAX_RING_SIZE = 4096
+# largest ring whose products are memoised (a list of |R|**2 cells)
+MEMO_MAX_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +138,14 @@ class Ring:
 
     descriptor: RingDescriptor
     zero_value = 0
+    # whether a ring of at most MEMO_MAX_SIZE elements memoises mul_values
+    memoise_products = True
 
     def __init__(self, size: int, one_value: int):
         self.size = size
         self.one_value = one_value
+        if self.memoise_products and size <= MEMO_MAX_SIZE:
+            self.mul_values = _memoised_mul(self.mul_values, size)
         self._units: frozenset | None = None
         # the absorbing scan's memo, filled in there: ideal element set ->
         # (scan candidates, {n: exhaustive report})
@@ -185,6 +212,19 @@ class Ring:
         return f"{type(self).__name__}({self.descriptor!r})"
 
 
+def _memoised_mul(kind_mul, size: int):
+    """`kind_mul` behind a flat size*size memo, filled on first use."""
+    cells: list = [None] * (size * size)
+
+    def mul_values(a, b):
+        product = cells[a * size + b]
+        if product is None:
+            product = cells[a * size + b] = cells[b * size + a] = kind_mul(a, b)
+        return product
+
+    return mul_values
+
+
 # ---------------------------------------------------------------------------
 # element text helpers
 
@@ -228,6 +268,9 @@ def _parse_int(text: str) -> int:
 
 class ZModRing(Ring):
     """Residues 0..n-1 with arithmetic mod n; a value is its residue."""
+
+    # (a * b) % n is already one C expression: a memo would only add a call
+    memoise_products = False
 
     def __init__(self, n: int):
         super().__init__(n, 1)

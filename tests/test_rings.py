@@ -1,11 +1,13 @@
 """Ring construction, canonical element order, and arithmetic laws."""
 
 import copy
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 from absorbing_ideals import (
+    BUILTIN_CORPUS,
     DEFAULT_MAX_RING_SIZE,
     Ideal,
     PolyQuot,
@@ -20,6 +22,7 @@ from absorbing_ideals import (
     render_ring_spec,
 )
 from absorbing_ideals.rings import (
+    MEMO_MAX_SIZE,
     additive_closure_values,
     descriptor_size,
     generated_ideal_values,
@@ -356,3 +359,69 @@ def test_values_with_power_in_makes_at_most_two_multiplications_per_element(
         targets = values_with_power_in(ring, targets)
     calls = _count_multiplications(ring, lambda: values_with_power_in(ring, targets))
     assert calls <= 2 * ring.size
+
+
+# ---------------------------------------------------------------------------
+# memoised products
+
+
+MEMOISED_SPECS = [spec for spec in BUILTIN_CORPUS if not spec.startswith("Zmod:")] + [
+    "Quotient:{ring:PolyQuot:{p:3,poly:[0,0,0,1]},gens:[[0,0,1]]}",
+    "Quotient:{ring:Product:[Zmod:4,Zmod:6],gens:[(2,0)]}",
+]
+
+
+def _pairs(ring):
+    return list(itertools.product(ring.iter_values(), repeat=2))
+
+
+@pytest.mark.parametrize("spec", MEMOISED_SPECS)
+def test_memoised_products_equal_the_kinds_arithmetic(spec):
+    # filled row by row, and from the last pair back: each order reads
+    # some cells that its transpose filled
+    for order in (_pairs, lambda ring: _pairs(ring)[::-1]):
+        ring = build_ring(parse_ring_spec(spec))
+        assert "mul_values" in vars(ring) and ring.size <= MEMO_MAX_SIZE
+        kind_mul = type(ring).mul_values
+        for a, b in order(ring):
+            assert ring.mul_values(a, b) == kind_mul(ring, a, b), (a, b)
+        assert all(ring.mul_values(a, b) == kind_mul(ring, a, b) for a, b in _pairs(ring))
+
+
+@pytest.mark.parametrize(
+    "spec, memoised",
+    [
+        ("Zmod:2", False),
+        ("Zmod:36", False),
+        ("Zmod:256", False),
+        ("PolyQuot:{p:2,poly:[0,0,0,0,0,0,0,0,1]}", True),  # 256 elements
+        ("Product:[Zmod:16,Zmod:16]", True),
+        ("Product:[Zmod:257]", False),
+        ("PolyQuot:{p:2,poly:[0,0,0,0,0,0,0,0,0,1]}", False),  # 512 elements
+    ],
+)
+def test_only_small_rings_of_the_other_kinds_memoise_products(spec, memoised):
+    ring = build_ring(parse_ring_spec(spec))
+    assert ("mul_values" in vars(ring)) is memoised
+    assert ring.mul_values(ring.one_value, ring.size - 1) == ring.size - 1
+
+
+def test_each_build_fills_its_own_product_memo():
+    spec = parse_ring_spec("Product:[Zmod:4,Zmod:6]")
+    first, second = build_ring(spec), build_ring(spec)
+    pairs = _pairs(first)
+    for a, b in pairs:
+        first.mul_values(a, b)
+    # the kind's arithmetic runs once per unordered pair on the second
+    # ring too: it reads nothing the first one stored
+    calls = 0
+    factor_mul = second.factors[0].mul_values
+
+    def counting_mul(x, y):
+        nonlocal calls
+        calls += 1
+        return factor_mul(x, y)
+
+    second.factors[0].mul_values = counting_mul
+    assert [second.mul_values(a, b) for a, b in pairs] == [first.mul_values(a, b) for a, b in pairs]
+    assert calls == first.size * (first.size + 1) // 2

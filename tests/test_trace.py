@@ -384,20 +384,26 @@ def test_prover_and_verifier_walk_the_shared_schedule(spec, gens, monkeypatch):
     import absorbing_ideals.machinery as machinery
 
     n = len(gens)
-    schedule, walked = machinery.induction_schedule, []
+    walked = []
 
-    def recording_schedule(level):
-        walked.append((level, schedule(level)))
-        return walked[-1][1]
+    def record(name):
+        original = getattr(machinery, name)
 
-    monkeypatch.setattr(machinery, "induction_schedule", recording_schedule)
+        def recording(level):
+            walked.append((name, level, original(level)))
+            return walked[-1][2]
+
+        monkeypatch.setattr(machinery, name, recording)
+
+    # the prover walks the schedule, the verifier its flattened steps
+    record("induction_schedule")
+    record("schedule_steps")
     _, trace = _prove(spec, gens)
     assert verify_trace(trace).ok
     expected = induction_schedule(n)
-    assert walked == [(n, expected), (n, expected)]
-    assert [(tuple(s["alpha"]), tuple(s["monomial"])) for s in trace.steps] == [
-        (alpha, mono) for alpha, monomials in expected for mono in monomials
-    ]
+    steps = tuple((alpha, mono) for alpha, monomials in expected for mono in monomials)
+    assert walked == [("induction_schedule", n, expected), ("schedule_steps", n, steps)]
+    assert tuple((tuple(s["alpha"]), tuple(s["monomial"])) for s in trace.steps) == steps
 
 
 def test_prover_refuses_a_derivation_over_the_step_cap_before_building_it(monkeypatch):
