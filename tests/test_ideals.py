@@ -1,5 +1,8 @@
 """Ideal element sets, lattice enumeration, and ideal arithmetic."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -201,3 +204,32 @@ def test_proper_ideals_excludes_unit():
     ring = build_ring(ZMod(12))
     assert all(i.is_proper for i in proper_ideals(ring))
     assert len(list(proper_ideals(ring))) == 5
+
+
+# rings outside the built-in corpus, one or more of each kind
+ENUMERATION_SPECS = [
+    "Product:[Zmod:4,Zmod:6]",
+    "Quotient:{ring:Zmod:36,gens:[18]}",
+    "PolyQuot:{p:2,poly:[0,0,0,0,1]}",
+    "Product:[Zmod:2,Zmod:2,Zmod:2]",
+    "Zmod:60",
+]
+ENUMERATION_FIXTURE = Path(__file__).parent / "fixtures" / "enumeration_golden.json"
+
+
+def enumeration_records() -> dict:
+    """Per ring, each ideal in enumeration order: text, size, radical text."""
+    out = {}
+    for spec in ENUMERATION_SPECS:
+        ring = build_ring(parse_ring_spec(spec))
+        out[spec] = [
+            [ideal.text(), len(ideal), radical(ideal).text()]
+            for ideal in enumerate_ideals(ring)
+        ]
+    return out
+
+
+def test_enumeration_matches_the_recorded_ideals():
+    # recorded before ideals were grown from principal ideals and coset
+    # sums: the same ideals, in the same order, with the same generators
+    assert enumeration_records() == json.loads(ENUMERATION_FIXTURE.read_text())
