@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--feasibility",
         type=int,
         default=DEFAULT_FEASIBILITY,
-        help="largest |R|^(m*m) still enumerated exhaustively",
+        help="largest |R|^(m(m+1)/2) still enumerated exhaustively",
     )
     parser.add_argument(
         "--sample-size",

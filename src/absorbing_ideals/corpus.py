@@ -60,7 +60,7 @@ BUILTIN_CORPUS: tuple[str, ...] = tuple(
 )
 
 DEFAULT_TRACE_LIMIT = 200
-# zero_diagonal_survey's gate on |R|^(m*m) to enumerate, and its draws past it
+# zero_diagonal_survey's gate on |R|^(m(m+1)/2) to enumerate, and its draws past it
 DEFAULT_FEASIBILITY = 10**6
 DEFAULT_SAMPLE_SIZE = 10**4
 
@@ -375,7 +375,8 @@ def zero_diagonal_survey(
     holds but the walk fails or takes more than m+1 probes; the walk
     certifies a diagonal entry that direct arithmetic says is nonzero;
     or the property holds although no diagonal entry is zero at all.
-    Matrices are enumerated exhaustively while |R|^(m*m) stays within
+    Only the m(m+1)/2 cells on and above the diagonal vary, so matrices
+    are enumerated exhaustively while |R|^(m(m+1)/2) stays within
     `feasibility`, otherwise `sample_size` of them are drawn with the
     given seed.
     """
@@ -396,7 +397,7 @@ def zero_diagonal_survey(
         return rows
 
     survey = {"ring": render_ring_spec(ring), "m": m}
-    if len(values) ** (m * m) <= feasibility:
+    if len(values) ** len(cells) <= feasibility:
         assignments = itertools.product(values, repeat=len(cells))
         survey.update(mode="exhaustive", matrices_planned=len(values) ** len(cells))
     else:

@@ -4,7 +4,8 @@ An ideal is stored as its full element set plus the generators it was
 built from; two ideals compare equal when their element sets match,
 regardless of how they were generated.  Element sets make containment
 tests trivial, and every operation here (radical, product, power,
-colon, enumeration) works directly on those sets.
+colon, enumeration) works directly on those sets, which are grown from
+principal ideals and sums of ideals (see `rings`).
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from typing import Iterable, Iterator
 from .errors import ResourceLimitError
 from .rings import (
     Ring,
-    additive_closure_values,
     generated_ideal_values,
+    ideal_sum_values,
+    principal_ideal_values,
     values_with_power_in,
 )
 
@@ -47,7 +49,7 @@ class Ideal:
 
         Generators are chosen greedily in canonical order, keeping an
         element when it is not yet generated by the ones already kept.
-        Raises ValueError if the set is not actually an ideal.
+        Raises ValueError if the set is not an ideal or holds a non-element.
         """
         values = frozenset(elements)
         gens: list = []
@@ -55,7 +57,8 @@ class Ideal:
         for v in sorted(values):
             if v not in have:
                 gens.append(v)
-                have = generated_ideal_values(ring, gens)
+                # generated_ideal_values refuses a non-element before multiplying
+                have = ideal_sum_values(ring, have, generated_ideal_values(ring, [v]))
         if have != values:
             raise ValueError("element set is not closed under the ideal operations")
         return cls(ring, gens, values)
@@ -185,9 +188,7 @@ def sum_ideal(left: Ideal, right: Ideal) -> Ideal:
     """Smallest ideal containing both."""
     if left.ring != right.ring:
         raise ValueError("ideals live in different rings")
-    values = additive_closure_values(
-        left.ring, left.element_values | right.element_values
-    )
+    values = ideal_sum_values(left.ring, left.element_values, right.element_values)
     return Ideal.from_elements(left.ring, values)
 
 
@@ -195,30 +196,37 @@ def enumerate_ideals(ring: Ring, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[I
     """All ideals of the ring, smallest element set first.
 
     Breadth-first closure: starting from (0), repeatedly extend each
-    known ideal by one new generator.  Every ideal is finitely generated
-    here, so this reaches all of them.  Ties in size break by the sorted
-    element list, making the output order canonical.
+    known ideal I by one new generator v, as I + (v), keeping the first
+    (I, v) to reach an ideal as its generators.  Every ideal is finitely
+    generated here, so this reaches all of them.  Each (v) is computed
+    once, and each frontier ideal adds each distinct (v) once.  Ties in
+    size break by the sorted element list, making the order canonical.
     """
     zero = Ideal.zero(ring)
     seen: dict[frozenset, Ideal] = {zero.element_values: zero}
     frontier = [zero]
     values = tuple(ring.iter_values())
+    shared: dict[frozenset, frozenset] = {}  # one set per distinct (v)
+    principals = [
+        shared.setdefault(p, p) for p in (principal_ideal_values(ring, v) for v in values)
+    ]
     while frontier:
         next_frontier: list[Ideal] = []
         for ideal in frontier:
-            for v in values:
-                if v in ideal.element_values:
+            have = ideal.element_values
+            added: set = set()
+            for v, principal in zip(values, principals):
+                if v in have or principal in added:
                     continue
-                extended = Ideal.from_generators(
-                    ring, list(ideal.generator_values) + [v]
-                )
-                if extended.element_values not in seen:
+                added.add(principal)
+                extended = ideal_sum_values(ring, have, principal)
+                if extended not in seen:
                     if len(seen) >= max_ideals:
                         raise ResourceLimitError(
                             f"more than {max_ideals} ideals in {ring}"
                         )
-                    seen[extended.element_values] = extended
-                    next_frontier.append(extended)
+                    seen[extended] = Ideal(ring, ideal.generator_values + (v,), extended)
+                    next_frontier.append(seen[extended])
         frontier = next_frontier
     return sorted(
         seen.values(),

@@ -18,6 +18,9 @@ deterministic.  The numbering of each kind:
 A kind supplies only its arithmetic on values and their text form
 (`render_value`, `parse_value`).
 
+An ideal's element set is a sum of principal ideals: (g) is the set
+R*g itself, and I + J grows from I one coset b + I at a time.
+
 Products are memoised per ring.  A PolyQuot, Product or Quotient ring
 of at most `MEMO_MAX_SIZE` elements gets its own `mul_values`, which
 keeps a flat |R|*|R| list of products filled on first use: the first
@@ -29,8 +32,8 @@ the same answers as the kind's arithmetic:
 - the transpose holds the same value, as every kind is commutative;
 - values reaching `mul_values` are elements, 0..|R|-1, so `a*|R| + b`
   names the pair: `parse_value` and the callers that take values from
-  outside check them, as the `_coeffs`, `_parts` and `_lift` lookups
-  already require;
+  outside check them before any is multiplied, as the `_coeffs`,
+  `_parts` and `_lift` lookups already require;
 - the memo belongs to one ring instance and `build_ring` returns a
   fresh ring, so a caller that rebuilds its ring (the trace verifier)
   fills its own memo from its own multiplications.
@@ -213,7 +216,11 @@ class Ring:
 
 
 def _memoised_mul(kind_mul, size: int):
-    """`kind_mul` behind a flat size*size memo, filled on first use."""
+    """`kind_mul` behind a flat size*size memo, filled on first use.
+
+    Both operands must be elements 0..size-1, which is not checked here:
+    another int reads whichever cell it indexes, or raises IndexError.
+    """
     cells: list = [None] * (size * size)
 
     def mul_values(a, b):
@@ -480,7 +487,7 @@ class QuotientRing(Ring):
 
 
 # ---------------------------------------------------------------------------
-# power walk and ideal closure at value level (shared with ideal_ops)
+# power walk and ideal closure at value level (shared with ideals)
 
 
 def values_with_power_in(ring: Ring, targets: Iterable) -> frozenset:
@@ -514,34 +521,47 @@ def values_with_power_in(ring: Ring, targets: Iterable) -> frozenset:
     return frozenset(v for v, inside in status.items() if inside)
 
 
-def additive_closure_values(ring: Ring, items: Iterable) -> frozenset:
-    """Subgroup of (R, +) generated by `items`."""
-    group: set = {ring.zero_value}
-    for g in items:
-        if g in group:
-            continue
-        cycle = []
-        x = g
-        while x != ring.zero_value:
-            cycle.append(x)
-            x = ring.add_values(x, g)
-        group |= {ring.add_values(s, c) for s in group for c in cycle}
-    return frozenset(group)
+def principal_ideal_values(ring: Ring, g) -> frozenset:
+    """Element set of the principal ideal (g) of an element g: R*g is
+    already an ideal, as rg + sg = (r+s)g and s(rg) = (sr)g."""
+    mul = ring.mul_values
+    return frozenset([mul(r, g) for r in ring.iter_values()])
+
+
+def ideal_sum_values(ring: Ring, left: frozenset, right: frozenset) -> frozenset:
+    """Element set of I + J, for the element sets of ideals I and J.
+
+    It grows from I one coset b + I at a time, for each b in J not yet
+    reached.  It is always a union of cosets of I, so a b already reached
+    has its whole coset in, and the sum takes |I + J| - |I| additions.
+    """
+    if right <= left:
+        return left
+    if left <= right:
+        return right
+    add = ring.add_values
+    out = set(left)
+    for b in right:
+        if b not in out:
+            out.update([add(a, b) for a in left])
+    return frozenset(out)
 
 
 def generated_ideal_values(ring: Ring, generator_values: Iterable) -> frozenset:
     """Element set of the ideal generated by the given values.
 
-    The ideal equals the additive closure of all ring multiples of the
-    generators; that set is already closed under multiplication by
-    arbitrary ring elements.
+    The sum of the generators' principal ideals, skipping a generator
+    already in it.  Every value is checked before any is multiplied.
     """
     gens = list(generator_values)
     for g in gens:
         if not ring.contains_value(g):
             raise ValueError(f"{g!r} is not an element of {ring}")
-    multiples = {ring.mul_values(r, g) for g in gens for r in ring.iter_values()}
-    return additive_closure_values(ring, multiples)
+    out = frozenset({ring.zero_value})
+    for g in gens:
+        if g not in out:
+            out = ideal_sum_values(ring, out, principal_ideal_values(ring, g))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,14 @@ def test_zero_diagonal_survey_exhaustive_m2():
     )
 
 
+def test_zero_diagonal_survey_gate_counts_the_cells_that_vary():
+    # a 3 x 3 upper triangular matrix has 6 free cells: 2**6 = 64 matrices
+    survey = zero_diagonal_survey("Zmod:2", 3, feasibility=64)
+    assert survey["mode"] == "exhaustive"
+    assert survey["matrices_planned"] == survey["matrices_checked"] == 64
+    assert zero_diagonal_survey("Zmod:2", 3, feasibility=63, sample_size=5)["mode"] == "sampled"
+
+
 def test_zero_diagonal_survey_sampled_mode():
     survey = zero_diagonal_survey(
         "Zmod:6", 3, feasibility=10, sample_size=200, seed=4

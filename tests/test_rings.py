@@ -23,14 +23,21 @@ from absorbing_ideals import (
 )
 from absorbing_ideals.rings import (
     MEMO_MAX_SIZE,
-    additive_closure_values,
     descriptor_size,
     generated_ideal_values,
+    ideal_sum_values,
+    principal_ideal_values,
     split_top_level,
     validate_descriptor,
     values_with_power_in,
 )
-from oracles import naive_radical, naive_units
+from oracles import (
+    brute_force_ideals,
+    naive_additive_closure,
+    naive_generated_ideal,
+    naive_radical,
+    naive_units,
+)
 from test_absorbing import ORACLE_SPECS
 
 DESCRIPTOR_POOL = [
@@ -266,22 +273,93 @@ def test_values_are_canonical_indices(desc):
 # closure helpers
 
 
-def test_additive_closure():
+def test_principal_ideal_values():
     ring = build_ring(ZMod(12))
-    assert additive_closure_values(ring, [4]) == frozenset({0, 4, 8})
-    assert additive_closure_values(ring, [4, 6]) == frozenset({0, 2, 4, 6, 8, 10})
-    assert additive_closure_values(ring, []) == frozenset({0})
+    assert principal_ideal_values(ring, 4) == frozenset({0, 4, 8})
+    assert principal_ideal_values(ring, 10) == frozenset({0, 2, 4, 6, 8, 10})
+    assert principal_ideal_values(ring, 0) == frozenset({0})
+    assert principal_ideal_values(ring, 5) == frozenset(range(12))
+    product = build_ring(parse_ring_spec("Product:[Zmod:2,Zmod:4]"))
+    g = product.parse_value("(0,2)")
+    assert {product.render_value(v) for v in principal_ideal_values(product, g)} == {
+        "(0,0)", "(0,2)"
+    }
+
+
+def test_ideal_sum_values():
+    ring = build_ring(ZMod(12))
+    fours, sixes, twos = frozenset({0, 4, 8}), frozenset({0, 6}), frozenset(range(0, 12, 2))
+    assert ideal_sum_values(ring, fours, sixes) == twos
+    assert ideal_sum_values(ring, sixes, fours) == twos
+    # a side that holds the other is returned as it is
+    assert ideal_sum_values(ring, twos, fours) is twos
+    assert ideal_sum_values(ring, sixes, twos) is twos
+    assert ideal_sum_values(ring, frozenset({0}), frozenset({0})) == frozenset({0})
+
+
+# rings of at most 12 elements, of all four kinds, for the subset oracle
+SUM_SPECS = [
+    "Zmod:12",
+    "PolyQuot:{p:2,poly:[0,0,1]}",
+    "PolyQuot:{p:3,poly:[0,0,1]}",
+    "Product:[Zmod:2,Zmod:4]",
+    "Product:[Zmod:2,Zmod:2,Zmod:2]",
+    "Quotient:{ring:Zmod:12,gens:[6]}",
+    "Quotient:{ring:Product:[Zmod:4,Zmod:4],gens:[(2,0)]}",
+]
+
+
+@pytest.mark.parametrize("spec", SUM_SPECS)
+def test_ideal_sum_values_matches_naive_additive_closure(spec):
+    ring = build_ring(parse_ring_spec(spec))
+    ideals = sorted(brute_force_ideals(ring), key=sorted)
+    assert len(ideals) >= 3
+    for left in ideals:
+        for right in ideals:
+            assert ideal_sum_values(ring, left, right) == naive_additive_closure(
+                ring, left | right
+            )
 
 
 def test_generated_ideal_values_matches_naive_fixpoint(small_ring_specs):
-    from absorbing_ideals import parse_ring_spec
-    from oracles import naive_generated_ideal
-
     for spec in small_ring_specs:
         ring = build_ring(parse_ring_spec(spec))
-        values = list(ring.iter_values())
-        for g in values[:: max(1, len(values) // 4)]:
-            assert generated_ideal_values(ring, [g]) == naive_generated_ideal(ring, [g])
+        singles = {g: naive_generated_ideal(ring, [g]) for g in ring.iter_values()}
+        for g, expected in singles.items():
+            assert generated_ideal_values(ring, [g]) == expected
+        for g, h in itertools.product(ring.iter_values(), repeat=2):
+            assert generated_ideal_values(ring, [g, h]) == naive_generated_ideal(
+                ring, [g, h]
+            ), (spec, g, h)
+
+
+@pytest.mark.parametrize("filled", [False, True])
+def test_ideal_entry_points_refuse_non_elements_before_multiplying(filled):
+    # a memoised ring answers an out-of-range value from whichever cell
+    # it indexes, so values are checked where they enter
+    ring = build_ring(parse_ring_spec("Product:[Zmod:4,Zmod:6]"))
+    assert ring.size == 24 <= MEMO_MAX_SIZE
+    if filled:
+        for a, b in itertools.product(ring.iter_values(), repeat=2):
+            ring.mul_values(a, b)
+    mul = ring.mul_values
+
+    def checked_mul(a, b):
+        assert ring.contains_value(a) and ring.contains_value(b), (a, b)
+        return mul(a, b)
+
+    ring.mul_values = checked_mul
+    everything = set(ring.iter_values())
+    for outsider in (24, -1):
+        for gens in ([outsider], [1, outsider], [outsider, 1]):
+            with pytest.raises(ValueError, match="not an element"):
+                generated_ideal_values(ring, gens)
+        for elements in ({0, outsider}, everything | {outsider}):
+            with pytest.raises(ValueError, match="not an element"):
+                Ideal.from_elements(ring, elements)
+    # every generator is checked, also one equal to an element already reached
+    with pytest.raises(ValueError, match="not an element"):
+        generated_ideal_values(ring, [1, True])
 
 
 def test_split_top_level():
