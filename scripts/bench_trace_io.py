@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Time the four layers of a trace round trip, each run in a fresh interpreter.
+
+The trace is `trace --ring Zmod:24 --gens 6,12,18,0`: 1,785 steps at
+n = 4, about 360 kB of JSON.  Each run proves, renders, loads and
+verifies it once untimed, so the level-4 schedule caches are filled,
+then times REPEATS calls of each layer in turn:
+
+    prove    prove_radical_power_zero on the ring built once per run
+    render   cli.render_json of the trace document
+    loads    json.loads of the rendered text
+    verify   verify_trace of the loaded document
+
+It prints one line per run with the median of its calls per layer,
+then the median over runs.  The text layers (render, loads) run outside
+every function the perfbench tracer wraps, so its spans do not show
+them.  Exits 1 when the rendered text differs from
+json.dumps(indent=2, sort_keys=True) or the replay is not ok.
+
+    python3 scripts/bench_trace_io.py --runs 5
+    python3 scripts/bench_trace_io.py --src /path/to/other/checkout/src
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+DEFAULT_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+LAYERS = ("prove", "render", "loads", "verify")
+REPEATS = 7  # timed calls of each layer per interpreter
+
+# run in the child: prints {"ok", "same_text", layer: [ms per call]}; each
+# layer is timed in its own loop, so the collections its garbage sets off
+# are counted against it and not against the layer that happens to follow
+CHILD = r"""
+import json, sys, time
+from absorbing_ideals import build_ring, parse_ring_spec, prove_radical_power_zero, verify_trace
+from absorbing_ideals.cli import render_json
+
+repeats = int(sys.argv[1])
+ring = build_ring(parse_ring_spec("Zmod:24"))
+gens = [ring.parse_value(g) for g in ("6", "12", "18", "0")]
+document = prove_radical_power_zero(ring, gens).to_json_dict()
+text = render_json(document)
+loaded = json.loads(text)
+layers = {
+    "prove": lambda: prove_radical_power_zero(ring, gens),
+    "render": lambda: render_json(document),
+    "loads": lambda: json.loads(text),
+    "verify": lambda: verify_trace(loaded),
+}
+out = {}
+for layer, call in layers.items():
+    out[layer] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        out[layer].append((time.perf_counter() - start) * 1e3)
+out["ok"] = verify_trace(loaded).ok
+out["same_text"] = text == json.dumps(document, indent=2, sort_keys=True)
+print(json.dumps(out))
+"""
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--runs", type=int, default=5, help="fresh interpreters to time (default: 5)"
+    )
+    parser.add_argument(
+        "--src",
+        default=DEFAULT_SRC,
+        help="absorbing_ideals source directory to run (default: this checkout's src)",
+    )
+    return parser
+
+
+def run_once(src: str) -> dict:
+    """The child's report of one fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, "-c", CHILD, str(REPEATS)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"the timed child exited {done.returncode}: {done.stderr.strip()}")
+    return json.loads(done.stdout)
+
+
+def _line(label: str, medians: dict) -> str:
+    return label + " ".join(f"{layer}_ms {medians[layer]:.2f}" for layer in LAYERS)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.runs < 1:
+        raise SystemExit("--runs must be at least 1")
+    per_run = {layer: [] for layer in LAYERS}
+    bad = 0
+    for run in range(1, args.runs + 1):
+        report = run_once(args.src)
+        medians = {layer: statistics.median(report[layer]) for layer in LAYERS}
+        for layer in LAYERS:
+            per_run[layer].append(medians[layer])
+        good = report["ok"] and report["same_text"]
+        bad += not good
+        verdict = "ok" if good else f"replay_ok {report['ok']} same_text {report['same_text']}"
+        print(_line(f"run {run}: ", medians) + f" {verdict}")
+    overall = {layer: statistics.median(values) for layer, values in per_run.items()}
+    print(_line(f"median of {args.runs}: ", overall))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

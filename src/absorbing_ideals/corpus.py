@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .absorbing import (
     DEFAULT_MAX_TUPLES,
@@ -40,7 +40,6 @@ from .ideals import Ideal, enumerate_ideals, ideal_power, radical
 from .machinery import (
     SquareMatrix,
     find_zero_diagonal,
-    is_projectively_zero,
     prove_radical_power_zero,
     verify_trace,
 )
@@ -63,6 +62,8 @@ DEFAULT_TRACE_LIMIT = 200
 # zero_diagonal_survey's gate on |R|^(m(m+1)/2) to enumerate, and its draws past it
 DEFAULT_FEASIBILITY = 10**6
 DEFAULT_SAMPLE_SIZE = 10**4
+# suffix vectors one zero-coordinate decider keeps memoised, over all blocks
+SUFFIX_MEMO_BUDGET = 10**5
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -371,10 +372,11 @@ def zero_diagonal_survey(
     """Stress the diagonal walk on upper triangular m x m matrices.
 
     For each matrix the zero-coordinate property is decided exhaustively,
-    then the walk runs.  Lemma violations, all tallied: the property
-    holds but the walk fails or takes more than m+1 probes; the walk
-    certifies a diagonal entry that direct arithmetic says is nonzero;
-    or the property holds although no diagonal entry is zero at all.
+    over row suffixes (`zero_coordinate_decider`), then the walk runs.
+    Lemma violations, all tallied: the property holds but the walk fails
+    or takes more than m+1 probes; the walk certifies a diagonal entry
+    that direct arithmetic says is nonzero; or the property holds
+    although no diagonal entry is zero at all.
     Only the m(m+1)/2 cells on and above the diagonal vary, so matrices
     are enumerated exhaustively while |R|^(m(m+1)/2) stays within
     `feasibility`, otherwise `sample_size` of them are drawn with the
@@ -412,10 +414,11 @@ def zero_diagonal_survey(
     checked = property_count = all_nonzero_diagonal_count = 0
     walks = {"walk_succeeded": 0, "walk_rejected": 0}
     violations: list[dict] = []
+    holds_for = zero_coordinate_decider(ring)
     for assignment in assignments:
         checked += 1
         matrix = SquareMatrix(ring, rows_from(assignment))
-        holds = is_projectively_zero(matrix).holds
+        holds = holds_for(matrix.rows)
         diagonal_all_nonzero = all(matrix.rows[i][i] != zero for i in range(m))
         property_count += holds
         all_nonzero_diagonal_count += diagonal_all_nonzero
@@ -432,6 +435,68 @@ def zero_diagonal_survey(
         lemma_violations=violations,
     )
     return survey
+
+
+def zero_coordinate_decider(ring) -> Callable:
+    """A function of the rows of an upper triangular matrix over `ring`
+    that equals `is_projectively_zero(SquareMatrix(ring, rows)).holds`:
+    does every image vector have a zero coordinate?
+
+    In an upper triangular matrix, image coordinate i is
+    `sum(M[i][j] * v_j for j >= i)`, so it depends only on `v_i..v_{m-1}`.
+    Let F_i be the suffix vectors `(v_i, ..., v_{m-1})` whose image
+    coordinates i..m-1 are all nonzero.  F_m holds only the empty vector,
+    and F_i is the vectors `(v_i,) + w` with w in F_{i+1} and coordinate
+    i nonzero; so F_i depends only on the block of rows and columns
+    i..m-1.  The property holds exactly when F_0 is empty.  F of every
+    proper block is memoised by the block's entries, so the matrices of
+    a survey that share a lower right block build its F once; F_0 is
+    searched only for its first vector.  The memo is emptied whenever it
+    would hold more than `SUFFIX_MEMO_BUDGET` vectors, which bounds its
+    memory and changes no answer.
+    """
+    values = tuple(ring.iter_values())
+    add, mul, zero = ring.add_values, ring.mul_values, ring.zero_value
+    memo: dict = {}
+    kept = 0
+    budget = SUFFIX_MEMO_BUDGET
+
+    def nonzero_extensions(block, tails):
+        # (v,) + w for w in tails, where the block's first coordinate is nonzero
+        first, rest = block[0][0], block[0][1:]
+        for v in values:
+            start = mul(first, v)
+            for w in tails:
+                acc = start
+                for entry, x in zip(rest, w):
+                    acc = add(acc, mul(entry, x))
+                if acc != zero:
+                    yield (v,) + w
+
+    def free(block) -> tuple:  # F of the block
+        nonlocal kept
+        if not block:
+            return ((),)
+        found = memo.get(block)
+        if found is None:
+            found = tuple(nonzero_extensions(block, free(_lower_block(block))))
+            if kept + len(found) > budget:
+                memo.clear()
+                kept = 0
+            memo[block] = found
+            kept += len(found)
+        return found
+
+    def holds(rows) -> bool:
+        block = tuple(map(tuple, rows))
+        return next(nonzero_extensions(block, free(_lower_block(block))), None) is None
+
+    return holds
+
+
+def _lower_block(block: tuple) -> tuple:
+    """The block without its first row and first column."""
+    return tuple(row[1:] for row in block[1:])
 
 
 def _walk_outcome(matrix: SquareMatrix, holds: bool, diagonal_all_nonzero: bool) -> str:

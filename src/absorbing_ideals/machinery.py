@@ -36,6 +36,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .absorbing import DEFAULT_MAX_TUPLES, is_n_absorbing, require_absorbing
@@ -53,6 +54,7 @@ from .monomials import (
     monomial_text,
     monomials_with_multidegree,
     multidegree,
+    schedule_exponents,
     schedule_program,
     schedule_steps,
 )
@@ -69,8 +71,12 @@ DEFAULT_MAX_VECTORS = 10**6
 # the prover's cap on steps: 1,947,330 at n = 6, 85,898,868 at n = 7
 MAX_TRACE_STEPS = 10**7
 TRACE_SCHEMA = "absorbing-trace/1"
-# exponent types a recorded alpha may hold; a JSON `true` counts as 1
+# exponent types a recorded step may hold; a JSON `true` counts as 1
 _EXPONENT_TYPES = frozenset({int, bool})
+_INT_ONLY = frozenset({int})
+_STR_ONLY = frozenset({str})
+_LIST_ONLY = frozenset({list})
+_DICT_ONLY = frozenset({dict})
 
 
 def _trace_length(n: int) -> int:
@@ -579,6 +585,13 @@ def prove_radical_power_zero(
     evaluates to zero is recorded as a one-line step; passing False
     runs the full matrix derivation for every monomial, which is the
     honest shape of the argument but much slower.
+
+    Once the hypothesis holds, every schedule value is zero: each
+    monomial is a product of at least n nilpotent generators.  When
+    `values.count(zero)` says so, one comprehension over
+    `induction_schedule(n)` builds the direct steps; the loop would
+    build the same dicts, in the same order, one `_direct_step` call at
+    a time.
     """
     gen_values = tuple(_checked_value(ring, g) for g in generators)
     n = len(gen_values)
@@ -611,17 +624,26 @@ def prove_radical_power_zero(
             f"derivation of {step_count} steps at n = {n} exceeds the cap {MAX_TRACE_STEPS}"
         )
 
-    steps: list[dict] = []
     zero_text = ring.render_value(zero)
-    # one value per schedule monomial; zip takes each group's monomials
-    # first, so it stops at a group's end without consuming a value
-    values = iter(schedule_values(ring, gen_values))
-    for alpha, monomials in induction_schedule(n):
-        for mono, value in zip(monomials, values):
-            if short_circuit and value == zero:
-                steps.append(_direct_step(alpha, mono, zero_text))
-            else:
-                steps.append(_matrix_step(ring, gen_values, alpha, mono, value, zero_text))
+    values = schedule_values(ring, gen_values)
+    schedule = induction_schedule(n)
+    if short_circuit and values.count(zero) == len(values):
+        steps = [
+            {"alpha": list(alpha), "monomial": list(mono), "rule": "direct", "conclusion": zero_text}
+            for alpha, monomials in schedule
+            for mono in monomials
+        ]
+    else:
+        steps = []
+        # one value per schedule monomial; zip takes each group's monomials
+        # first, so it stops at a group's end without consuming a value
+        value_of = iter(values)
+        for alpha, monomials in schedule:
+            for mono, value in zip(monomials, value_of):
+                if short_circuit and value == zero:
+                    steps.append(_direct_step(alpha, mono, zero_text))
+                else:
+                    steps.append(_matrix_step(ring, gen_values, alpha, mono, value, zero_text))
 
     final_value = eval_monomial(ring, gen_values, (1,) * n)
     if final_value != zero:
@@ -714,6 +736,45 @@ def _verify_matrix_step(
         fail(index, "diagonal-nonzero", "certified diagonal entry is nonzero")
 
 
+def _columns_match(steps, n: int) -> bool:
+    """Are `steps` exact dicts whose `alpha` and `monomial` columns hold
+    exact lists of n exact ints that, flattened, equal
+    `schedule_exponents(n)`?  With every list n long, list k of a column
+    is its k-th run of n entries, so the flat lists are equal exactly
+    when every recorded pair equals the schedule's.  Passes that run in
+    C; a missing key or a step of another type says no."""
+    if not _DICT_ONLY.issuperset(map(type, steps)):
+        return False
+    try:
+        lists = list(map(itemgetter("alpha"), steps))
+        lists += map(itemgetter("monomial"), steps)
+    except KeyError:
+        return False
+    if not (_LIST_ONLY.issuperset(map(type, lists)) and {n}.issuperset(map(len, lists))):
+        return False
+    exponents = list(itertools.chain.from_iterable(lists))
+    return _INT_ONLY.issuperset(map(type, exponents)) and exponents == schedule_exponents(n)
+
+
+def _all_direct_zero(steps, values: list, zero, zero_text: str) -> bool:
+    """Of steps `_columns_match` accepted: does every value equal `zero`,
+    every conclusion read the exact str `zero_text` and every rule the
+    exact str "direct"?  Passes that run in C; a missing key says no,
+    and the per-step check then reports it."""
+    if values.count(zero) != len(values):
+        return False
+    try:
+        conclusions = list(map(itemgetter("conclusion"), steps))
+        rules = list(map(itemgetter("rule"), steps))
+    except KeyError:
+        return False
+    return (
+        _STR_ONLY.issuperset(map(type, itertools.chain(conclusions, rules)))
+        and conclusions.count(zero_text) == len(steps)
+        and rules.count("direct") == len(steps)
+    )
+
+
 def verify_trace(
     trace,
     *,
@@ -741,8 +802,25 @@ def verify_trace(
     conclusion and rule against them.  Every other trace is replayed
     step by step: shape, then `eval_monomial` on the recorded monomial.
     A step's shape is wrong when its monomial does not have the stated
-    multidegree, or when its monomial evaluates but its alpha holds
-    anything other than exact ints and `true`.
+    multidegree, or when its monomial or its alpha holds anything other
+    than exact ints and `true`; the monomial is checked before it is
+    evaluated, the alpha after.
+
+    Column passes.  The recorded pairs are first compared in passes
+    that run in C (`_columns_match`): the steps are exact dicts and
+    their `alpha` and `monomial` columns are exact lists of n exact ints
+    that, flattened, equal `schedule_exponents(n)`, a pure function of n
+    cached like `schedule_steps`.  That holds exactly when the pairs equal the
+    schedule with exact int exponents, so it gives the same `own_steps`
+    without building a tuple per step.  Then, when every value the
+    verifier computed equals zero and every conclusion is the exact str
+    `zero_text` and every rule the exact str "direct"
+    (`_all_direct_zero`, again in C), the per-step check could report
+    nothing on any step: it fails a step only on a nonzero value, a
+    conclusion `!=` `zero_text` or a rule other than "direct", and on
+    exact dicts of exact strs none of these can differ from the counts.
+    So the loop is skipped.  Any other trace runs the loop unchanged,
+    and every failure list keeps its content and order.
     """
     failures: list[dict] = []
 
@@ -798,19 +876,23 @@ def verify_trace(
     # the schedule is built only for a trace with as many steps, so
     # memory stays proportional to the trace; `own_steps` is the schedule
     # when the recorded steps equal it with exact int exponents
-    schedule_ok = False
+    schedule_ok = columns_match = False
     own_steps = None
     if len(trace.steps) == _trace_length(n):
         schedule = schedule_steps(n)
-        try:
-            recorded = tuple((tuple(s["alpha"]), tuple(s["monomial"])) for s in trace.steps)
-        except (TypeError, KeyError):
-            recorded = None
-        schedule_ok = recorded == schedule
-        if schedule_ok and set(
-            map(type, itertools.chain.from_iterable(a + m for a, m in recorded))
-        ) <= {int}:
-            own_steps = schedule
+        columns_match = _columns_match(trace.steps, n)
+        if columns_match:
+            schedule_ok, own_steps = True, schedule
+        else:
+            try:
+                recorded = tuple((tuple(s["alpha"]), tuple(s["monomial"])) for s in trace.steps)
+            except (TypeError, KeyError):
+                recorded = None
+            schedule_ok = recorded == schedule
+            if schedule_ok and set(
+                map(type, itertools.chain.from_iterable(a + m for a, m in recorded))
+            ) <= {int}:
+                own_steps = schedule
     if not schedule_ok:
         fail(None, "schedule", "step sequence does not match the induction order")
 
@@ -830,14 +912,17 @@ def verify_trace(
     # on the schedule's own steps no step shape can be wrong, and the
     # verifier evaluates its own monomials from the ring and generators
     # rebuilt here; every other trace, a recorded true or 2.0 included,
-    # replays step by step through eval_monomial
+    # replays step by step, shape first
     if own_steps is not None:
         values = schedule_values(ring, gen_values)
-        for index, (step, (alpha, mono), value) in enumerate(zip(trace.steps, own_steps, values)):
-            try:
-                check(index, step, alpha, mono, value)
-            except Exception as exc:  # malformed step content must not abort the replay
-                fail(index, "exception", f"{type(exc).__name__}: {exc}")
+        if not (columns_match and _all_direct_zero(trace.steps, values, zero, zero_text)):
+            for index, (step, (alpha, mono), value) in enumerate(
+                zip(trace.steps, own_steps, values)
+            ):
+                try:
+                    check(index, step, alpha, mono, value)
+                except Exception as exc:  # malformed step content must not abort the replay
+                    fail(index, "exception", f"{type(exc).__name__}: {exc}")
     else:
         for index, step in enumerate(trace.steps):
             try:
@@ -846,8 +931,9 @@ def verify_trace(
                 if len(mono) != n or multidegree(mono) != alpha:
                     fail(index, "step-shape", "monomial does not have the stated multidegree")
                     continue
-                # evaluated first: a float in the monomial fails as the
-                # evaluation's TypeError, as the float.json golden pins
+                if not _EXPONENT_TYPES.issuperset(map(type, mono)):
+                    fail(index, "step-shape", "monomial entries must be integers")
+                    continue
                 value = eval_monomial(ring, gen_values, mono)
                 if not _EXPONENT_TYPES.issuperset(map(type, alpha)):
                     fail(index, "step-shape", "alpha entries must be integers")

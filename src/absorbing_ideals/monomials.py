@@ -108,6 +108,19 @@ def schedule_steps(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=4)
+def schedule_exponents(n: int) -> list:
+    """The `alpha` column and then the `monomial` column of
+    `schedule_steps(n)`, flattened into one list of ints: n entries per
+    step and column.  The verifier compares a trace's recorded columns,
+    flattened alike, with it in one pass; a flat list of small ints
+    costs 8 bytes an exponent.  Cached like the steps, and for the same
+    reason; the list is shared, so callers only read it.
+    """
+    steps = schedule_steps(n)
+    return [e for alpha, _ in steps for e in alpha] + [e for _, mono in steps for e in mono]
+
+
+@functools.lru_cache(maxsize=4)
 def schedule_program(n: int) -> tuple:
     """The monomials of `induction_schedule(n)` as one straight-line
     program: `(nodes, leaves)`.

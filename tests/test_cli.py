@@ -1,5 +1,6 @@
 """Command line interface: payload shapes, exit codes, determinism."""
 
+import enum
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from absorbing_ideals import cli
 from absorbing_ideals.cli import _Report, main, render_json
 from absorbing_ideals.errors import (
     HypothesisNotSatisfiedError,
@@ -668,6 +670,116 @@ def test_writer_row_path_keeps_json_order_on_edge_cases():
         assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         render_json([{"a": 1}, {"a": object()}])
+
+
+class _Level(enum.IntEnum):
+    TWO = 2
+
+
+class _Text(str):
+    pass
+
+
+# cells that are not an exact str or an exact int where one is expected,
+# and int lists of another length: each sends its whole list to the row path
+_ODD_CELLS = [True, 1.0, _Level.TWO, _Text("x"), [], (1,), [1, 2, 3, 4, 5], [True], [1.0], None]
+
+
+@st.composite
+def _uniform_columns(draw):
+    """Lists of same-keyed dicts whose columns are each all exact str or
+    all exact int lists of one length, sometimes with one odd cell."""
+    marks = '%sd"\\\né😀\x00'
+    keys = draw(st.lists(st.text(alphabet=st.sampled_from("ab" + marks), max_size=3),
+                         min_size=1, max_size=4, unique=True))
+    strings = st.text(alphabet=st.sampled_from("xy" + marks + "\ud800\x7f"), max_size=4)
+    ints = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+    columns = {}
+    for k in keys:
+        length = draw(st.integers(min_value=0, max_value=3))
+        columns[k] = strings if length == 0 else st.lists(ints, min_size=length, max_size=length)
+    rows = draw(st.lists(st.fixed_dictionaries(columns), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        key = draw(st.sampled_from(keys))
+        if type(row[key]) is list and draw(st.booleans()):
+            row[key][draw(st.integers(0, len(row[key]) - 1))] = draw(st.sampled_from(_ODD_CELLS[:3]))
+        else:
+            row[key] = draw(st.sampled_from(_ODD_CELLS))
+    return rows
+
+
+@settings(max_examples=200)
+@given(_uniform_columns())
+def test_writer_writes_uniform_columns_like_json_dumps(rows):
+    for value in (rows, {"steps": rows}, [rows, rows], tuple(rows)):
+        assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_column_path_keeps_json_text_on_edge_cases():
+    block = cli._BLOCK_ROWS
+    marks = ["%", "%s", "%d", "%%", "%(a)s", '"\\\n\t', "é😀", "\ud800"]
+    for mark in marks:
+        for value in [
+            [{mark: "x", "a": [1]}] * 2,  # in a key
+            [{"s": mark, "a": [1]}, {"s": mark + mark, "a": [2]}],  # in a string
+        ]:
+            assert render_json(value) == json.dumps(value, indent=2, sort_keys=True), mark
+    big = [2**64, -(2**64) - 1, 2**200, -7, 0]
+    for value in [
+        [{"a": big, "b": "x"}, {"a": big[::-1], "b": "y"}],
+        [{"a": [1, 2]}, {"a": [True, 2]}],  # True or 1.0 in an int column
+        [{"a": [1, 2]}, {"a": [1.0, 2]}],
+        [{"a": [1]}, {"a": [_Level.TWO]}],  # IntEnum and str-subclass cells
+        [{"a": _Level.TWO}, {"a": 2}],
+        [{"a": "x"}, {"a": _Text("y")}],
+        [{"a": [1, 2]}, {"a": [1]}],  # ragged, empty and tuple cells
+        [{"a": [1]}, {"a": []}],
+        [{"a": []}, {"a": []}],
+        [{"a": (1,)}, {"a": (2,)}],
+        [{"a": [1]}, {"a": (2,)}],
+        [{"a": "x"}, {"a": [1]}],
+    ]:
+        assert render_json(value) == json.dumps(value, indent=2, sort_keys=True), value
+    for count in (1, block - 1, block, block + 1, 2 * block, 2 * block + 1):
+        rows = [{"%k": f"s%d{i}", "m": [i, -i, 2**70 + i]} for i in range(count)]
+        for value in (rows, {"steps": rows}):
+            assert render_json(value) == json.dumps(value, indent=2, sort_keys=True), count
+
+
+def test_default_trace_steps_take_the_column_path(monkeypatch):
+    from absorbing_ideals import build_ring, parse_ring_spec, prove_radical_power_zero
+
+    ring = build_ring(parse_ring_spec("Zmod:16"))
+    document = prove_radical_power_zero(ring, [2, 4, 6, 8]).to_json_dict()
+    templates = []
+    real = cli._row_template
+
+    def spy(dicts, keys, row_pad):
+        templates.append((len(dicts), real(dicts, keys, row_pad)))
+        return templates[-1][1]
+
+    monkeypatch.setattr(cli, "_row_template", spy)
+    assert render_json(document) == json.dumps(document, indent=2, sort_keys=True)
+    assert len(document["steps"]) == 1785 > cli._BLOCK_ROWS
+    assert len(templates) == 1
+    assert templates[0][0] == 1785 and templates[0][1] is not None
+
+
+def test_trace_io_bench_checks_the_text_and_the_replay(capsys):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parent.parent / "scripts" / "bench_trace_io.py"
+    spec = importlib.util.spec_from_file_location("bench_trace_io", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.main(["--runs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("run 1: prove_ms ") and lines[0].endswith(" ok")
+    assert lines[1].startswith("median of 1: prove_ms ")
+    for layer in bench.LAYERS:
+        assert f" {layer}_ms " in " " + lines[1]
 
 
 def test_parser_is_built_once_and_reused(monkeypatch, capsys):

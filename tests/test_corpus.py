@@ -1,5 +1,7 @@
 """Battery audits and the two surveys, on a handful of small rings."""
 
+import itertools
+
 import pytest
 
 from absorbing_ideals import (
@@ -16,6 +18,9 @@ from absorbing_ideals import (
     zero_diagonal_survey,
 )
 from absorbing_ideals import ideals as ideals_module
+from absorbing_ideals import corpus
+from absorbing_ideals.corpus import zero_coordinate_decider
+from absorbing_ideals.machinery import SquareMatrix, is_projectively_zero
 from absorbing_ideals.rings import QuotientRing, ZMod
 
 
@@ -170,6 +175,35 @@ def test_zero_diagonal_survey_gate_counts_the_cells_that_vary():
     assert survey["mode"] == "exhaustive"
     assert survey["matrices_planned"] == survey["matrices_checked"] == 64
     assert zero_diagonal_survey("Zmod:2", 3, feasibility=63, sample_size=5)["mode"] == "sampled"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "Zmod:2",
+        "Zmod:4",
+        "PolyQuot:{p:2,poly:[0,0,1]}",
+        "Product:[Zmod:2,Zmod:2]",
+        "Quotient:{ring:Zmod:8,gens:[4]}",
+    ],
+)
+def test_zero_coordinate_decider_matches_the_vector_scan(spec, monkeypatch):
+    # every upper triangular matrix with m <= 3, through one decider per
+    # ring as a survey uses it, and through one whose memo keeps at most
+    # three vectors and so is emptied again and again
+    ring = build_ring(parse_ring_spec(spec))
+    values = list(ring.iter_values())
+    deciders = [zero_coordinate_decider(ring)]
+    monkeypatch.setattr(corpus, "SUFFIX_MEMO_BUDGET", 3)
+    deciders.append(zero_coordinate_decider(ring))
+    for m in (1, 2, 3):
+        cells = [(i, j) for i in range(m) for j in range(i, m)]
+        for assignment in itertools.product(values, repeat=len(cells)):
+            rows = [[ring.zero_value] * m for _ in range(m)]
+            for (i, j), v in zip(cells, assignment):
+                rows[i][j] = v
+            expected = is_projectively_zero(SquareMatrix(ring, rows)).holds
+            assert [decide(rows) for decide in deciders] == [expected] * 2, rows
 
 
 def test_zero_diagonal_survey_sampled_mode():

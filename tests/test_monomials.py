@@ -14,7 +14,7 @@ from absorbing_ideals import (
     monomials_with_multidegree,
     multidegree,
 )
-from absorbing_ideals.monomials import schedule_program, schedule_steps
+from absorbing_ideals.monomials import schedule_exponents, schedule_program, schedule_steps
 
 exponent_tuples = st.lists(
     st.integers(min_value=0, max_value=6), min_size=1, max_size=5
@@ -163,3 +163,18 @@ def test_schedule_program_is_one_node_per_distinct_prefix():
     assert schedule_program(0) == schedule_program(1) == ((), ())
     assert schedule_program(4) is schedule_program(4)
     assert schedule_program.cache_info().maxsize == 4
+
+
+def test_schedule_exponents_flatten_the_alpha_then_the_monomial_column():
+    assert schedule_exponents(1) == []
+    for n in (2, 3, 4):
+        steps = schedule_steps(n)
+        flat = schedule_exponents(n)
+        assert len(flat) == 2 * n * len(steps)
+        half = len(flat) // 2
+        for k, (alpha, mono) in enumerate(steps):
+            assert tuple(flat[k * n:(k + 1) * n]) == alpha
+            assert tuple(flat[half + k * n:half + (k + 1) * n]) == mono
+        assert {type(e) for e in flat} == {int}
+        assert schedule_exponents(n) is flat
+    assert schedule_exponents.cache_info().maxsize == 4

@@ -323,8 +323,7 @@ _SCHEDULE = ("schedule", None, "step sequence does not match the induction order
         (-1, [_SCHEDULE, ("exception", 0, "ValueError: exponents must be nonnegative")]),
         (7, [_SCHEDULE]),  # above n^2 - n = 6, so in no schedule monomial
         (True, [_SCHEDULE, ("value", 0, "monomial evaluates to 2")]),
-        (2.0, [_SCHEDULE, ("exception", 0,
-                           "TypeError: pow() 3rd argument not allowed unless all arguments are integers")]),
+        (2.0, [_SCHEDULE, ("step-shape", 0, "monomial entries must be integers")]),
     ],
     ids=["negative", "oversized", "bool", "float"],
 )
@@ -356,7 +355,7 @@ def test_out_of_order_trace_never_builds_the_schedule_program(monkeypatch):
     "value, failures",
     [
         (True, []),
-        (1.0, [("exception", "TypeError: pow() 3rd argument not allowed unless all arguments are integers")]),
+        (1.0, [("step-shape", "monomial entries must be integers")]),
     ],
     ids=["bool", "float"],
 )
@@ -421,3 +420,70 @@ def test_prover_refuses_a_derivation_over_the_step_cap_before_building_it(monkey
     monkeypatch.setattr(machinery, "schedule_values", refuse)
     with pytest.raises(ResourceLimitError, match="derivation of 85898868 steps at n = 7"):
         prove_radical_power_zero(_ring("Zmod:2"), [0] * 7)
+
+
+_REPLAY_CASES = [
+    (spec, [gen] * n)
+    for n in (2, 3, 4)
+    for spec, gen in [
+        ("Zmod:4", "2"),
+        ("PolyQuot:{p:2,poly:[0,0,1]}", "[0,1]"),
+        ("Product:[Zmod:2,Zmod:2]" if n == 2 else "Product:[Zmod:4,Zmod:3]", "(0,0)" if n == 2 else "(2,0)"),
+        ("Quotient:{ring:Zmod:8,gens:[4]}", "2"),
+    ]
+]
+
+
+def _replay_forms(document, one_text):
+    """(name, document): a clean default trace and single changes of it."""
+    steps = document["steps"]
+    middle = len(steps) // 2
+
+    def with_middle(step):
+        changed = list(steps)
+        changed[middle] = step
+        return {**document, "steps": changed}
+
+    step = steps[middle]
+    yield "clean", document
+    yield "generator", {**document, "generators": [one_text] + document["generators"][1:]}
+    yield "conclusion changed", with_middle({**step, "conclusion": one_text})
+    yield "conclusion deleted", with_middle({k: v for k, v in step.items() if k != "conclusion"})
+    yield "rule zero-diagonal", with_middle({**step, "rule": "zero-diagonal"})
+    yield "rule other", with_middle({**step, "rule": "other"})
+
+
+def _loop_copy(document):
+    """The document with tuple alphas: equal to the schedule, but not a
+    column of lists, so it replays on the per-step loop."""
+    return {**document, "steps": [{**s, "alpha": tuple(s["alpha"])} for s in document["steps"]]}
+
+
+@pytest.mark.parametrize("spec, gens", _REPLAY_CASES)
+def test_column_passes_and_the_step_loop_report_the_same_failures(spec, gens):
+    ring, trace = _prove(spec, gens)
+    document = json.loads(json.dumps(trace.to_json_dict()))
+    for name, form in _replay_forms(document, ring.render_value(ring.one_value)):
+        failures = verify_trace(form).failures
+        assert failures == verify_trace(_loop_copy(form)).failures, name
+        assert (failures == ()) == (name == "clean"), name
+
+
+def test_a_clean_trace_replays_in_column_passes(monkeypatch):
+    import absorbing_ideals.machinery as machinery
+
+    passes = []
+    for name in ("_columns_match", "_all_direct_zero"):
+        def spy(*args, real=getattr(machinery, name), name=name):
+            passes.append((name, real(*args)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(machinery, name, spy)
+    _, trace = _prove("Zmod:16", ["2", "4", "6", "8"])
+    document = json.loads(json.dumps(trace.to_json_dict()))
+    assert len(document["steps"]) == 1785
+    assert verify_trace(document).ok
+    assert passes == [("_columns_match", True), ("_all_direct_zero", True)]
+    passes.clear()
+    assert verify_trace(_loop_copy(document)).ok
+    assert passes == [("_columns_match", False)]
