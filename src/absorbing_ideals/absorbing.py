@@ -19,8 +19,11 @@ minimum leaves a violating tuple; sorted again, it is componentwise at
 most the original, hence lexicographically at most the original.  The
 least sorted witness is therefore made of class minima, and the
 lexicographic scan over class minima reaches it first.  The budget
-counts the multisets that scan visits, C(c+n, n+1) over the c class
-minima, and `tuples_scanned` reports how many it visited.
+counts the multisets that scan visits or skips, C(c+n, n+1) over the c
+class minima, and `tuples_scanned` reports how many it visited or
+skipped.  A multiset whose first k <= n factors already multiply into
+I cannot violate, since its drop-last product contains them; the scan
+skips each such block in one step (see `_scan_multisets`).
 """
 
 from __future__ import annotations
@@ -141,15 +144,64 @@ def _scan_candidates(ideal: Ideal) -> tuple:
 
 
 def _scan_multisets(ideal: Ideal, n: int, candidates: tuple):
-    """(holds, witness_values, multisets_scanned) for the full search."""
-    ring = ideal.ring
+    """(holds, witness_values, multisets_scanned) for the full search.
+
+    A depth-first walk over candidate indices in the order of
+    combinations_with_replacement; `prefix[k]` is the product of the
+    factors before position k.  When, at k < n, prefix[k] times
+    candidate i lies in I, every completion has that product inside its
+    drop-last product, so its block of C(c-i+rest-1, rest) completions
+    (rest = n-k) is counted and skipped.  At position n only a full
+    product in I has its drop-one products checked, by a suffix product
+    walked backwards; drop-last is the prefix, outside I, and a factor
+    equal to its right neighbour drops to the same product.  Skipped
+    blocks are contiguous and hold no violation, so the first violation
+    is the least sorted witness and `scanned` its 1-based rank, or
+    C(c+n, n+1) when the property holds.
+    """
+    mul = ideal.ring.mul_values
     members = ideal.element_values
+    c = len(candidates)
+    comb = math.comb
+    picks = [0] * n  # the candidate indices at positions 0..n-1
+    prefix = [ideal.ring.one_value] * (n + 1)
     scanned = 0
-    for factors in itertools.combinations_with_replacement(candidates, n + 1):
-        scanned += 1
-        if _violates(ring, members, factors):
-            return False, factors, scanned
-    return True, None, scanned
+    k = i = 0  # the position being filled and its next candidate index
+    while True:
+        if k < n:
+            if i == c:
+                if k == 0:
+                    return True, None, scanned
+                k -= 1
+                i = picks[k] + 1
+                continue
+            p = mul(prefix[k], candidates[i])
+            if p in members:
+                scanned += comb(c - i + n - k - 1, n - k)
+                i += 1
+                continue
+            picks[k] = i
+            k += 1
+            prefix[k] = p
+            continue
+        head = prefix[n]
+        for j in range(i, c):
+            last = candidates[j]
+            if mul(head, last) not in members:
+                continue
+            suffix = right = last
+            for q in range(n - 1, -1, -1):
+                v = candidates[picks[q]]
+                if v != right and mul(prefix[q], suffix) in members:
+                    break
+                suffix = mul(v, suffix)
+                right = v
+            else:
+                witness = tuple(candidates[t] for t in picks) + (last,)
+                return False, witness, scanned + j - i + 1
+        scanned += c - i
+        k = n - 1
+        i = picks[k] + 1
 
 
 def is_n_absorbing(

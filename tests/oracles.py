@@ -9,6 +9,7 @@ purpose; only run against small rings.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def naive_product(ring, values):
@@ -50,6 +51,26 @@ def naive_omega(ideal, cap):
         if holds:
             return n
     return None
+
+
+def naive_class_minimum_scan(ideal, n, candidates):
+    """(holds, witness, scanned) over the sorted (n+1)-multisets of the
+    candidates, in combinations_with_replacement order, each one
+    multiplied out in full; `scanned` is the 1-based rank of the first
+    violation, or the number of multisets when there is none."""
+    ring = ideal.ring
+    members = ideal.element_values
+    scanned = 0
+    for tup in itertools.combinations_with_replacement(candidates, n + 1):
+        scanned += 1
+        if naive_product(ring, tup) not in members:
+            continue
+        if all(
+            naive_product(ring, tup[:omit] + tup[omit + 1:]) not in members
+            for omit in range(n + 1)
+        ):
+            return False, tup, scanned
+    return True, None, scanned
 
 
 def naive_sorted_witnesses(ideal, n):
@@ -219,3 +240,95 @@ def naive_zero_diagonal_walk(matrix):
         j_sequence.append(j)
         probe[j] += 1
     return "stall", None
+
+
+# ---------------------------------------------------------------------------
+# closed-form omega (Anderson and Badawi, "On n-absorbing ideals of
+# commutative rings", Comm. Algebra 39 (2011)): omega of (P1^e1...Pk^ek)
+# in a Dedekind domain is e1 + ... + ek, an ideal J containing I has the
+# omega of J/I in R/I, and omega of I1 x I2 is the sum of the omegas of
+# its proper factors.
+
+
+def prime_factor_count(d):
+    """Omega(d): the prime factors of d > 0, counted with multiplicity."""
+    count, q = 0, 2
+    while q * q <= d:
+        while d % q == 0:
+            d //= q
+            count += 1
+        q += 1
+    return count + (d > 1)
+
+
+def _poly_divmod(num, den, p):
+    """Quotient and remainder of coefficient lists (constant first) over
+    F_p by a monic divisor."""
+    num = list(num)
+    quotient = [0] * max(len(num) - len(den) + 1, 1)
+    for shift in range(len(num) - len(den), -1, -1):
+        c = num[shift + len(den) - 1]
+        if c:
+            quotient[shift] = c
+            for j, m in enumerate(den):
+                num[shift + j] = (num[shift + j] - c * m) % p
+    while num and not num[-1]:
+        num.pop()
+    return quotient, num
+
+
+def irreducible_factor_count(coeffs, p):
+    """Irreducible factors over F_p of a monic polynomial (coefficients
+    constant first), counted with multiplicity, by trial division with
+    every monic polynomial in order of degree: a divisor found that way
+    has no factor of lower degree left, so it is irreducible."""
+    g, count, degree = list(coeffs), 0, 1
+    while len(g) > 1:
+        for low in itertools.product(range(p), repeat=degree):
+            trial = list(low) + [1]
+            quotient, remainder = _poly_divmod(g, trial, p)
+            while not remainder:
+                g, count = quotient, count + 1
+                quotient, remainder = _poly_divmod(g, trial, p)
+            if len(g) <= degree:
+                break
+        degree += 1
+    return count
+
+
+def closed_form_omega(ring, values):
+    """Omega of the proper ideal with element set `values`, from the
+    ring's structure only: Omega(d) for the ideal (d), d | n, of Zmod:n;
+    the irreducible factors of the monic generator g | f in
+    (Z/p)[x]/(f); the sum over the proper components in a product; and
+    the omega of the preimage in the base for a quotient."""
+    kind = type(ring).__name__
+    if kind == "ZModRing":
+        return prime_factor_count(math.gcd(ring.n, *values))
+    if kind == "PolyQuotRing":
+        p = ring.p
+        if not any(values):
+            return irreducible_factor_count(ring.modulus, p)
+
+        def coefficients(v):
+            # a value's base-p digits are its coefficients, constant first
+            digits = []
+            while v:
+                v, digit = divmod(v, p)
+                digits.append(digit)
+            return digits
+
+        least = min((coefficients(v) for v in values if v), key=len)
+        inverse = pow(least[-1], -1, p)
+        return irreducible_factor_count([x * inverse % p for x in least], p)
+    if kind == "ProductRing":
+        total, place = 0, ring.size
+        for factor in ring.factors:
+            place //= factor.size
+            component = {v // place % factor.size for v in values}
+            if factor.one_value not in component:
+                total += closed_form_omega(factor, component)
+        return total
+    if kind == "QuotientRing":
+        return closed_form_omega(ring.base, ring.preimage_values(values))
+    raise ValueError(f"no closed form for {kind}")
