@@ -1,18 +1,26 @@
 #!/usr/bin/env python3
 """Time the four layers of a trace round trip, each run in a fresh interpreter.
 
-The trace is `trace --ring Zmod:24 --gens 6,12,18,0`: 1,785 steps at
-n = 4, about 360 kB of JSON.  Each run proves, renders, loads and
-verifies it once untimed, so the level-4 schedule caches are filled,
-then times REPEATS calls of each layer in turn:
+Two traces, each timed in its own interpreters:
+
+    trace --ring Zmod:24 --gens 6,12,18,0
+        1,785 direct steps at n = 4, about 360 kB of JSON; the block
+        writer and the verifier's column passes
+    trace --ring Quotient:{ring:Zmod:36,gens:[18]} --gens 6,12,6 --full-machinery
+        74 steps at n = 3, each with its matrix and justification
+        lists; the general writer and the verifier's per-step loop
+
+Each run proves, renders, loads and verifies its trace once untimed, so
+the schedule caches are filled, then times REPEATS calls of each layer
+in turn:
 
     prove    prove_radical_power_zero on the ring built once per run
     render   cli.render_json of the trace document
     loads    json.loads of the rendered text
     verify   verify_trace of the loaded document
 
-It prints one line per run with the median of its calls per layer,
-then the median over runs.  The text layers (render, loads) run outside
+For each trace it prints one line per run with the median of its calls
+per layer, then the median over runs.  The text layers (render, loads) run outside
 every function the perfbench tracer wraps, so its spans do not show
 them.  Exits 1 when the rendered text differs from
 json.dumps(indent=2, sort_keys=True) or the replay is not ok.
@@ -31,6 +39,11 @@ import sys
 DEFAULT_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 LAYERS = ("prove", "render", "loads", "verify")
 REPEATS = 7  # timed calls of each layer per interpreter
+# (ring spec, generators, full machinery)
+TRACES = (
+    ("Zmod:24", "6,12,18,0", False),
+    ("Quotient:{ring:Zmod:36,gens:[18]}", "6,12,6", True),
+)
 
 # run in the child: prints {"ok", "same_text", layer: [ms per call]}; each
 # layer is timed in its own loop, so the collections its garbage sets off
@@ -40,14 +53,14 @@ import json, sys, time
 from absorbing_ideals import build_ring, parse_ring_spec, prove_radical_power_zero, verify_trace
 from absorbing_ideals.cli import render_json
 
-repeats = int(sys.argv[1])
-ring = build_ring(parse_ring_spec("Zmod:24"))
-gens = [ring.parse_value(g) for g in ("6", "12", "18", "0")]
-document = prove_radical_power_zero(ring, gens).to_json_dict()
+repeats, spec, gen_text, full = int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4] == "full"
+ring = build_ring(parse_ring_spec(spec))
+gens = [ring.parse_value(g) for g in gen_text.split(",")]
+document = prove_radical_power_zero(ring, gens, short_circuit=not full).to_json_dict()
 text = render_json(document)
 loaded = json.loads(text)
 layers = {
-    "prove": lambda: prove_radical_power_zero(ring, gens),
+    "prove": lambda: prove_radical_power_zero(ring, gens, short_circuit=not full),
     "render": lambda: render_json(document),
     "loads": lambda: json.loads(text),
     "verify": lambda: verify_trace(loaded),
@@ -78,37 +91,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_once(src: str) -> dict:
-    """The child's report of one fresh interpreter."""
+def run_once(src: str, spec: str, gens: str, full: bool) -> dict:
+    """The child's report of one fresh interpreter timing one trace."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = [sys.executable, "-c", CHILD, str(REPEATS)]
+    argv = [sys.executable, "-c", CHILD, str(REPEATS), spec, gens, "full" if full else "default"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"the timed child exited {done.returncode}: {done.stderr.strip()}")
     return json.loads(done.stdout)
 
 
-def _line(label: str, medians: dict) -> str:
-    return label + " ".join(f"{layer}_ms {medians[layer]:.2f}" for layer in LAYERS)
+def _line(label: str, medians: dict, trace: str) -> str:
+    return label + " ".join(f"{layer}_ms {medians[layer]:.2f}" for layer in LAYERS) + f" on {trace}"
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.runs < 1:
         raise SystemExit("--runs must be at least 1")
-    per_run = {layer: [] for layer in LAYERS}
     bad = 0
-    for run in range(1, args.runs + 1):
-        report = run_once(args.src)
-        medians = {layer: statistics.median(report[layer]) for layer in LAYERS}
-        for layer in LAYERS:
-            per_run[layer].append(medians[layer])
-        good = report["ok"] and report["same_text"]
-        bad += not good
-        verdict = "ok" if good else f"replay_ok {report['ok']} same_text {report['same_text']}"
-        print(_line(f"run {run}: ", medians) + f" {verdict}")
-    overall = {layer: statistics.median(values) for layer, values in per_run.items()}
-    print(_line(f"median of {args.runs}: ", overall))
+    for spec, gens, full in TRACES:
+        trace = f"{spec} {gens}" + (" full" if full else "")
+        per_run = {layer: [] for layer in LAYERS}
+        for run in range(1, args.runs + 1):
+            report = run_once(args.src, spec, gens, full)
+            medians = {layer: statistics.median(report[layer]) for layer in LAYERS}
+            for layer in LAYERS:
+                per_run[layer].append(medians[layer])
+            good = report["ok"] and report["same_text"]
+            bad += not good
+            verdict = "ok" if good else f"replay_ok {report['ok']} same_text {report['same_text']}"
+            print(_line(f"run {run}: ", medians, trace) + f": {verdict}")
+        overall = {layer: statistics.median(values) for layer, values in per_run.items()}
+        print(_line(f"median of {args.runs}: ", overall, trace))
     return 1 if bad else 0
 
 

@@ -21,7 +21,7 @@ Exit codes:
         corpus-scan records that per ring and scans the other rings
 
 Every failure is reported as a JSON document with an `error` object;
-`_ERRORS` is the one table from exception type to kind and exit code.
+`errors.ERRORS` is the one table from exception type to kind and exit code.
 
 Reports are JSON objects with sorted keys, two-space indentation, and a
 trailing newline; two runs with the same flags and seed are
@@ -56,14 +56,7 @@ from .corpus import (
     run_battery,
     trace_survey,
 )
-from .errors import (
-    HypothesisNotSatisfiedError,
-    InvariantViolationError,
-    LemmaPreconditionError,
-    ParseError,
-    ResourceLimitError,
-    TraceInconsistencyError,
-)
+from .errors import ERRORS, ParseError, error_kind
 from .machinery import prove_radical_power_zero, verify_trace
 from .rings import DEFAULT_MAX_RING_SIZE, build_ring, split_top_level
 from .ringspec import parse_ideal_text, parse_ring_spec, render_ring_spec
@@ -71,17 +64,7 @@ from .ringspec import parse_ideal_text, parse_ring_spec, render_ring_spec
 REPORT_SCHEMA = "absorbing-report/1"
 DEFAULT_IDEAL = "(0)"
 
-# (exception classes, error.kind, exit code); the first matching row wins.
-# HypothesisNotSatisfiedError and LemmaPreconditionError are ValueErrors,
-# as are ParseError, RingBuildError and ImproperIdealError, so the usage
-# row comes last.  An OSError comes from a file the user named.
-_ERRORS = (
-    ((HypothesisNotSatisfiedError,), "hypothesis", 1),
-    ((LemmaPreconditionError, InvariantViolationError, TraceInconsistencyError), "derivation", 1),
-    ((ResourceLimitError,), "resource-limit", 3),
-    ((ValueError, OSError), "usage", 2),
-)
-_HANDLED = tuple(cls for classes, _, _ in _ERRORS for cls in classes)
+_HANDLED = tuple(cls for classes, _, _ in ERRORS for cls in classes)
 
 
 class _Report(dict):
@@ -97,7 +80,7 @@ def _failure(exc: Exception, report: _Report) -> tuple[int, dict]:
     A verdict (exit 1) keeps the ring and ideal the report already
     names; usage and resource-limit errors report only the command.
     """
-    kind, code = next((k, c) for classes, k, c in _ERRORS if isinstance(exc, classes))
+    kind, code = error_kind(type(exc))
     error = {"kind": kind, "message": str(exc)}
     if kind == "hypothesis":
         error["hypothesis"] = exc.hypothesis
@@ -388,7 +371,7 @@ _INT_ONLY = frozenset({int})  # a flat list of exact ints is joined in one go
 _DICT_ONLY = frozenset({dict})
 _STR_ONLY = frozenset({str})
 _LIST_ONLY = frozenset({list})
-# rows per `%` on render_json's column path; blocks of 512 or 1,024 rows
+# rows per `%` on render_json's block path; blocks of 512 or 1,024 rows
 # raised a trace-proving process's peak RSS by about 0.4 or 0.7 MB
 _BLOCK_ROWS = 256
 
@@ -405,22 +388,19 @@ def render_json(obj) -> str:
     does.  Floats, non-string keys and unserializable objects go through
     `json.dumps` itself, for the same text or json's own TypeError.
 
-    A list of plain dicts that all have the same exact-str keys, such as
-    a trace's steps, is written a row at a time: the keys are sorted and
-    escaped once for the whole list, which is json's order for every
-    row because the key sets are equal.  Exact `type` tests keep dict
-    subclasses and other key sets on the general path.
-
-    When moreover every column of such a list is uniform, either all
-    exact `str` or all non-empty exact `list`s of exact `int`s of one
-    length, as in a default trace's steps, every row has the same
-    layout.  `_row_template` writes that layout once, as the row path
-    would write it, with `%s` where an escaped string goes, `%d` where an
-    int goes and every `%` of an escaped key doubled; `%s` of an exact
-    str is the str and `%d` of an exact int is `int.__repr__`, so one
-    `%` per block of `_BLOCK_ROWS` rows, over the block's cells in row
-    and key order, gives the row path's text.  Any other list, a single
-    `True` or `1.0` among the ints included, takes the row path.
+    Two paths for a list.  A list of plain dicts that all have the same
+    exact-str keys, where every column is uniform, either all exact
+    `str` or all non-empty exact `list`s of exact `int`s of one length,
+    as in a default trace's steps, is written in blocks: every row has
+    the same layout, its keys sorted as json sorts every row's equal
+    key set.  `_row_template` writes that layout once, as the general
+    path would write a row, with `%s` where an escaped string goes,
+    `%d` where an int goes and every `%` of an escaped key doubled; `%s`
+    of an exact str is the str and `%d` of an exact int is
+    `int.__repr__`, so one `%` per block of `_BLOCK_ROWS` rows, over the
+    block's cells in row and key order, gives the general path's text.
+    Any other list, a single `True` or `1.0` among the ints or a dict
+    subclass included, takes the general path, one value at a time.
     """
     parts: list[str] = []
     write = parts.append
@@ -448,15 +428,20 @@ def render_json(obj) -> str:
             inner = pad + "  "
             if _INT_ONLY.issuperset(map(type, o)):
                 write("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
-            elif _DICT_ONLY.issuperset(map(type, o)) and o[0] and _same_str_keys(o):
-                rows(o, pad)
-            else:
-                separator = "[" + inner
-                for x in o:
-                    write(separator)
-                    separator = "," + inner
-                    value(x, inner)
-                write(pad + "]")
+                return
+            if _DICT_ONLY.issuperset(map(type, o)) and o[0] and _same_str_keys(o):
+                keys = sorted(o[0])
+                template = _row_template(o, keys, inner)
+                if template is not None:
+                    blocks(o, keys, template, inner)
+                    write(pad + "]")
+                    return
+            separator = "[" + inner
+            for x in o:
+                write(separator)
+                separator = "," + inner
+                value(x, inner)
+            write(pad + "]")
         elif o is None:
             write("null")
         elif o is True:
@@ -467,38 +452,6 @@ def render_json(obj) -> str:
             write(int.__repr__(o))
         else:
             write(json.dumps(o))
-
-    def rows(dicts, pad: str) -> None:  # a list of same-keyed plain dicts
-        keys = sorted(dicts[0])
-        row_pad = pad + "  "
-        template = _row_template(dicts, keys, row_pad)
-        if template is not None:
-            blocks(dicts, keys, template, row_pad)
-            write(pad + "]")
-            return
-        cell_pad = row_pad + "  "
-        heads = ["," + cell_pad + _escape(k) + ": " for k in keys]
-        heads[0] = "{" + heads[0][1:]
-        columns = tuple(zip(keys, heads))
-        open_ints, int_separator = "[" + cell_pad + "  ", "," + cell_pad + "  "
-        close_ints, close_row = cell_pad + "]", row_pad + "}"
-        ints_only, int_text, escape = _INT_ONLY.issuperset, int.__repr__, _escape
-        separator = "[" + row_pad
-        for row in dicts:
-            write(separator)
-            separator = "," + row_pad
-            for k, head in columns:
-                v = row[k]
-                t = type(v)
-                if t is str:
-                    write(head + escape(v))
-                elif t is list and v and ints_only(map(type, v)):
-                    write(head + open_ints + int_separator.join(map(int_text, v)) + close_ints)
-                else:
-                    write(head)
-                    value(v, cell_pad)
-            write(close_row)
-        write(pad + "]")
 
     def blocks(dicts, keys, template: str, row_pad: str) -> None:
         # a row's cells in key order: a 1-tuple holding an escaped
@@ -524,7 +477,7 @@ def render_json(obj) -> str:
 
 
 def _row_template(dicts, keys: list, row_pad: str) -> Optional[str]:
-    """The `%` template of one row of `dicts`, as the row path of
+    """The `%` template of one row of `dicts`, as the general path of
     `render_json` writes it, when every column is uniform; else None."""
     cell_pad = row_pad + "  "
     int_pad = cell_pad + "  "

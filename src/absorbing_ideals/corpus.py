@@ -35,6 +35,7 @@ from .errors import (
     InvariantViolationError,
     LemmaPreconditionError,
     ResourceLimitError,
+    error_kind,
 )
 from .ideals import Ideal, enumerate_ideals, ideal_power, radical
 from .machinery import (
@@ -156,8 +157,8 @@ class RingAudit:
 
 
 def _limit_error(limit: str) -> dict:
-    """A ring's record of a resource limit; the kind is the CLI's."""
-    return {"kind": "resource-limit", "message": limit}
+    """A ring's record of a resource limit, of the kind the CLI reports."""
+    return {"kind": error_kind(ResourceLimitError)[0], "message": limit}
 
 
 def audit_ideal(

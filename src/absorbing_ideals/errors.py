@@ -58,3 +58,21 @@ class InvariantViolationError(RuntimeError):
 
 class TraceInconsistencyError(RuntimeError):
     """A derivation step contradicts direct ring arithmetic."""
+
+
+# (exception classes, error.kind, exit code); the first matching row wins.
+# HypothesisNotSatisfiedError and LemmaPreconditionError are ValueErrors,
+# as are ParseError, RingBuildError and ImproperIdealError, so the usage
+# row comes last.  An OSError comes from a file the user named.
+ERRORS = (
+    ((HypothesisNotSatisfiedError,), "hypothesis", 1),
+    ((LemmaPreconditionError, InvariantViolationError, TraceInconsistencyError), "derivation", 1),
+    ((ResourceLimitError,), "resource-limit", 3),
+    ((ValueError, OSError), "usage", 2),
+)
+
+
+def error_kind(cls: type) -> tuple[str, int]:
+    """`(error.kind, exit code)` of the first `ERRORS` row that the
+    exception class `cls` falls under."""
+    return next((kind, code) for classes, kind, code in ERRORS if issubclass(cls, classes))

@@ -56,7 +56,6 @@ from .monomials import (
     multidegree,
     schedule_exponents,
     schedule_program,
-    schedule_steps,
 )
 from .rings import (
     DEFAULT_MAX_RING_SIZE,
@@ -487,15 +486,6 @@ class ProofTrace:
         )
 
 
-def _direct_step(alpha: tuple, mono: tuple, zero_text: str) -> dict:
-    return {
-        "alpha": list(alpha),
-        "monomial": list(mono),
-        "rule": "direct",
-        "conclusion": zero_text,
-    }
-
-
 def _shift_checks(matrix: ShiftMatrix, g, alpha: tuple, fail) -> list:
     """Check the shift matrix of a zero-diagonal step and return its
     sub-diagonal justifications; `g` is the value of the monomial.
@@ -586,12 +576,11 @@ def prove_radical_power_zero(
     runs the full matrix derivation for every monomial, which is the
     honest shape of the argument but much slower.
 
-    Once the hypothesis holds, every schedule value is zero: each
-    monomial is a product of at least n nilpotent generators.  When
-    `values.count(zero)` says so, one comprehension over
-    `induction_schedule(n)` builds the direct steps; the loop would
-    build the same dicts, in the same order, one `_direct_step` call at
-    a time.
+    The values of all schedule monomials come from `schedule_values`,
+    and one comprehension over `induction_schedule(n)` builds the steps
+    from them in schedule order.  Once the hypothesis holds, every value
+    is zero (each monomial is a product of at least n nilpotent
+    generators), so a default trace is all direct steps.
     """
     gen_values = tuple(_checked_value(ring, g) for g in generators)
     n = len(gen_values)
@@ -625,25 +614,16 @@ def prove_radical_power_zero(
         )
 
     zero_text = ring.render_value(zero)
-    values = schedule_values(ring, gen_values)
-    schedule = induction_schedule(n)
-    if short_circuit and values.count(zero) == len(values):
-        steps = [
-            {"alpha": list(alpha), "monomial": list(mono), "rule": "direct", "conclusion": zero_text}
-            for alpha, monomials in schedule
-            for mono in monomials
-        ]
-    else:
-        steps = []
-        # one value per schedule monomial; zip takes each group's monomials
-        # first, so it stops at a group's end without consuming a value
-        value_of = iter(values)
-        for alpha, monomials in schedule:
-            for mono, value in zip(monomials, value_of):
-                if short_circuit and value == zero:
-                    steps.append(_direct_step(alpha, mono, zero_text))
-                else:
-                    steps.append(_matrix_step(ring, gen_values, alpha, mono, value, zero_text))
+    # one value per schedule monomial; zip takes each group's monomials
+    # first, so it stops at a group's end without consuming a value
+    value_of = iter(schedule_values(ring, gen_values))
+    steps = [
+        {"alpha": list(alpha), "monomial": list(mono), "rule": "direct", "conclusion": zero_text}
+        if short_circuit and value == zero
+        else _matrix_step(ring, gen_values, alpha, mono, value, zero_text)
+        for alpha, monomials in induction_schedule(n)
+        for mono, value in zip(monomials, value_of)
+    ]
 
     final_value = eval_monomial(ring, gen_values, (1,) * n)
     if final_value != zero:
@@ -736,28 +716,41 @@ def _verify_matrix_step(
         fail(index, "diagonal-nonzero", "certified diagonal entry is nonzero")
 
 
-def _columns_match(steps, n: int) -> bool:
-    """Are `steps` exact dicts whose `alpha` and `monomial` columns hold
-    exact lists of n exact ints that, flattened, equal
-    `schedule_exponents(n)`?  With every list n long, list k of a column
-    is its k-th run of n entries, so the flat lists are equal exactly
-    when every recorded pair equals the schedule's.  Passes that run in
-    C; a missing key or a step of another type says no."""
-    if not _DICT_ONLY.issuperset(map(type, steps)):
-        return False
+def _schedule_match(steps, n: int) -> tuple[bool, bool]:
+    """`(equal, exact)` for the recorded `steps` of a level-n trace.
+
+    `equal`: does every step's `(tuple(alpha), tuple(monomial))` equal
+    the schedule's pair?  The `alpha` column and then the `monomial`
+    column are flattened and compared with `schedule_exponents(n)` in
+    one pass; with every entry n long, entry k of a column is its k-th
+    run of n exponents, so the flat lists are equal exactly when every
+    pair is.  A str, dict or tuple entry flattens as `tuple()` reads it,
+    and `==` lets a `true` or a `2.0` equal its int.  A step that is not
+    a mapping, a missing key or an entry that has no length or does
+    not iterate gives `(False, False)`.
+
+    `exact`: moreover the steps are exact dicts and their columns exact
+    lists of exact ints, so every step has the schedule's own shape.
+    Passes that run in C, with no container built per step.
+    """
     try:
-        lists = list(map(itemgetter("alpha"), steps))
-        lists += map(itemgetter("monomial"), steps)
-    except KeyError:
-        return False
-    if not (_LIST_ONLY.issuperset(map(type, lists)) and {n}.issuperset(map(len, lists))):
-        return False
-    exponents = list(itertools.chain.from_iterable(lists))
-    return _INT_ONLY.issuperset(map(type, exponents)) and exponents == schedule_exponents(n)
+        columns = list(map(itemgetter("alpha"), steps))
+        columns += map(itemgetter("monomial"), steps)
+        exponents = list(itertools.chain.from_iterable(columns))
+        equal = {n}.issuperset(map(len, columns)) and exponents == schedule_exponents(n)
+    except (TypeError, KeyError):
+        return False, False
+    exact = (
+        equal
+        and _DICT_ONLY.issuperset(map(type, steps))
+        and _LIST_ONLY.issuperset(map(type, columns))
+        and _INT_ONLY.issuperset(map(type, exponents))
+    )
+    return equal, exact
 
 
 def _all_direct_zero(steps, values: list, zero, zero_text: str) -> bool:
-    """Of steps `_columns_match` accepted: does every value equal `zero`,
+    """Of steps `_schedule_match` found exact: does every value equal `zero`,
     every conclusion read the exact str `zero_text` and every rule the
     exact str "direct"?  Passes that run in C; a missing key says no,
     and the per-step check then reports it."""
@@ -790,37 +783,27 @@ def verify_trace(
 
     The hypothesis is re-decided on the zero ideal of the ring built
     here, whose scan memo starts empty, so no scan of the prover's is
-    reused.  The schedule is the same `induction_schedule(n)` the prover
-    walks, flattened by `schedule_steps(n)`: a pure function of n that
-    carries nothing from the trace, cached per n like the schedule and
-    built only when the trace has as many steps as it has.
+    reused.  The recorded `(alpha, monomial)` pairs are compared with
+    the same `induction_schedule(n)` the prover walks, flattened by
+    `schedule_exponents(n)` (`_schedule_match`): a pure function of n
+    that carries nothing from the trace, cached per n like the schedule
+    and built only when the trace has as many steps as it has.
 
-    When the recorded `(alpha, monomial)` pairs equal the schedule and
-    every exponent is an exact int, each step's shape is the schedule's
-    own, so it is not re-checked; the verifier evaluates its own
-    monomials with `schedule_values` and checks each step's value,
-    conclusion and rule against them.  Every other trace is replayed
-    step by step: shape, then `eval_monomial` on the recorded monomial.
-    A step's shape is wrong when its monomial does not have the stated
-    multidegree, or when its monomial or its alpha holds anything other
-    than exact ints and `true`; the monomial is checked before it is
-    evaluated, the alpha after.
-
-    Column passes.  The recorded pairs are first compared in passes
-    that run in C (`_columns_match`): the steps are exact dicts and
-    their `alpha` and `monomial` columns are exact lists of n exact ints
-    that, flattened, equal `schedule_exponents(n)`, a pure function of n
-    cached like `schedule_steps`.  That holds exactly when the pairs equal the
-    schedule with exact int exponents, so it gives the same `own_steps`
-    without building a tuple per step.  Then, when every value the
-    verifier computed equals zero and every conclusion is the exact str
-    `zero_text` and every rule the exact str "direct"
-    (`_all_direct_zero`, again in C), the per-step check could report
-    nothing on any step: it fails a step only on a nonzero value, a
-    conclusion `!=` `zero_text` or a rule other than "direct", and on
-    exact dicts of exact strs none of these can differ from the counts.
-    So the loop is skipped.  Any other trace runs the loop unchanged,
-    and every failure list keeps its content and order.
+    Two paths.  A default trace is checked in column passes that run in
+    C: when its steps are exact dicts whose pairs are the schedule's
+    with exact int exponents (`_schedule_match`), every value that
+    `schedule_values` computes here is zero, and every conclusion is the
+    exact str `zero_text` and every rule the exact str "direct"
+    (`_all_direct_zero`), the per-step loop could report nothing on any
+    step.  On a step of the schedule's own shape the loop fails only on
+    a nonzero value, a conclusion `!=` `zero_text` or a rule other than
+    "direct", and on exact dicts of exact strs none of these can differ
+    from the counts.  So the loop is skipped.  Every other trace runs
+    the loop: shape, then `eval_monomial` on the recorded monomial, then
+    value, conclusion and rule.  A step's shape is wrong when its
+    monomial does not have the stated multidegree, or when its monomial
+    or its alpha holds anything other than exact ints and `true`; the
+    monomial is checked before it is evaluated, the alpha after.
     """
     failures: list[dict] = []
 
@@ -874,56 +857,19 @@ def verify_trace(
         fail(None, "bound", f"high_degree_bound should be {n * n - n + 1}")
 
     # the schedule is built only for a trace with as many steps, so
-    # memory stays proportional to the trace; `own_steps` is the schedule
-    # when the recorded steps equal it with exact int exponents
-    schedule_ok = columns_match = False
-    own_steps = None
+    # memory stays proportional to the trace
+    schedule_ok = exact = False
     if len(trace.steps) == _trace_length(n):
-        schedule = schedule_steps(n)
-        columns_match = _columns_match(trace.steps, n)
-        if columns_match:
-            schedule_ok, own_steps = True, schedule
-        else:
-            try:
-                recorded = tuple((tuple(s["alpha"]), tuple(s["monomial"])) for s in trace.steps)
-            except (TypeError, KeyError):
-                recorded = None
-            schedule_ok = recorded == schedule
-            if schedule_ok and set(
-                map(type, itertools.chain.from_iterable(a + m for a, m in recorded))
-            ) <= {int}:
-                own_steps = schedule
+        schedule_ok, exact = _schedule_match(trace.steps, n)
     if not schedule_ok:
         fail(None, "schedule", "step sequence does not match the induction order")
 
     zero_text = ring.render_value(zero)
-
-    def check(index, step, alpha, mono, value):
-        if value != zero:
-            fail(index, "value", f"monomial evaluates to {ring.render_value(value)}")
-        if step.get("conclusion") != zero_text:
-            fail(index, "conclusion", f"conclusion should read {zero_text!r}")
-        rule = step.get("rule")
-        if rule == "zero-diagonal":
-            _verify_matrix_step(ring, gen_values, step, alpha, mono, value, fail, index)
-        elif rule != "direct":
-            fail(index, "rule", f"unknown rule {rule!r}")
-
-    # on the schedule's own steps no step shape can be wrong, and the
-    # verifier evaluates its own monomials from the ring and generators
-    # rebuilt here; every other trace, a recorded true or 2.0 included,
-    # replays step by step, shape first
-    if own_steps is not None:
-        values = schedule_values(ring, gen_values)
-        if not (columns_match and _all_direct_zero(trace.steps, values, zero, zero_text)):
-            for index, (step, (alpha, mono), value) in enumerate(
-                zip(trace.steps, own_steps, values)
-            ):
-                try:
-                    check(index, step, alpha, mono, value)
-                except Exception as exc:  # malformed step content must not abort the replay
-                    fail(index, "exception", f"{type(exc).__name__}: {exc}")
-    else:
+    # a default trace passes every column check and has no step to
+    # report; any other trace replays step by step, shape first
+    if not (
+        exact and _all_direct_zero(trace.steps, schedule_values(ring, gen_values), zero, zero_text)
+    ):
         for index, step in enumerate(trace.steps):
             try:
                 alpha = tuple(step["alpha"])
@@ -938,7 +884,15 @@ def verify_trace(
                 if not _EXPONENT_TYPES.issuperset(map(type, alpha)):
                     fail(index, "step-shape", "alpha entries must be integers")
                     continue
-                check(index, step, alpha, mono, value)
+                if value != zero:
+                    fail(index, "value", f"monomial evaluates to {ring.render_value(value)}")
+                if step.get("conclusion") != zero_text:
+                    fail(index, "conclusion", f"conclusion should read {zero_text!r}")
+                rule = step.get("rule")
+                if rule == "zero-diagonal":
+                    _verify_matrix_step(ring, gen_values, step, alpha, mono, value, fail, index)
+                elif rule != "direct":
+                    fail(index, "rule", f"unknown rule {rule!r}")
             except Exception as exc:  # malformed step content must not abort the replay
                 fail(index, "exception", f"{type(exc).__name__}: {exc}")
 

@@ -96,28 +96,18 @@ def induction_schedule(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=4)
-def schedule_steps(n: int) -> tuple:
-    """`induction_schedule(n)` flattened into one `(alpha, monomial)`
-    pair per step, in schedule order.  The verifier compares a trace's
-    recorded pairs with it; cached like the schedule it flattens, and
-    for the same reason.
-    """
-    return tuple(
-        (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
-    )
-
-
-@functools.lru_cache(maxsize=4)
 def schedule_exponents(n: int) -> list:
     """The `alpha` column and then the `monomial` column of
-    `schedule_steps(n)`, flattened into one list of ints: n entries per
-    step and column.  The verifier compares a trace's recorded columns,
-    flattened alike, with it in one pass; a flat list of small ints
-    costs 8 bytes an exponent.  Cached like the steps, and for the same
-    reason; the list is shared, so callers only read it.
+    `induction_schedule(n)`, one step per monomial, flattened into one
+    list of ints: n entries per step and column.  The verifier compares
+    a trace's recorded columns, flattened alike, with it in one pass; a
+    flat list of small ints costs 8 bytes an exponent.  Cached like the
+    schedule, and for the same reason; the list is shared, so callers
+    only read it.
     """
-    steps = schedule_steps(n)
-    return [e for alpha, _ in steps for e in alpha] + [e for _, mono in steps for e in mono]
+    schedule = induction_schedule(n)
+    alphas = [e for alpha, monomials in schedule for _ in monomials for e in alpha]
+    return alphas + [e for _, monomials in schedule for mono in monomials for e in mono]
 
 
 @functools.lru_cache(maxsize=4)

@@ -405,9 +405,6 @@ class ProductRing(Ring):
             out += f.mul_values(x, y) * w
         return out
 
-    def pow_value(self, a, k):
-        return self._encode(f.pow_value(x, k) for f, x in zip(self.factors, self._parts[a]))
-
     def render_value(self, value):
         return "(" + ",".join(
             f.render_value(x) for f, x in zip(self.factors, self._parts[value])

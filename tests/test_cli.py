@@ -681,7 +681,7 @@ class _Text(str):
 
 
 # cells that are not an exact str or an exact int where one is expected,
-# and int lists of another length: each sends its whole list to the row path
+# and int lists of another length: each sends its whole list to the general path
 _ODD_CELLS = [True, 1.0, _Level.TWO, _Text("x"), [], (1,), [1, 2, 3, 4, 5], [True], [1.0], None]
 
 

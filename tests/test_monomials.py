@@ -14,7 +14,7 @@ from absorbing_ideals import (
     monomials_with_multidegree,
     multidegree,
 )
-from absorbing_ideals.monomials import schedule_exponents, schedule_program, schedule_steps
+from absorbing_ideals.monomials import schedule_exponents, schedule_program
 
 exponent_tuples = st.lists(
     st.integers(min_value=0, max_value=6), min_size=1, max_size=5
@@ -126,17 +126,6 @@ def test_induction_schedule_pairs_each_multidegree_with_its_monomials():
     assert induction_schedule.cache_info().maxsize == 4
 
 
-def test_schedule_steps_flatten_the_schedule_once_per_level():
-    assert schedule_steps(0) == schedule_steps(1) == ()
-    for n in range(2, 5):
-        steps = schedule_steps(n)
-        assert steps == tuple(
-            (alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials
-        )
-        assert schedule_steps(n) is steps
-    assert schedule_steps.cache_info().maxsize == 4
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_schedule_program_rebuilds_every_schedule_monomial(n):
     nodes, leaves = schedule_program(n)
@@ -168,7 +157,7 @@ def test_schedule_program_is_one_node_per_distinct_prefix():
 def test_schedule_exponents_flatten_the_alpha_then_the_monomial_column():
     assert schedule_exponents(1) == []
     for n in (2, 3, 4):
-        steps = schedule_steps(n)
+        steps = [(alpha, mono) for alpha, monomials in induction_schedule(n) for mono in monomials]
         flat = schedule_exponents(n)
         assert len(flat) == 2 * n * len(steps)
         half = len(flat) // 2

@@ -394,14 +394,15 @@ def test_prover_and_verifier_walk_the_shared_schedule(spec, gens, monkeypatch):
 
         monkeypatch.setattr(machinery, name, recording)
 
-    # the prover walks the schedule, the verifier its flattened steps
+    # the prover walks the schedule, the verifier its flattened columns
     record("induction_schedule")
-    record("schedule_steps")
+    record("schedule_exponents")
     _, trace = _prove(spec, gens)
     assert verify_trace(trace).ok
     expected = induction_schedule(n)
     steps = tuple((alpha, mono) for alpha, monomials in expected for mono in monomials)
-    assert walked == [("induction_schedule", n, expected), ("schedule_steps", n, steps)]
+    flat = [e for alpha, _ in steps for e in alpha] + [e for _, mono in steps for e in mono]
+    assert walked == [("induction_schedule", n, expected), ("schedule_exponents", n, flat)]
     assert tuple((tuple(s["alpha"]), tuple(s["monomial"])) for s in trace.steps) == steps
 
 
@@ -473,7 +474,7 @@ def test_a_clean_trace_replays_in_column_passes(monkeypatch):
     import absorbing_ideals.machinery as machinery
 
     passes = []
-    for name in ("_columns_match", "_all_direct_zero"):
+    for name in ("_schedule_match", "_all_direct_zero"):
         def spy(*args, real=getattr(machinery, name), name=name):
             passes.append((name, real(*args)))
             return passes[-1][1]
@@ -483,7 +484,55 @@ def test_a_clean_trace_replays_in_column_passes(monkeypatch):
     document = json.loads(json.dumps(trace.to_json_dict()))
     assert len(document["steps"]) == 1785
     assert verify_trace(document).ok
-    assert passes == [("_columns_match", True), ("_all_direct_zero", True)]
+    assert passes == [("_schedule_match", (True, True)), ("_all_direct_zero", True)]
     passes.clear()
     assert verify_trace(_loop_copy(document)).ok
-    assert passes == [("_columns_match", False)]
+    assert passes == [("_schedule_match", (True, False))]
+
+
+def _match_forms(steps):
+    """(name, steps): the clean steps of a level-3 trace and single
+    changes of one step, in the forms a JSON document or a ProofTrace
+    built in Python can hold."""
+    at = next(k for k, s in enumerate(steps) if len(set(s["alpha"])) == 3 and 1 in s["monomial"])
+    step = steps[at]
+    alpha, mono = step["alpha"], step["monomial"]
+
+    def replaced(new, index=at):
+        changed = list(steps)
+        changed[index] = new
+        return changed
+
+    yield "clean", steps
+    yield "true exponent", replaced({**step, "monomial": [e if e != 1 else True for e in mono]})
+    yield "float alpha", replaced({**step, "alpha": [float(alpha[0])] + alpha[1:]})
+    yield "float monomial", replaced({**step, "monomial": [float(mono[0])] + mono[1:]})
+    yield "tuple alpha", replaced({**step, "alpha": tuple(alpha)})
+    yield "string alpha", replaced({**step, "alpha": "".join(map(str, alpha))})
+    yield "dict alpha", replaced({**step, "alpha": dict.fromkeys(alpha)})
+    first = steps[0]  # alpha (6, 0, 0): its dict has two keys
+    yield "dict alpha, repeated entries", replaced({**first, "alpha": dict.fromkeys(first["alpha"])}, 0)
+    yield "missing monomial", replaced({k: v for k, v in step.items() if k != "monomial"})
+    yield "list step", replaced([alpha, mono])
+
+
+def test_schedule_match_compares_the_pairs_as_tuples():
+    from absorbing_ideals.machinery import _schedule_match
+
+    _, trace = _prove("Zmod:8", ["2", "4", "6"])
+    document = json.loads(json.dumps(trace.to_json_dict()))
+    pairs = tuple((alpha, mono) for alpha, monomials in induction_schedule(3) for mono in monomials)
+    names = []
+    for name, steps in _match_forms(document["steps"]):
+        try:
+            same = tuple((tuple(s["alpha"]), tuple(s["monomial"])) for s in steps) == pairs
+        except (TypeError, KeyError):
+            same = False
+        names.append((name, same))
+        assert _schedule_match(steps, 3) == (same, name == "clean"), name
+        kinds = {f["kind"] for f in verify_trace({**document, "steps": steps}).failures}
+        assert ("schedule" in kinds) == (not same), name
+    # both outcomes are covered
+    assert [name for name, same in names if not same] == [
+        "string alpha", "dict alpha, repeated entries", "missing monomial", "list step"
+    ]
