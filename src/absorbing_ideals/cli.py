@@ -10,6 +10,9 @@ Subcommands:
     verify-trace      replay a trace file and report every defect
     corpus-scan       full battery plus trace survey over a ring corpus
 
+`COMMANDS` is the one table from a command to its runner, its help and
+its options; a run builds the parser of its own command only.
+
 Exit codes:
 
     0   the checked property holds / the run completed
@@ -235,131 +238,75 @@ def _run_corpus_scan(args, report: _Report):
     return (1 if failed else 3 if limited else 0), report
 
 
-_RUNNERS = {
-    "check-absorbing": _run_check_absorbing,
-    "omega": _run_omega,
-    "radical-power": _run_radical_power,
-    "corollaries": _run_corollaries,
-    "trace": _run_trace,
-    "verify-trace": _run_verify_trace,
-    "corpus-scan": _run_corpus_scan,
+# ---------------------------------------------------------------------------
+# the command table; an option is (flag, keywords of its add_argument call)
+
+_RING = ("--ring", dict(required=True, help="ring spec, e.g. Zmod:12"))
+_IDEAL = ("--ideal", dict(default=DEFAULT_IDEAL, help='generator list, e.g. "(2,3)"'))
+_LIMITS = (
+    ("--max-ring-size", dict(type=int, default=DEFAULT_MAX_RING_SIZE,
+                             help="largest allowed element count (default %(default)s)")),
+    ("--max-tuples", dict(type=int, default=DEFAULT_MAX_TUPLES, help=(
+        "largest allowed exhaustive scan, in multisets (default %(default)s)"))),
+)
+_SEED = ("--seed", dict(type=int, default=None, help="seed for sampling"))
+_OUT = ("--out", dict(default=None, help="write the JSON output to this file"))
+_SAMPLES = ("--samples", dict(type=int, default=None,
+                              help="randomized fallback size for scans over the cap"))
+_SCAN = (*_LIMITS, _SAMPLES, _SEED, _OUT)
+_CAP = ("--cap", dict(type=int, default=DEFAULT_OMEGA_CAP,
+                      help="largest level to try (default %(default)s)"))
+
+# command -> (runner, help, options in the order its --help lists them)
+COMMANDS = {
+    "check-absorbing": (_run_check_absorbing, "decide whether an ideal is n-absorbing", (
+        _RING, _IDEAL, *_SCAN,
+        ("--n", dict(type=int, required=True, help="absorbing level to test")))),
+    "omega": (_run_omega, "least absorbing level up to a cap", (_RING, _IDEAL, *_SCAN, _CAP)),
+    "radical-power": (_run_radical_power, "radical power bound at level n", (
+        _RING, _IDEAL, *_SCAN,
+        ("--n", dict(type=int, required=True, help="absorbing level to use")))),
+    "corollaries": (_run_corollaries, "colon ideal consequences", (_RING, _IDEAL, *_SCAN)),
+    "trace": (_run_trace, "emit a derivation trace", (
+        _RING, *_SCAN,
+        ("--gens", dict(required=True, help='comma separated generators, e.g. "2,4,6"')),
+        ("--full-machinery", dict(action="store_true", help=(
+            "run the matrix derivation even for directly zero monomials"))))),
+    "verify-trace": (_run_verify_trace, "replay a trace file", (
+        ("trace_path", dict(help="path to a trace JSON document")), *_LIMITS, _OUT)),
+    "corpus-scan": (_run_corpus_scan, "battery and trace survey over a corpus", (
+        *_LIMITS, _SEED, _OUT, _CAP,
+        ("--samples", dict(type=int, default=DEFAULT_TRACE_LIMIT, help=(
+            "largest trace survey per ring, in generator tuples (default %(default)s)"))),
+        ("--manifest", dict(default=None, help=(
+            "JSON file with a list of ring specs (default: built-in corpus)"))))),
 }
 
 
-# ---------------------------------------------------------------------------
-# argument parsing
-
-
-def _add_common(
-    parser: argparse.ArgumentParser,
-    *,
-    ring: bool,
-    ideal: bool = False,
-    samples: bool = True,
-    seed: bool = True,
-) -> None:
-    if ring:
-        parser.add_argument("--ring", required=True, help="ring spec, e.g. Zmod:12")
-    if ideal:
-        parser.add_argument(
-            "--ideal", default=DEFAULT_IDEAL, help='generator list, e.g. "(2,3)"'
-        )
-    parser.add_argument(
-        "--max-ring-size",
-        type=int,
-        default=DEFAULT_MAX_RING_SIZE,
-        help="largest allowed element count (default %(default)s)",
-    )
-    parser.add_argument(
-        "--max-tuples",
-        type=int,
-        default=DEFAULT_MAX_TUPLES,
-        help="largest allowed exhaustive scan, in multisets (default %(default)s)",
-    )
-    if samples:
-        parser.add_argument(
-            "--samples",
-            type=int,
-            default=None,
-            help="randomized fallback size for scans over the cap",
-        )
-    if seed:
-        parser.add_argument("--seed", type=int, default=None, help="seed for sampling")
-    parser.add_argument("--out", default=None, help="write the JSON output to this file")
-
-
-def _add_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_OMEGA_CAP,
-        help="largest level to try (default %(default)s)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="absorbing-ideals",
-        description="decision procedures and checkable traces for absorbing ideals",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-absorbing", help="decide whether an ideal is n-absorbing")
-    _add_common(p, ring=True, ideal=True)
-    p.add_argument("--n", type=int, required=True, help="absorbing level to test")
-
-    p = sub.add_parser("omega", help="least absorbing level up to a cap")
-    _add_common(p, ring=True, ideal=True)
-    _add_cap(p)
-
-    p = sub.add_parser("radical-power", help="radical power bound at level n")
-    _add_common(p, ring=True, ideal=True)
-    p.add_argument("--n", type=int, required=True, help="absorbing level to use")
-
-    p = sub.add_parser("corollaries", help="colon ideal consequences")
-    _add_common(p, ring=True, ideal=True)
-
-    p = sub.add_parser("trace", help="emit a derivation trace")
-    _add_common(p, ring=True)
-    p.add_argument(
-        "--gens",
-        required=True,
-        help='comma separated generators, e.g. "2,4,6"',
-    )
-    p.add_argument(
-        "--full-machinery",
-        action="store_true",
-        help="run the matrix derivation even for directly zero monomials",
-    )
-
-    p = sub.add_parser("verify-trace", help="replay a trace file")
-    p.add_argument("trace_path", help="path to a trace JSON document")
-    _add_common(p, ring=False, samples=False, seed=False)
-
-    p = sub.add_parser("corpus-scan", help="battery and trace survey over a corpus")
-    _add_common(p, ring=False, samples=False)
-    _add_cap(p)
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=DEFAULT_TRACE_LIMIT,
-        help="largest trace survey per ring, in generator tuples (default %(default)s)",
-    )
-    p.add_argument(
-        "--manifest",
-        default=None,
-        help="JSON file with a list of ring specs (default: built-in corpus)",
-    )
-
-    return parser
+_CHOICES = "{%s}" % ",".join(COMMANDS)  # the usage's command list, as argparse writes it
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on first use and kept for the
-    process: `parse_args` starts every call from a fresh namespace and
-    leaves the parser unchanged."""
-    return build_parser()
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser for an argv whose first word is `command`, or with
+    every command for any other argv (None); `parse_args` leaves it
+    unchanged, so it is built once and kept for the process.
+
+    argparse enters an argv's first word when it names a command, and
+    the top level then only reports leftover words, under a usage that
+    `_CHOICES` spells as all commands would; so only that command is
+    built.  (The metavar would also name it in a missing or invalid
+    command error, which such an argv cannot raise.)
+    """
+    description = "decision procedures and checkable traces for absorbing ideals"
+    parser = argparse.ArgumentParser(prog="absorbing-ideals", description=description)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=command and _CHOICES)
+    for name, (_, help_text, options) in COMMANDS.items():
+        if command in (None, name):
+            command_parser = sub.add_parser(name, help=help_text)
+            for flag, settings in options:
+                command_parser.add_argument(flag, **settings)
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +420,7 @@ def render_json(obj) -> str:
             write((full if len(block) == _BLOCK_ROWS else (unit * len(block))[1:]) % args)
 
     value(obj, "\n")
+    del value  # its closure holds it: free it and `parts` now, not at a cyclic collection
     return "".join(parts)
 
 
@@ -511,10 +459,11 @@ def _emit(payload: dict, stream) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     report = _Report(schema=REPORT_SCHEMA, command=args.command)
     try:
-        code, payload = _RUNNERS[args.command](args, report)
+        code, payload = COMMANDS[args.command][0](args, report)
     except _HANDLED as exc:
         code, payload = _failure(exc, report)
     try:

@@ -447,6 +447,8 @@ class ProofTrace:
         for key in ("generators", "steps"):
             if type(getattr(self, key)) is not tuple:
                 raise ValueError(f"trace field {key} must be a tuple")
+        if not all(isinstance(text, str) for text in self.generators):
+            raise ValueError("trace field generators must list strings")
 
     def to_json_dict(self) -> dict:
         return {
@@ -779,7 +781,10 @@ def verify_trace(
     The ring is rebuilt from the recorded spec, the preconditions are
     re-decided, the step schedule is recomputed, and every step is
     checked by direct arithmetic.  All problems found are collected
-    into the result rather than raised.
+    into the result rather than raised.  Anything but a `ProofTrace` is
+    read by `ProofTrace.from_json_dict`, so a document that is not a
+    JSON object, or whose generators are not all strings, fails as
+    `document`.
 
     The hypothesis is re-decided on the zero ideal of the ring built
     here, whose scan memo starts empty, so no scan of the prover's is
@@ -810,7 +815,7 @@ def verify_trace(
     def fail(step, kind, detail):
         failures.append({"step": step, "kind": kind, "detail": detail})
 
-    if isinstance(trace, dict):
+    if not isinstance(trace, ProofTrace):
         try:
             trace = ProofTrace.from_json_dict(trace)
         except (ValueError, TypeError, KeyError) as exc:

@@ -290,11 +290,6 @@ class ZModRing(Ring):
     def mul_values(self, a, b):
         return (a * b) % self.n
 
-    def pow_value(self, a, k):
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return pow(a, k, self.n)
-
     def render_value(self, value):
         return str(value)
 

@@ -1,10 +1,13 @@
 """Command line interface: payload shapes, exit codes, determinism."""
 
+import argparse
 import enum
+import gc
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,8 @@ from absorbing_ideals.errors import (
     RingBuildError,
     TraceInconsistencyError,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +176,16 @@ def test_verify_trace_refuses_a_mistyped_field(tmp_path, capsys):
     assert code == 1
     assert payload["ok"] is False
     assert [f["kind"] for f in payload["failures"]] == ["document"]
+
+
+def test_verify_trace_on_a_document_that_is_not_an_object(tmp_path, capsys):
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text("[1, 2]")
+    code, payload = run_cli(capsys, "verify-trace", str(trace_file))
+    assert code == 1
+    assert payload["failures"] == [
+        {"step": None, "kind": "document", "detail": "trace document must be a JSON object"}
+    ]
 
 
 def test_trace_full_machinery_flag(tmp_path, capsys):
@@ -324,6 +339,14 @@ def test_usage_error_missing_required_flag():
     with pytest.raises(SystemExit) as exc:
         main(["check-absorbing", "--ring", "Zmod:8"])
     assert exc.value.code == 2
+
+
+def test_a_command_after_an_unknown_flag_still_gets_its_options(capsys):
+    # argparse enters "omega", so its options must be there to take --ring
+    with pytest.raises(SystemExit) as exc:
+        main(["--foo", "omega", "--ring", "Zmod:8"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --foo\n")
 
 
 def test_max_ring_size_is_enforced(capsys):
@@ -516,6 +539,7 @@ def test_every_error_maps_to_its_kind_and_exit_code(
 
 
 def test_parser_defaults_are_the_library_constants(monkeypatch):
+    import importlib.util
     import inspect
 
     import absorbing_ideals.cli as cli
@@ -526,27 +550,31 @@ def test_parser_defaults_are_the_library_constants(monkeypatch):
         "max_ring_size": ("DEFAULT_MAX_RING_SIZE", rings),
         "cap": ("DEFAULT_OMEGA_CAP", absorbing),
         "samples": ("DEFAULT_TRACE_LIMIT", corpus),
-        "ideal": ("DEFAULT_IDEAL", cli),
     }
     stand_ins = {}
-    for option, (name, home) in homes.items():
-        assert getattr(cli, name) is getattr(home, name)
-        # a stand-in shows the parser reads the name, not a copied literal
-        stand_ins[option] = object()
-        monkeypatch.setattr(cli, name, stand_ins[option])
-    parse = cli.build_parser().parse_args
-    for argv, options in [
-        (["check-absorbing", "--ring", "Zmod:8", "--n", "1"], ["max_tuples", "max_ring_size", "ideal"]),
-        (["omega", "--ring", "Zmod:8"], ["max_tuples", "max_ring_size", "cap", "ideal"]),
-        (["radical-power", "--ring", "Zmod:8", "--n", "1"], ["ideal"]),
-        (["corollaries", "--ring", "Zmod:8"], ["ideal"]),
-        (["trace", "--ring", "Zmod:8", "--gens", "2"], ["max_tuples", "max_ring_size"]),
-        (["verify-trace", "t.json"], ["max_tuples", "max_ring_size"]),
-        (["corpus-scan"], ["max_tuples", "max_ring_size", "cap", "samples"]),
-    ]:
-        args = parse(argv)
-        for option in options:
-            assert getattr(args, option) is stand_ins[option], (argv[0], option)
+    with monkeypatch.context() as patch:
+        for option, (name, home) in homes.items():
+            assert getattr(cli, name) is getattr(home, name)
+            # a stand-in shows the table reads the name, not a copied literal
+            stand_ins[option] = object()
+            patch.setattr(home, name, stand_ins[option])
+        # a fresh copy of the module, so its table is built from the stand-ins
+        spec = importlib.util.find_spec("absorbing_ideals.cli")
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        stand_ins["ideal"] = fresh.DEFAULT_IDEAL
+        for argv, options in [
+            (["check-absorbing", "--ring", "Zmod:8", "--n", "1"], ["max_tuples", "max_ring_size", "ideal"]),
+            (["omega", "--ring", "Zmod:8"], ["max_tuples", "max_ring_size", "cap", "ideal"]),
+            (["radical-power", "--ring", "Zmod:8", "--n", "1"], ["ideal"]),
+            (["corollaries", "--ring", "Zmod:8"], ["ideal"]),
+            (["trace", "--ring", "Zmod:8", "--gens", "2"], ["max_tuples", "max_ring_size"]),
+            (["verify-trace", "t.json"], ["max_tuples", "max_ring_size"]),
+            (["corpus-scan"], ["max_tuples", "max_ring_size", "cap", "samples"]),
+        ]:
+            args = fresh._parser(argv[0]).parse_args(argv)
+            for option in options:
+                assert getattr(args, option) is stand_ins[option], (argv[0], option)
     # the library functions the CLI calls default to the same constants
     verify = inspect.signature(machinery.verify_trace).parameters
     assert verify["max_tuples"].default is absorbing.DEFAULT_MAX_TUPLES
@@ -591,6 +619,18 @@ def _json_values():
 @given(_json_values())
 def test_writer_matches_json_dumps(value):
     assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_writer_leaves_no_reference_cycle():
+    # the output list goes when render_json returns, not at a cyclic collection
+    value = {"steps": [{"alpha": [1, 2], "rule": "direct"}] * 3, "x": [None, 1.5, "s"]}
+    gc.collect()
+    gc.disable()
+    try:
+        render_json(value)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_writer_renders_reports_and_edge_cases_like_json_dumps():
@@ -782,25 +822,78 @@ def test_trace_io_bench_checks_the_text_and_the_replay(capsys):
         assert f" {layer}_ms " in " " + lines[1]
 
 
-def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+def _command_parsers(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_parser_is_built_once_per_command_with_only_that_command(monkeypatch, capsys):
     import absorbing_ideals.cli as cli
 
-    built = []
-    real = cli.build_parser
+    calls = []
+    real = argparse.ArgumentParser.add_argument
 
-    def counting():
-        built.append(1)
-        return real()
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     cli._parser.cache_clear()
     try:
-        main(["check-absorbing", "--ring", "Zmod:8", "--n", "3"])
-        main(["omega", "--ring", "Zmod:8"])
+        made = []
+        for argv in (["omega", "--ring", "Zmod:8"], ["omega", "--ring", "Zmod:9", "--cap", "2"],
+                     ["trace", "--ring", "Zmod:8", "--gens", "2,2,2"]):
+            main(argv)
+            made.append(len(calls))
+            calls.clear()
         capsys.readouterr()
-        assert built == [1]
+        # -h of the top level and of the command, and its eight options;
+        # the repeat builds nothing
+        assert made == [10, 0, 10]
+        assert cli._parser.cache_info().currsize == 2
+        full = cli._parser(None)
+        for command in ("omega", "trace"):
+            parser = cli._parser(command)
+            assert list(_command_parsers(parser)) == [command]
+            # leftover words are reported under the usage of every command
+            assert parser.format_usage() == full.format_usage()
     finally:
         cli._parser.cache_clear()
+
+
+def _describe_parser(parser) -> dict:
+    """Every action of `parser` in order, in the fields that shape its
+    parsing, help and errors."""
+    actions = []
+    for action in parser._actions:
+        row = {
+            "class": type(action).__name__,
+            "option_strings": list(action.option_strings),
+            "dest": action.dest,
+            "default": action.default,
+            "type": None if action.type is None else action.type.__name__,
+            "required": action.required,
+            "help": action.help,
+        }
+        if isinstance(action, argparse._SubParsersAction):
+            row["choices"] = [[a.dest, a.help] for a in action._choices_actions]
+        actions.append(row)
+    return {"prog": parser.prog, "description": parser.description, "actions": actions}
+
+
+def test_table_built_parsers_match_the_recorded_parser():
+    """`tests/fixtures/cli_parser.json` was recorded from the parser that
+    built every command's options by hand, before the command table."""
+    import absorbing_ideals.cli as cli
+
+    recorded = json.loads((FIXTURES / "cli_parser.json").read_text(encoding="utf-8"))
+    full = cli._parser(None)
+    assert _describe_parser(full) == recorded["top"]  # its "choices" hold the command order
+    assert sorted(cli.COMMANDS) == sorted(recorded["commands"])
+    for name in cli.COMMANDS:
+        assert _describe_parser(_command_parsers(full)[name]) == recorded["commands"][name], name
+        parser = _command_parsers(cli._parser(name))[name]
+        assert _describe_parser(parser) == recorded["commands"][name], name
 
 
 def test_reused_parser_gives_the_outputs_of_fresh_ones(tmp_path, monkeypatch, capsys):

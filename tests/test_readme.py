@@ -27,5 +27,10 @@ def test_readme_python_blocks_run_as_documented():
 def test_readme_command_table_lists_exactly_the_cli_subcommands():
     text = README.read_text(encoding="utf-8")
     section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    listed = re.findall(r"^\| `([a-z-]+)", section, flags=re.MULTILINE)
-    assert sorted(listed) == sorted(cli._RUNNERS)
+    rows = re.findall(r"^\| `([a-z-]+)([^`]*)`", section, flags=re.MULTILINE)
+    assert sorted(command for command, _ in rows) == sorted(cli.COMMANDS)
+    # every flag a row's command cell shows is one of that command's options
+    for command, usage in rows:
+        options = {flag for flag, _ in cli.COMMANDS[command][2]}
+        for flag in re.findall(r"--[a-z-]+", usage):
+            assert flag in options, (command, flag)

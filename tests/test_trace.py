@@ -128,7 +128,7 @@ def test_from_json_dict_validates_document():
     # no coercion: "generators": "246" would read as the generators 2, 4, 6
     mistyped = [
         ("n", 3.5), ("n", "3"), ("n", True), ("high_degree_bound", 7.9),
-        ("generators", "246"), ("steps", {}),
+        ("generators", "246"), ("generators", ["2", 4, "6"]), ("steps", {}),
     ]
     for key, value in mistyped:
         bad = dict(doc, **{key: value})
@@ -139,7 +139,16 @@ def test_from_json_dict_validates_document():
     assert verify_trace(doc).ok
 
 
-@pytest.mark.parametrize("key, value", [("n", 3.0), ("generators", "246")])
+@pytest.mark.parametrize("document", [[1, 2], "trace", 7, None, True])
+def test_a_document_that_is_not_an_object_fails_as_document(document):
+    result = verify_trace(document)
+    assert not result.ok
+    assert result.failures == (
+        {"step": None, "kind": "document", "detail": "trace document must be a JSON object"},
+    )
+
+
+@pytest.mark.parametrize("key, value", [("n", 3.0), ("generators", "246"), ("generators", ("2", 4))])
 def test_replaced_trace_fields_are_checked_like_a_document(key, value):
     # a ProofTrace handed to verify_trace skips from_json_dict, so the
     # exact-type checks belong to the trace itself
