@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -40,6 +39,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .ideals import Ideal, colon, ideal_power, radical
+from .records import Record
 from .rings import Ring, quotient_ring
 
 DEFAULT_MAX_TUPLES = 10**8
@@ -50,8 +50,7 @@ DEFAULT_OMEGA_CAP = 4
 # witnesses and reports
 
 
-@dataclass(frozen=True)
-class AbsorbingWitness:
+class AbsorbingWitness(Record):
     """n+1 factors whose product lies in the ideal while no n of them do."""
 
     elements: tuple
@@ -70,8 +69,7 @@ class AbsorbingWitness:
         }
 
 
-@dataclass(frozen=True)
-class AbsorbingReport:
+class AbsorbingReport(Record):
     """Outcome of one n-absorbing scan."""
 
     n: int
@@ -273,8 +271,7 @@ def require_absorbing(ideal: Ideal, n: int, message: str, **scan_options) -> Abs
     return report
 
 
-@dataclass(frozen=True)
-class OmegaResult:
+class OmegaResult(Record):
     """Least n at which the ideal becomes n-absorbing, up to a cap."""
 
     value: Optional[int]
@@ -324,8 +321,7 @@ def _ideal_summary(ideal: Ideal) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RadicalPowerReport:
+class RadicalPowerReport(Record):
     """Does the n-th power of the radical sit inside the ideal?"""
 
     n: int
@@ -369,18 +365,10 @@ def check_radical_power(ideal: Ideal, n: int, **scan_options) -> RadicalPowerRep
     power = ideal_power(rad, n)
     stray = power.element_values - ideal.element_values
     counterexample = min(stray) if stray else None
-    return RadicalPowerReport(
-        n=n,
-        absorbing=report,
-        holds=not stray,
-        counterexample=counterexample,
-        radical=rad,
-        power=power,
-    )
+    return RadicalPowerReport(n, report, not stray, counterexample, rad, power)
 
 
-@dataclass(frozen=True)
-class ElementPowerReport:
+class ElementPowerReport(Record):
     """Does every radical element have its n-th power in the ideal?"""
 
     n: int
@@ -406,17 +394,10 @@ def check_element_power(ideal: Ideal, n: int, **scan_options) -> ElementPowerRep
         if ring.pow_value(x, n) not in ideal.element_values:
             counterexample = x
             break
-    return ElementPowerReport(
-        n=n,
-        absorbing=report,
-        holds=counterexample is None,
-        counterexample=counterexample,
-        radical=rad,
-    )
+    return ElementPowerReport(n, report, counterexample is None, counterexample, rad)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Record):
     """I in R versus the zero ideal of R/I: the absorbing property and
     the radical power containment must transfer in both directions."""
 
@@ -444,16 +425,12 @@ def check_quotient_reduction(ideal: Ideal, n: int, **scan_options) -> ReductionR
     base_power = ideal_power(radical(ideal), n)
     base_power_contained = base_power.element_values <= ideal.element_values
     quotient_power_zero = ideal_power(radical(zero), n).is_zero
+    holds = (
+        base_report.holds == quotient_report.holds
+        and base_power_contained == quotient_power_zero
+    )
     return ReductionReport(
-        n=n,
-        base=base_report,
-        quotient=quotient_report,
-        base_power_contained=base_power_contained,
-        quotient_power_zero=quotient_power_zero,
-        holds=(
-            base_report.holds == quotient_report.holds
-            and base_power_contained == quotient_power_zero
-        ),
+        n, base_report, quotient_report, base_power_contained, quotient_power_zero, holds
     )
 
 
@@ -473,8 +450,7 @@ def _require_colon_preconditions(ideal: Ideal, scan_options: dict) -> tuple:
     return report, rad
 
 
-@dataclass(frozen=True)
-class ColonEntry:
+class ColonEntry(Record):
     """One colon ideal (I : x) for a radical element x."""
 
     x: object
@@ -493,8 +469,7 @@ class ColonEntry:
         return out
 
 
-@dataclass(frozen=True)
-class ColonsReport:
+class ColonsReport(Record):
     """Every colon by a radical element outside I is 2-absorbing."""
 
     holds: bool
@@ -520,27 +495,17 @@ def check_colons_two_absorbing(ideal: Ideal, **scan_options) -> ColonsReport:
     entries: list[ColonEntry] = []
     for x in sorted(rad.element_values):
         if x in ideal.element_values:
-            entries.append(
-                ColonEntry(
-                    x=x,
-                    skipped=True,
-                    reason="element lies in the ideal, colon is the unit ideal",
-                    colon=None,
-                    report=None,
-                )
-            )
+            reason = "element lies in the ideal, colon is the unit ideal"
+            entries.append(ColonEntry(x, True, reason, None, None))
             continue
         quotient_ideal = colon(ideal, x)
         report = is_n_absorbing(quotient_ideal, 2, **scan_options)
-        entries.append(
-            ColonEntry(x=x, skipped=False, reason=None, colon=quotient_ideal, report=report)
-        )
+        entries.append(ColonEntry(x, False, None, quotient_ideal, report))
     holds = all(e.skipped or e.report.holds for e in entries)
-    return ColonsReport(holds=holds, entries=tuple(entries), precondition=precondition)
+    return ColonsReport(holds, tuple(entries), precondition)
 
 
-@dataclass(frozen=True)
-class ChainEntry:
+class ChainEntry(Record):
     """Colon by one product of two radical elements."""
 
     product: object
@@ -557,8 +522,7 @@ class ChainEntry:
         }
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     """Colons by two-factor radical products are prime and form a chain."""
 
     holds: bool
@@ -601,9 +565,7 @@ def check_colon_chain(ideal: Ideal, **scan_options) -> ChainReport:
     for p in sorted(first_factors):
         c = colon(ideal, p)
         colons[p] = c
-        entries.append(
-            ChainEntry(product=p, factors=first_factors[p], colon=c, prime=c.is_prime())
-        )
+        entries.append(ChainEntry(p, first_factors[p], c, c.is_prime()))
     incomparable: list[tuple] = []
     products = sorted(colons)
     for a, b in itertools.combinations(products, 2):
@@ -611,9 +573,4 @@ def check_colon_chain(ideal: Ideal, **scan_options) -> ChainReport:
         if not (ca.element_values <= cb.element_values or cb.element_values <= ca.element_values):
             incomparable.append((a, b))
     holds = all(e.prime for e in entries) and not incomparable
-    return ChainReport(
-        holds=holds,
-        entries=tuple(entries),
-        incomparable=tuple(incomparable),
-        precondition=precondition,
-    )
+    return ChainReport(holds, tuple(entries), tuple(incomparable), precondition)

@@ -60,7 +60,14 @@ from .corpus import (
     trace_survey,
 )
 from .errors import ERRORS, ParseError, error_kind
-from .machinery import prove_radical_power_zero, verify_trace
+from .machinery import (
+    _DICT_ONLY,
+    _INT_ONLY,
+    _LIST_ONLY,
+    _STR_ONLY,
+    prove_radical_power_zero,
+    verify_trace,
+)
 from .rings import DEFAULT_MAX_RING_SIZE, build_ring, split_top_level
 from .ringspec import parse_ideal_text, parse_ring_spec, render_ring_spec
 
@@ -314,10 +321,6 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
 
 
 _escape = json.encoder.encode_basestring_ascii
-_INT_ONLY = frozenset({int})  # a flat list of exact ints is joined in one go
-_DICT_ONLY = frozenset({dict})
-_STR_ONLY = frozenset({str})
-_LIST_ONLY = frozenset({list})
 # rows per `%` on render_json's block path; blocks of 512 or 1,024 rows
 # raised a trace-proving process's peak RSS by about 0.4 or 0.7 MB
 _BLOCK_ROWS = 256

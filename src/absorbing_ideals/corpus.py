@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .absorbing import (
@@ -44,6 +43,7 @@ from .machinery import (
     prove_radical_power_zero,
     verify_trace,
 )
+from .records import Fresh, Record
 from .rings import DEFAULT_MAX_RING_SIZE, build_ring
 from .ringspec import parse_ring_spec, render_ring_spec
 
@@ -67,8 +67,7 @@ DEFAULT_SAMPLE_SIZE = 10**4
 SUFFIX_MEMO_BUDGET = 10**5
 
 
-@dataclass(frozen=True, kw_only=True)
-class IdealAudit:
+class IdealAudit(Record, kw_only=True):
     """Everything the battery checks about one ideal; a check not run is None."""
 
     ideal_text: str
@@ -77,7 +76,7 @@ class IdealAudit:
     skip_reason: Optional[str] = None
     omega_value: Optional[int] = None
     omega_cap: int
-    levels: dict = field(default_factory=dict)  # n -> AbsorbingReport.as_dict
+    levels: dict = Fresh(dict)  # n -> AbsorbingReport.as_dict
     monotone_ok: Optional[bool] = None
     radical_text: Optional[str] = None
     radical_size: Optional[int] = None
@@ -125,8 +124,7 @@ class IdealAudit:
         }
 
 
-@dataclass(frozen=True)
-class RingAudit:
+class RingAudit(Record):
     """Battery results for every ideal of one ring.
 
     `limit` is set, and `ideal_count` and `audits` are empty, when a

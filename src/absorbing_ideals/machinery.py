@@ -35,7 +35,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -57,6 +56,7 @@ from .monomials import (
     schedule_exponents,
     schedule_program,
 )
+from .records import Record
 from .rings import (
     DEFAULT_MAX_RING_SIZE,
     Ring,
@@ -72,6 +72,8 @@ MAX_TRACE_STEPS = 10**7
 TRACE_SCHEMA = "absorbing-trace/1"
 # exponent types a recorded step may hold; a JSON `true` counts as 1
 _EXPONENT_TYPES = frozenset({int, bool})
+# exact-type sets that check a list's element types in one C-level pass;
+# cli.render_json uses them too
 _INT_ONLY = frozenset({int})
 _STR_ONLY = frozenset({str})
 _LIST_ONLY = frozenset({list})
@@ -264,8 +266,7 @@ def build_shift_matrix(
 # the zero-coordinate property and the diagonal walk
 
 
-@dataclass(frozen=True)
-class ProjectiveZeroResult:
+class ProjectiveZeroResult(Record):
     """Does every image vector of the matrix have a zero coordinate?"""
 
     holds: bool
@@ -304,7 +305,7 @@ def _factored_certificate(matrix: ShiftMatrix) -> Optional[ProjectiveZeroResult]
         checked += 1
         if all(mul(d_k, s) != zero for d_k in lowered):
             return None
-    return ProjectiveZeroResult(True, "factored", None, checked)
+    return ProjectiveZeroResult(True, "factored", None, checked, None, None)
 
 
 def is_projectively_zero(
@@ -345,8 +346,8 @@ def is_projectively_zero(
             checked += 1
             image = matrix.apply_values(vector)
             if zero not in image:
-                return ProjectiveZeroResult(False, "exhaustive", vector, checked)
-        return ProjectiveZeroResult(True, "exhaustive", None, checked)
+                return ProjectiveZeroResult(False, "exhaustive", vector, checked, None, None)
+        return ProjectiveZeroResult(True, "exhaustive", None, checked, None, None)
     if samples is None:
         raise ResourceLimitError(
             f"scan of {nominal} vectors exceeds the cap {max_vectors}",
@@ -364,8 +365,7 @@ def is_projectively_zero(
     return ProjectiveZeroResult(True, "sampled", None, samples, samples, seed)
 
 
-@dataclass(frozen=True)
-class ZeroDiagonalResult:
+class ZeroDiagonalResult(Record):
     """Index of a provably zero diagonal entry, with the probe history."""
 
     index: int
@@ -413,7 +413,7 @@ def find_zero_diagonal(matrix: SquareMatrix) -> ZeroDiagonalResult:
         j_sequence.append(j)
         if previous is not None:
             if j == previous:
-                return ZeroDiagonalResult(index=j, j_sequence=tuple(j_sequence))
+                return ZeroDiagonalResult(j, tuple(j_sequence))
             if j > previous:
                 raise InvariantViolationError(
                     f"largest zero position climbed from {previous} to {j}"
@@ -428,8 +428,7 @@ def find_zero_diagonal(matrix: SquareMatrix) -> ZeroDiagonalResult:
 # trace generation
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(Record):
     """Serializable derivation that the generator product vanishes."""
 
     ring_spec: str
@@ -439,7 +438,8 @@ class ProofTrace:
     steps: tuple
     final_product: str
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # exact types: int() and tuple() would read 3.5 as 3 and "246" as 2, 4, 6
         for key in ("n", "high_degree_bound"):
             if type(getattr(self, key)) is not int:
@@ -645,8 +645,7 @@ def prove_radical_power_zero(
 # trace verification
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
     """Outcome of an independent replay of a trace."""
 
     ok: bool

@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ImproperIdealError, ParseError, RingBuildError
+from .records import Record
 
 DEFAULT_MAX_RING_SIZE = 4096
 # largest ring whose products are memoised (a list of |R|**2 cells)
@@ -61,15 +61,13 @@ MEMO_MAX_SIZE = 256
 # descriptors
 
 
-@dataclass(frozen=True)
-class ZMod:
+class ZMod(Record):
     """Integers modulo n, for n >= 2."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class PolyQuot:
+class PolyQuot(Record):
     """(Z/p)[x] modulo a monic polynomial of degree >= 1.
 
     `modulus` lists coefficients from the constant term upward and must
@@ -80,15 +78,13 @@ class PolyQuot:
     modulus: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     """Direct product of finitely many rings, leftmost factor first."""
 
     factors: tuple["RingDescriptor", ...]
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(Record):
     """Quotient of `base` by the ideal generated by `generators`.
 
     Generators are element values of the base ring.
@@ -135,8 +131,9 @@ class Ring:
     """Common interface; subclasses implement value-level arithmetic.
 
     Element values are the ints 0..size-1 in canonical order, with zero
-    at 0.  Each kind passes its size and the value of its identity to
-    `__init__` and supplies the arithmetic and the text form.
+    at 0.  Each kind sets its descriptor, then passes its size and the
+    value of its identity to `__init__`, and supplies the arithmetic and
+    the text form.  A ring hashes as its descriptor, computed once.
     """
 
     descriptor: RingDescriptor
@@ -147,6 +144,7 @@ class Ring:
     def __init__(self, size: int, one_value: int):
         self.size = size
         self.one_value = one_value
+        self._hash = hash(self.descriptor)
         if self.memoise_products and size <= MEMO_MAX_SIZE:
             self.mul_values = _memoised_mul(self.mul_values, size)
         self._units: frozenset | None = None
@@ -204,12 +202,14 @@ class Ring:
         return self._units
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Ring):
             return NotImplemented
         return self.descriptor == other.descriptor
 
     def __hash__(self):
-        return hash(self.descriptor)
+        return self._hash
 
     def __repr__(self):
         return f"{type(self).__name__}({self.descriptor!r})"
@@ -280,9 +280,9 @@ class ZModRing(Ring):
     memoise_products = False
 
     def __init__(self, n: int):
-        super().__init__(n, 1)
         self.n = n
         self.descriptor = ZMod(n)
+        super().__init__(n, 1)
 
     def add_values(self, a, b):
         return (a + b) % self.n

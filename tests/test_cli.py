@@ -822,6 +822,27 @@ def test_trace_io_bench_checks_the_text_and_the_replay(capsys):
         assert f" {layer}_ms " in " " + lines[1]
 
 
+def test_import_bench_checks_the_omega_output(capsys, monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parent.parent / "scripts" / "bench_import.py"
+    spec = importlib.util.spec_from_file_location("bench_import", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert main(list(bench.OMEGA_ARGV[2:])) == 0
+    assert capsys.readouterr().out == bench.OMEGA_TEXT
+    assert bench.main(["--runs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("run 1: ") and lines[0].endswith(" ok")
+    for line, start in zip(lines, ("run 1: ", "best of 1: ", "median of 1: ")):
+        assert line.startswith(start) and " import_ms " in line and " omega_ms " in line
+    monkeypatch.setattr(bench, "OMEGA_TEXT", bench.OMEGA_TEXT.replace('"omega": 3', '"omega": 2'))
+    assert bench.main(["--runs", "1"]) == 1
+    assert "OMEGA OUTPUT DIFFERS" in capsys.readouterr().out
+
+
 def _command_parsers(parser) -> dict:
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices

@@ -1,7 +1,6 @@
 """Derivation traces: generation, serialization, verification, tampering."""
 
 import copy
-import dataclasses
 import json
 
 import pytest
@@ -153,8 +152,11 @@ def test_replaced_trace_fields_are_checked_like_a_document(key, value):
     # a ProofTrace handed to verify_trace skips from_json_dict, so the
     # exact-type checks belong to the trace itself
     _, trace = _prove("Zmod:8", ["2", "4", "6"])
+    names = ("ring_spec", "generators", "n", "high_degree_bound", "steps", "final_product")
+    fields = {name: getattr(trace, name) for name in names}
+    assert ProofTrace(**fields) == trace
     with pytest.raises(ValueError, match=f"field {key} must"):
-        dataclasses.replace(trace, **{key: value})
+        ProofTrace(**dict(fields, **{key: value}))
 
 
 def test_verifier_does_not_build_a_schedule_no_step_can_match(monkeypatch):
