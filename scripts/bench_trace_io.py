@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Time the four layers of a trace round trip, each run in a fresh interpreter.
 
-Two traces, each timed in its own interpreters:
+Three traces, each timed in its own interpreters:
 
     trace --ring Zmod:24 --gens 6,12,18,0
         1,785 direct steps at n = 4, about 360 kB of JSON; the block
         writer and the verifier's column passes
+    trace --ring Zmod:32 --gens 2,2,2,2,2
+        53,004 direct steps at n = 5, about 11.9 MB of JSON; the same
+        paths at the largest level a default trace is written at
     trace --ring Quotient:{ring:Zmod:36,gens:[18]} --gens 6,12,6 --full-machinery
         74 steps at n = 3, each with its matrix and justification
         lists; the general writer and the verifier's per-step loop
@@ -42,6 +45,7 @@ REPEATS = 7  # timed calls of each layer per interpreter
 # (ring spec, generators, full machinery)
 TRACES = (
     ("Zmod:24", "6,12,18,0", False),
+    ("Zmod:32", "2,2,2,2,2", False),
     ("Quotient:{ring:Zmod:36,gens:[18]}", "6,12,6", True),
 )
 

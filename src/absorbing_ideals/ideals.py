@@ -102,8 +102,9 @@ class Ideal:
         if self.is_unit:
             return False
         outside = [v for v in self.ring.iter_values() if v not in self.element_values]
-        for a in outside:
-            for b in outside:
+        # products commute, so each unordered pair is tested once
+        for i, a in enumerate(outside):
+            for b in outside[i:]:
                 if self.ring.mul_values(a, b) in self.element_values:
                     return False
         return True

@@ -54,7 +54,6 @@ from .monomials import (
     monomials_with_multidegree,
     multidegree,
     schedule_exponents,
-    schedule_program,
 )
 from .records import Record
 from .rings import (
@@ -107,35 +106,20 @@ def eval_monomial(ring: Ring, generator_values: Sequence, exponents: Sequence[in
     return out
 
 
-def schedule_values(ring: Ring, generator_values: Sequence) -> list:
-    """`eval_monomial` on every monomial of `induction_schedule(n)`, for
-    n the number of generators, in schedule order, by running
-    `schedule_program(n)`.
+def _degree_n_products_vanish(ring: Ring, gen_values: tuple) -> bool:
+    """Is every product of n of the n generators, repeats allowed, zero?
 
-    The power rows hold g_i^e for each generator and every exponent
-    e <= n^2 - n, the highest a schedule monomial reaches, built by
-    repeated `mul_values` without assuming g_i^n = 0.  Each trie node is
-    then one `mul_values` of its parent's value by one row entry.  The
-    node multiplies the same factors as `eval_monomial`, grouped
-    differently, which commutativity and associativity make equal.
+    Every monomial of `induction_schedule(n)` is such a product times
+    further generators, and for n >= 2 the schedule's last degree lists
+    every one of them, so this holds exactly when every schedule
+    monomial evaluates to zero: C(2n-1, n) products, 35 at n = 4,
+    instead of one evaluation per schedule monomial.
     """
-    gens = tuple(generator_values)
-    n = len(gens)
-    nodes, leaves = schedule_program(n)
-    mul = ring.mul_values
-    one = ring.one_value
-    rows = []
-    for g in gens:
-        row = [one]
-        for _ in range(n * n - n):
-            row.append(mul(row[-1], g))
-        rows.append(row)
-    values: list = []
-    append = values.append
-    for parent, variable, e in nodes:
-        factor = rows[variable][e]
-        append(factor if parent < 0 else mul(values[parent], factor))
-    return [values[leaf] for leaf in leaves]
+    mul, one, zero = ring.mul_values, ring.one_value, ring.zero_value
+    return all(
+        functools.reduce(mul, factors, one) == zero
+        for factors in itertools.combinations_with_replacement(gen_values, len(gen_values))
+    )
 
 
 def monomial_image_ideal(ring: Ring, generator_values: Sequence, profile: tuple[int, ...]) -> Ideal:
@@ -578,11 +562,12 @@ def prove_radical_power_zero(
     runs the full matrix derivation for every monomial, which is the
     honest shape of the argument but much slower.
 
-    The values of all schedule monomials come from `schedule_values`,
-    and one comprehension over `induction_schedule(n)` builds the steps
-    from them in schedule order.  Once the hypothesis holds, every value
-    is zero (each monomial is a product of at least n nilpotent
-    generators), so a default trace is all direct steps.
+    One comprehension over `induction_schedule(n)` builds the steps in
+    schedule order.  When every product of n generators is zero
+    (`_degree_n_products_vanish`), so is every schedule monomial, and
+    no monomial is evaluated; the theorem makes this so once the
+    hypothesis holds, so a default trace is all direct steps.  Otherwise
+    each monomial's value comes from `eval_monomial`.
     """
     gen_values = tuple(_checked_value(ring, g) for g in generators)
     n = len(gen_values)
@@ -616,14 +601,20 @@ def prove_radical_power_zero(
         )
 
     zero_text = ring.render_value(zero)
+    schedule = induction_schedule(n)
     # one value per schedule monomial; zip takes each group's monomials
     # first, so it stops at a group's end without consuming a value
-    value_of = iter(schedule_values(ring, gen_values))
+    if _degree_n_products_vanish(ring, gen_values):
+        value_of = itertools.repeat(zero)
+    else:
+        value_of = (
+            eval_monomial(ring, gen_values, mono) for _, monomials in schedule for mono in monomials
+        )
     steps = [
         {"alpha": list(alpha), "monomial": list(mono), "rule": "direct", "conclusion": zero_text}
         if short_circuit and value == zero
         else _matrix_step(ring, gen_values, alpha, mono, value, zero_text)
-        for alpha, monomials in induction_schedule(n)
+        for alpha, monomials in schedule
         for mono, value in zip(monomials, value_of)
     ]
 
@@ -750,13 +741,11 @@ def _schedule_match(steps, n: int) -> tuple[bool, bool]:
     return equal, exact
 
 
-def _all_direct_zero(steps, values: list, zero, zero_text: str) -> bool:
-    """Of steps `_schedule_match` found exact: does every value equal `zero`,
-    every conclusion read the exact str `zero_text` and every rule the
-    exact str "direct"?  Passes that run in C; a missing key says no,
-    and the per-step check then reports it."""
-    if values.count(zero) != len(values):
-        return False
+def _all_direct_zero(steps, zero_text: str) -> bool:
+    """Of steps `_schedule_match` found exact: does every conclusion read
+    the exact str `zero_text` and every rule the exact str "direct"?
+    Passes that run in C; a missing key says no, and the per-step check
+    then reports it."""
     try:
         conclusions = list(map(itemgetter("conclusion"), steps))
         rules = list(map(itemgetter("rule"), steps))
@@ -795,9 +784,10 @@ def verify_trace(
 
     Two paths.  A default trace is checked in column passes that run in
     C: when its steps are exact dicts whose pairs are the schedule's
-    with exact int exponents (`_schedule_match`), every value that
-    `schedule_values` computes here is zero, and every conclusion is the
-    exact str `zero_text` and every rule the exact str "direct"
+    with exact int exponents (`_schedule_match`), every product of n
+    generators is zero here (`_degree_n_products_vanish`), so every
+    schedule monomial is, and every conclusion is the exact str
+    `zero_text` and every rule the exact str "direct"
     (`_all_direct_zero`), the per-step loop could report nothing on any
     step.  On a step of the schedule's own shape the loop fails only on
     a nonzero value, a conclusion `!=` `zero_text` or a rule other than
@@ -872,7 +862,9 @@ def verify_trace(
     # a default trace passes every column check and has no step to
     # report; any other trace replays step by step, shape first
     if not (
-        exact and _all_direct_zero(trace.steps, schedule_values(ring, gen_values), zero, zero_text)
+        exact
+        and _degree_n_products_vanish(ring, gen_values)
+        and _all_direct_zero(trace.steps, zero_text)
     ):
         for index, step in enumerate(trace.steps):
             try:

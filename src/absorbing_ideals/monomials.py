@@ -110,37 +110,6 @@ def schedule_exponents(n: int) -> list:
     return alphas + [e for _, monomials in schedule for mono in monomials for e in mono]
 
 
-@functools.lru_cache(maxsize=4)
-def schedule_program(n: int) -> tuple:
-    """The monomials of `induction_schedule(n)` as one straight-line
-    program: `(nodes, leaves)`.
-
-    `nodes` is a prefix trie over each monomial's nonzero factors taken
-    in variable order, as `(parent, variable, exponent)` triples: node k
-    stands for node `parent` times x_variable^exponent, parent -1 is the
-    empty product, and every parent comes before its children.
-    `leaves[i]` is the node of the i-th monomial of the schedule.  Every
-    node is one multiplication: 1,804 at n = 4 for 1,785 monomials.
-    Cached like the schedule it is built from, and for the same reason.
-    """
-    nodes: list[tuple[int, int, int]] = []
-    index: dict[tuple[int, int, int], int] = {}
-    leaves = []
-    for _, monomials in induction_schedule(n):
-        for mono in monomials:
-            node = -1
-            for variable, e in enumerate(mono):
-                if e:
-                    key = (node, variable, e)
-                    child = index.get(key)
-                    if child is None:
-                        child = index[key] = len(nodes)
-                        nodes.append(key)
-                    node = child
-            leaves.append(node)
-    return tuple(nodes), tuple(leaves)
-
-
 def monomial_text(exponents: tuple[int, ...]) -> str:
     """Readable form like 'x1^2*x2' (exponent 1 suppressed, 0 skipped)."""
     parts = []

@@ -265,7 +265,7 @@ def test_walk_result_verifiable_even_without_global_property():
 
 
 # ---------------------------------------------------------------------------
-# the schedule as one straight-line program
+# the degree-n products behind every schedule value
 
 
 _PROGRAM_GENERATORS = {  # one ring of each kind; the second generator is a unit
@@ -274,25 +274,36 @@ _PROGRAM_GENERATORS = {  # one ring of each kind; the second generator is a unit
     "Product:[Zmod:4,Zmod:3]": ["(2,0)", "(1,2)", "(2,1)", "(3,0)"],
     "Quotient:{ring:Zmod:36,gens:[18]}": ["6", "5", "12", "3"],
 }
+# the same rings with nilpotent generators whose first n have every
+# product of n factors zero, for n = 2, 3, 4
+_NILPOTENT_GENERATORS = {
+    "Zmod:16": ["4", "12", "8", "2"],
+    "PolyQuot:{p:2,poly:[0,0,0,1]}": ["[0,0,1]", "[0,0,1]", "[0,1,0]", "[0,1,1]"],
+    "Product:[Zmod:4,Zmod:3]": ["(2,0)", "(0,0)", "(2,0)", "(2,0)"],
+    "Quotient:{ring:Zmod:36,gens:[18]}": ["6", "12", "0", "6"],
+}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("spec", sorted(_PROGRAM_GENERATORS))
-def test_schedule_values_agree_with_eval_monomial_on_the_schedule(spec, n):
+def test_degree_n_products_vanish_exactly_when_every_schedule_value_does(spec, n):
     from absorbing_ideals import induction_schedule
-    from absorbing_ideals.machinery import schedule_values
+    from absorbing_ideals.machinery import _degree_n_products_vanish
 
     ring = _ring(spec)
-    gens = [ring.parse_value(text) for text in _PROGRAM_GENERATORS[spec][:n]]
-    expected = [
-        eval_monomial(ring, gens, mono)
-        for _, monomials in induction_schedule(n)
-        for mono in monomials
-    ]
-    assert schedule_values(ring, gens) == expected
+    outcomes = []
+    for table in (_PROGRAM_GENERATORS, _NILPOTENT_GENERATORS):
+        gens = tuple(ring.parse_value(text) for text in table[spec][:n])
+        expected = all(
+            eval_monomial(ring, gens, mono) == ring.zero_value
+            for _, monomials in induction_schedule(n)
+            for mono in monomials
+        )
+        assert _degree_n_products_vanish(ring, gens) is expected
+        outcomes.append(expected)
     # a unit among the generators keeps some schedule monomials nonzero,
-    # so the program is checked on more than zeros
-    assert any(value != ring.zero_value for value in expected)
+    # and nilpotent ones make them all zero, so both answers are checked
+    assert outcomes == [False, True]
 
 
 def test_schedule_monomials_are_read_from_the_table(monkeypatch):

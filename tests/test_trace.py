@@ -346,18 +346,17 @@ def test_odd_recorded_exponents_fail_as_before_the_power_table(value, failures):
     assert [(f["kind"], f["step"], f["detail"]) for f in result.failures] == failures
 
 
-def test_out_of_order_trace_never_builds_the_schedule_program(monkeypatch):
+def test_out_of_order_trace_never_multiplies_the_degree_n_products(monkeypatch):
     import absorbing_ideals.machinery as machinery
 
     def refuse(*args):
-        raise AssertionError("built the schedule program or its values")
+        raise AssertionError("multiplied the degree-n products")
 
     _, trace = _prove("Zmod:8", ["2", "4", "6"])
     document = json.loads(json.dumps(trace.to_json_dict()))
     steps = document["steps"]
     steps[0], steps[1] = steps[1], steps[0]
-    monkeypatch.setattr(machinery, "schedule_program", refuse)
-    monkeypatch.setattr(machinery, "schedule_values", refuse)
+    monkeypatch.setattr(machinery, "_degree_n_products_vanish", refuse)
     result = verify_trace(document)
     assert [(f["kind"], f["step"], f["detail"]) for f in result.failures] == [_SCHEDULE]
 
@@ -423,15 +422,50 @@ def test_prover_refuses_a_derivation_over_the_step_cap_before_building_it(monkey
     import absorbing_ideals.machinery as machinery
 
     def refuse(*args):
-        raise AssertionError("built the schedule, its program or its values")
+        raise AssertionError("built the schedule or multiplied the degree-n products")
 
     # every level that completes today stays under the cap
     assert math.comb(36, 6) - math.comb(11, 6) == 1_947_330 <= machinery.MAX_TRACE_STEPS
     monkeypatch.setattr(machinery, "induction_schedule", refuse)
-    monkeypatch.setattr(machinery, "schedule_program", refuse)
-    monkeypatch.setattr(machinery, "schedule_values", refuse)
+    monkeypatch.setattr(machinery, "_degree_n_products_vanish", refuse)
     with pytest.raises(ResourceLimitError, match="derivation of 85898868 steps at n = 7"):
         prove_radical_power_zero(_ring("Zmod:2"), [0] * 7)
+
+
+@pytest.mark.parametrize(
+    "spec, gens, short_circuit",
+    [
+        ("Zmod:16", ["2", "4", "6", "2"], True),
+        ("PolyQuot:{p:2,poly:[0,0,0,1]}", ["[0,1,0]"] * 3, False),
+    ],
+    ids=["default", "full"],
+)
+def test_evaluating_every_monomial_gives_the_same_trace(spec, gens, short_circuit, monkeypatch):
+    import absorbing_ideals.machinery as machinery
+
+    _, trace = _prove(spec, gens, short_circuit=short_circuit)
+    monomials = [tuple(step["monomial"]) for step in trace.steps]
+    evaluated = []
+    eval_direct = machinery.eval_monomial
+
+    def recording(ring, generator_values, exponents):
+        evaluated.append(tuple(exponents))
+        return eval_direct(ring, generator_values, exponents)
+
+    def evaluated_every_monomial():
+        # each schedule monomial in order, among any others
+        walk = iter(evaluated)
+        return all(mono in walk for mono in monomials)
+
+    # a nonzero product of n generators sends the prover to eval_monomial
+    # and the verifier to its per-step loop
+    monkeypatch.setattr(machinery, "_degree_n_products_vanish", lambda ring, gen_values: False)
+    monkeypatch.setattr(machinery, "eval_monomial", recording)
+    assert _prove(spec, gens, short_circuit=short_circuit)[1] == trace
+    assert evaluated_every_monomial()
+    evaluated.clear()
+    assert verify_trace(json.loads(json.dumps(trace.to_json_dict()))).ok
+    assert evaluated_every_monomial()
 
 
 _REPLAY_CASES = [
