@@ -1,5 +1,7 @@
 """Shift matrices, the zero-coordinate property, and the diagonal walk."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -304,6 +306,28 @@ def test_degree_n_products_vanish_exactly_when_every_schedule_value_does(spec, n
     # a unit among the generators keeps some schedule monomials nonzero,
     # and nilpotent ones make them all zero, so both answers are checked
     assert outcomes == [False, True]
+
+
+def test_degree_n_products_vanish_multiplies_each_product_once_and_stops_early():
+    from types import SimpleNamespace
+
+    from absorbing_ideals.machinery import _degree_n_products_vanish
+
+    for n in (2, 3, 4):
+        modulus, calls = 2**n, []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return a * b % modulus
+
+        ring = SimpleNamespace(mul_values=mul, one_value=1, zero_value=0)
+        # 2 is nilpotent of index n: n factors per product, C(2n-1, n) products
+        assert _degree_n_products_vanish(ring, (2,) * n)
+        assert len(calls) == n * math.comb(2 * n - 1, n)
+        calls.clear()
+        # the first product, of the unit 1 alone, is nonzero and ends the check
+        assert not _degree_n_products_vanish(ring, (1,) + (2,) * (n - 1))
+        assert len(calls) == n
 
 
 def test_schedule_monomials_are_read_from_the_table(monkeypatch):

@@ -1,6 +1,7 @@
 """Exponent combinatorics: multidegrees, orders, induction schedule."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +125,20 @@ def test_induction_schedule_pairs_each_multidegree_with_its_monomials():
         assert induction_schedule(n) is schedule
     # kept for a few levels only, so a large level does not live on
     assert induction_schedule.cache_info().maxsize == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_schedule_monomials_are_degree_n_products_times_more(n):
+    # every schedule monomial has degree at least n, and the lowest
+    # degree lists each of the C(2n-1, n) monomials of degree n once
+    monomials = [mono for _, group in induction_schedule(n) for mono in group]
+    assert min(sum(mono) for mono in monomials) == n
+    degree_n = [mono for mono in monomials if sum(mono) == n]
+    assert len(degree_n) == len(set(degree_n)) == math.comb(2 * n - 1, n)
+    assert set(degree_n) == {
+        mono for mono in itertools.product(range(n + 1), repeat=n) if sum(mono) == n
+    }
+    assert monomials[-len(degree_n):] == degree_n
 
 
 def test_schedule_exponents_flatten_the_alpha_then_the_monomial_column():
