@@ -10,6 +10,7 @@ principal ideals and sums of ideals (see `rings`).
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
@@ -102,11 +103,9 @@ class Ideal:
         if self.is_unit:
             return False
         outside = [v for v in self.ring.iter_values() if v not in self.element_values]
-        # products commute, so each unordered pair is tested once
-        for i, a in enumerate(outside):
-            for b in outside[i:]:
-                if self.ring.mul_values(a, b) in self.element_values:
-                    return False
+        for a, b in itertools.combinations_with_replacement(outside, 2):
+            if self.ring.mul_values(a, b) in self.element_values:
+                return False
         return True
 
     # presentation ----------------------------------------------------------

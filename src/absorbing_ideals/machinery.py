@@ -115,9 +115,9 @@ def _degree_n_products_vanish(ring: Ring, gen_values: tuple) -> bool:
     monomial evaluates to zero: C(2n-1, n) products, 35 at n = 4,
     instead of one evaluation per schedule monomial.
     """
-    mul, one, zero = ring.mul_values, ring.one_value, ring.zero_value
+    mul, zero = ring.mul_values, ring.zero_value
     return all(
-        functools.reduce(mul, factors, one) == zero
+        functools.reduce(mul, factors) == zero
         for factors in itertools.combinations_with_replacement(gen_values, len(gen_values))
     )
 
@@ -563,11 +563,12 @@ def prove_radical_power_zero(
     honest shape of the argument but much slower.
 
     One comprehension over `induction_schedule(n)` builds the steps in
-    schedule order.  When every product of n generators is zero
-    (`_degree_n_products_vanish`), so is every schedule monomial, and
-    no monomial is evaluated; the theorem makes this so once the
-    hypothesis holds, so a default trace is all direct steps.  Otherwise
-    each monomial's value comes from `eval_monomial`.
+    schedule order.  Every schedule monomial is zero because every
+    product of n generators is (`_degree_n_products_vanish`), so no
+    schedule monomial is evaluated and a default trace is all direct
+    steps.  The theorem makes those products zero once the hypothesis
+    holds; if one is not (a sampled absorbing scan missed a witness),
+    this raises TraceInconsistencyError before any step is built.
     """
     gen_values = tuple(_checked_value(ring, g) for g in generators)
     n = len(gen_values)
@@ -600,22 +601,18 @@ def prove_radical_power_zero(
             f"derivation of {step_count} steps at n = {n} exceeds the cap {MAX_TRACE_STEPS}"
         )
 
+    # by the theorem this holds once the hypothesis does; it can fail only
+    # after a sampled absorbing scan passed a ring that is not n-absorbing
+    if not _degree_n_products_vanish(ring, gen_values):
+        raise TraceInconsistencyError("a product of n generators does not vanish")
+
     zero_text = ring.render_value(zero)
-    schedule = induction_schedule(n)
-    # one value per schedule monomial; zip takes each group's monomials
-    # first, so it stops at a group's end without consuming a value
-    if _degree_n_products_vanish(ring, gen_values):
-        value_of = itertools.repeat(zero)
-    else:
-        value_of = (
-            eval_monomial(ring, gen_values, mono) for _, monomials in schedule for mono in monomials
-        )
     steps = [
         {"alpha": list(alpha), "monomial": list(mono), "rule": "direct", "conclusion": zero_text}
-        if short_circuit and value == zero
-        else _matrix_step(ring, gen_values, alpha, mono, value, zero_text)
-        for alpha, monomials in schedule
-        for mono, value in zip(monomials, value_of)
+        if short_circuit
+        else _matrix_step(ring, gen_values, alpha, mono, zero, zero_text)
+        for alpha, monomials in induction_schedule(n)
+        for mono in monomials
     ]
 
     final_value = eval_monomial(ring, gen_values, (1,) * n)

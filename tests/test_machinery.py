@@ -320,14 +320,15 @@ def test_degree_n_products_vanish_multiplies_each_product_once_and_stops_early()
             calls.append((a, b))
             return a * b % modulus
 
-        ring = SimpleNamespace(mul_values=mul, one_value=1, zero_value=0)
-        # 2 is nilpotent of index n: n factors per product, C(2n-1, n) products
+        ring = SimpleNamespace(mul_values=mul, zero_value=0)
+        # 2 is nilpotent of index n: n factors, so n - 1 multiplications,
+        # per product, over C(2n-1, n) products
         assert _degree_n_products_vanish(ring, (2,) * n)
-        assert len(calls) == n * math.comb(2 * n - 1, n)
+        assert len(calls) == (n - 1) * math.comb(2 * n - 1, n)
         calls.clear()
         # the first product, of the unit 1 alone, is nonzero and ends the check
         assert not _degree_n_products_vanish(ring, (1,) + (2,) * (n - 1))
-        assert len(calls) == n
+        assert len(calls) == n - 1
 
 
 def test_schedule_monomials_are_read_from_the_table(monkeypatch):

@@ -10,6 +10,7 @@ from absorbing_ideals import (
     ProofTrace,
     ResourceLimitError,
     TRACE_SCHEMA,
+    TraceInconsistencyError,
     build_ring,
     eval_monomial,
     induction_multidegrees,
@@ -440,7 +441,9 @@ def test_prover_refuses_a_derivation_over_the_step_cap_before_building_it(monkey
     ],
     ids=["default", "full"],
 )
-def test_evaluating_every_monomial_gives_the_same_trace(spec, gens, short_circuit, monkeypatch):
+def test_a_nonzero_degree_n_product_stops_the_prover_and_the_column_passes(
+    spec, gens, short_circuit, monkeypatch
+):
     import absorbing_ideals.machinery as machinery
 
     _, trace = _prove(spec, gens, short_circuit=short_circuit)
@@ -452,20 +455,17 @@ def test_evaluating_every_monomial_gives_the_same_trace(spec, gens, short_circui
         evaluated.append(tuple(exponents))
         return eval_direct(ring, generator_values, exponents)
 
-    def evaluated_every_monomial():
-        # each schedule monomial in order, among any others
-        walk = iter(evaluated)
-        return all(mono in walk for mono in monomials)
-
-    # a nonzero product of n generators sends the prover to eval_monomial
-    # and the verifier to its per-step loop
+    # a nonzero product of n generators stops the prover before any step
+    # and sends the verifier to its per-step loop
     monkeypatch.setattr(machinery, "_degree_n_products_vanish", lambda ring, gen_values: False)
     monkeypatch.setattr(machinery, "eval_monomial", recording)
-    assert _prove(spec, gens, short_circuit=short_circuit)[1] == trace
-    assert evaluated_every_monomial()
-    evaluated.clear()
+    with pytest.raises(TraceInconsistencyError, match="a product of n generators does not vanish"):
+        _prove(spec, gens, short_circuit=short_circuit)
+    assert evaluated == []
     assert verify_trace(json.loads(json.dumps(trace.to_json_dict()))).ok
-    assert evaluated_every_monomial()
+    # each schedule monomial in order, among any others
+    walk = iter(evaluated)
+    assert all(mono in walk for mono in monomials)
 
 
 _REPLAY_CASES = [
