@@ -2,11 +2,14 @@
 """Time the exhaustive absorbing scan level by level, each run in a fresh interpreter.
 
 The cases are `is_n_absorbing` at every level that `omega` scans for the
-six ideals of the benchmark's `deep-omega` workload, and at n = 4 for
-the zero ideals of Zmod:16, Zmod:24 and Zmod:36 (the rings of the big
-trace surveys).  Each run builds every ring once, then times REPEATS
-calls per case, emptying the ring's scan memo before each call, so every
-call finds the scan candidates and scans again.
+six ideals of the benchmark's `deep-omega` workload, at n = 4 for the
+zero ideals of Zmod:16, Zmod:24 and Zmod:36 (the rings of the big trace
+surveys), and at the level of one check of each ring of the `large-ring`
+workload (rings of 512 to 4096 elements, where finding the candidates is
+most of the work).  Each run builds every ring once, then times REPEATS
+calls per case, emptying the ring's scan memo and its unit generators
+before each call, so every call builds the generators, finds the scan
+candidates and scans again.
 
 It prints one line per run with its total, then one line per case: the
 multisets the scan counts, how many of them are multiplied out one by
@@ -14,7 +17,8 @@ one (those with no product of their first k <= n factors in the ideal;
 the others are skipped in blocks), and the median milliseconds over
 runs.  Exits 1 when some `(holds, witness, tuples_scanned)` differs from
 a plain combinations_with_replacement scan over the same candidates,
-done in the script.
+or the candidates differ from the class minima found by multiplying each
+one by every unit, both done in the script.
 
     python3 scripts/bench_scan.py --runs 5
     python3 scripts/bench_scan.py --src /path/to/other/checkout/src
@@ -41,11 +45,17 @@ CASES = (
     ("Zmod:16", (), (4,)),
     ("Zmod:24", (), (4,)),
     ("Zmod:36", (), (4,)),
+    ("Zmod:4096", (), (1,)),
+    ("Zmod:3600", ("780",), (2,)),
+    ("Product:[Zmod:32,Zmod:32]", (), (1,)),
+    ("Quotient:{ring:Zmod:4000,gens:[1000]}", (), (2,)),
+    ("PolyQuot:{p:2,poly:[0,0,0,0,0,0,0,0,0,1]}", (), (1,)),
 )
 
 # run in the child: reads the cases as JSON and prints, per case, the
-# report's (holds, witness, tuples_scanned), the plain scan's, the count
-# multiplied out one by one and the milliseconds per call
+# report's (holds, witness, tuples_scanned), the plain scan's, whether the
+# candidates are the all-units class minima, the count multiplied out one
+# by one and the milliseconds per call
 CHILD = r"""
 import itertools, json, sys, time
 from absorbing_ideals import Ideal, build_ring, is_n_absorbing, parse_ring_spec
@@ -69,6 +79,15 @@ def plain(ideal, n, candidates):
             return [False, list(factors), scanned], multiplied
     return [True, None, scanned], multiplied
 
+def all_units_minima(ideal):
+    ring, units, marked, minima = ideal.ring, ideal.ring.unit_values(), set(), []
+    for v in ring.iter_values():
+        if v in units or v in ideal.element_values or v in marked:
+            continue
+        minima.append(v)
+        marked.update(ring.mul_values(u, v) for u in units)
+    return tuple(minima)
+
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 out = []
 for spec, gens, n in cases:
@@ -78,14 +97,20 @@ for spec, gens, n in cases:
     times = []
     for _ in range(repeats):
         ring._scans.clear()
+        # a checkout older than the unit generators has no such slot, and
+        # setting a new attribute would slow every later read on the ring
+        if hasattr(ring, "_unit_generators"):
+            ring._unit_generators = None
         start = time.perf_counter()
         report = is_n_absorbing(ideal, n)
         times.append((time.perf_counter() - start) * 1e3)
     witness = list(report.witness.elements) if report.witness else None
-    expected, multiplied = plain(ideal, n, _scan_candidates(ideal))
+    candidates = _scan_candidates(ideal)
+    expected, multiplied = plain(ideal, n, candidates)
     out.append({
         "got": [report.holds, witness, report.tuples_scanned],
         "expected": expected,
+        "candidates_ok": candidates == all_units_minima(ideal),
         "multiplied": multiplied,
         "ms": times,
     })
@@ -132,14 +157,18 @@ def main(argv=None) -> int:
         reports = run_once(args.src)
         for i, report in enumerate(reports):
             per_case[i].append(statistics.median(report["ms"]))
-            if report["got"] != report["expected"]:
+            if report["got"] != report["expected"] or not report["candidates_ok"]:
                 bad.add(i)
         totals.append(sum(times[-1] for times in per_case))
         print(f"run {run}: total_ms {totals[-1]:.2f}")
     width = max(len(f"{spec} ({','.join(gens) or '0'})") for spec, gens, _ in cases())
     for i, (spec, gens, n) in enumerate(cases()):
         label = f"{spec} ({','.join(gens) or '0'})"
-        verdict = f"MISMATCH got {reports[i]['got']} plain {reports[i]['expected']}"
+        verdict = (
+            f"MISMATCH got {reports[i]['got']} plain {reports[i]['expected']}"
+            if reports[i]["candidates_ok"]
+            else "MISMATCH candidates differ from the all-units class minima"
+        )
         print(
             f"{label:<{width}} n={n} multisets {reports[i]['expected'][2]:>5}"
             f" multiplied {reports[i]['multiplied']:>5}"

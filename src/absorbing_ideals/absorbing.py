@@ -18,12 +18,15 @@ So replacing each factor of a violating sorted tuple by its class
 minimum leaves a violating tuple; sorted again, it is componentwise at
 most the original, hence lexicographically at most the original.  The
 least sorted witness is therefore made of class minima, and the
-lexicographic scan over class minima reaches it first.  The budget
-counts the multisets that scan visits or skips, C(c+n, n+1) over the c
-class minima, and `tuples_scanned` reports how many it visited or
-skipped.  A multiset whose first k <= n factors already multiply into
-I cannot violate, since its drop-last product contains them; the scan
-skips each such block in one step (see `_scan_multisets`).
+lexicographic scan over class minima reaches it first.  The classes
+are marked as orbits of a generating set of the unit group
+(`_scan_candidates`), which gives the same classes as multiplying by
+every unit, so the minima are the same.  The budget counts the
+multisets that scan visits or skips, C(c+n, n+1) over the c class
+minima, and `tuples_scanned` reports how many it visited or skipped.
+A multiset whose first k <= n factors already multiply into I cannot
+violate, since its drop-last product contains them; the scan skips each
+such block in one step (see `_scan_multisets`).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
 )
 from .ideals import Ideal, colon, ideal_power, radical
 from .records import Record
-from .rings import Ring, quotient_ring
+from .rings import Ring, grow_orbit, quotient_ring
 
 DEFAULT_MAX_TUPLES = 10**8
 DEFAULT_OMEGA_CAP = 4
@@ -124,8 +127,15 @@ def _scan_candidates(ideal: Ideal) -> tuple:
 
     The associates of a candidate are candidates too: u*v in I would
     put v = u^-1 * (u*v) in I.  Walking the values in canonical order,
-    each one not yet marked is the least of its class, and marking u*v
-    for every unit u covers that class.
+    each one not yet marked is the least of its class v*U, and the class
+    is marked as the orbit of v under a generating set of the unit group
+    U (`Ring.unit_generators`, built at the first candidate, so a ring
+    with none builds nothing): {v} grows by one generator at a time, in
+    blocks (`grow_orbit`).  In a finite group each g^-1 is a power of g,
+    so the closure of {v} under the generators is all of v*U, the set
+    that multiplying v by every unit marks.  The classes, and so the
+    minima, are the same, for about one multiplication per marked
+    element instead of |U| per class.
     """
     ring = ideal.ring
     units = ring.unit_values()
@@ -133,11 +143,17 @@ def _scan_candidates(ideal: Ideal) -> tuple:
     mul = ring.mul_values
     marked: set = set()
     minima = []
+    generators = None
     for v in ring.iter_values():
         if v in units or v in members or v in marked:
             continue
+        if generators is None:
+            generators = ring.unit_generators()
         minima.append(v)
-        marked.update(mul(u, v) for u in units)
+        orbit = [v]
+        marked.add(v)
+        for g in generators:
+            grow_orbit(mul, orbit, g, marked)
     return tuple(minima)
 
 

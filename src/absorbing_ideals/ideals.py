@@ -99,7 +99,18 @@ class Ideal:
         return self.element_values < other.element_values
 
     def is_prime(self) -> bool:
-        """Proper, and ab in I forces a in I or b in I."""
+        """Proper, and ab in I forces a in I or b in I.
+
+        The answer is kept on the ring, keyed by the element set, so each
+        ideal is decided once per ring.
+        """
+        primes = self.ring._primes
+        prime = primes.get(self.element_values)
+        if prime is None:
+            prime = primes[self.element_values] = self._decide_prime()
+        return prime
+
+    def _decide_prime(self) -> bool:
         if self.is_unit:
             return False
         outside = [v for v in self.ring.iter_values() if v not in self.element_values]

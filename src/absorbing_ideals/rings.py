@@ -148,6 +148,9 @@ class Ring:
         if self.memoise_products and size <= MEMO_MAX_SIZE:
             self.mul_values = _memoised_mul(self.mul_values, size)
         self._units: frozenset | None = None
+        self._unit_generators: tuple | None = None
+        # Ideal.is_prime's memo: ideal element set -> bool
+        self._primes: dict = {}
         # the absorbing scan's memo, filled in there: ideal element set ->
         # (scan candidates, {n: exhaustive report})
         self._scans: dict = {}
@@ -200,6 +203,27 @@ class Ring:
         if self._units is None:
             self._units = values_with_power_in(self, {self.one_value})
         return self._units
+
+    def unit_generators(self) -> tuple:
+        """Units that generate the unit group U (computed once, cached).
+
+        Walking U in canonical order, a unit u not yet in the subgroup H
+        generated so far is kept, and H grows to <H, u> by `grow_orbit`
+        (H is the orbit of 1 under the kept units).  Every unit is then
+        in the generated subgroup, which is U.  Each multiplication adds
+        an element to H or ends one generator's walk, so this takes
+        |U| - 1 plus one per generator.
+        """
+        if self._unit_generators is None:
+            subgroup = [self.one_value]
+            seen = {self.one_value}
+            generators = []
+            for u in sorted(self.unit_values()):
+                if u not in seen:
+                    generators.append(u)
+                    grow_orbit(self.mul_values, subgroup, u, seen)
+            self._unit_generators = tuple(generators)
+        return self._unit_generators
 
     def __eq__(self, other):
         if self is other:
@@ -511,6 +535,37 @@ def values_with_power_in(ring: Ring, targets: Iterable) -> frozenset:
         for y in path:
             status[y] = verdict
     return frozenset(v for v, inside in status.items() if inside)
+
+
+def grow_orbit(mul, orbit: list, g, seen: set) -> None:
+    """Extend `orbit`, an orbit O of a subgroup K of the units, to its
+    orbit under <K, g>, adding the new elements to `seen` too.
+
+    `seen` must hold O and nothing else of that orbit.  The blocks O*g,
+    O*g**2, ... are orbits of K, as units commute, so any two are equal
+    or disjoint, and the first block to repeat an earlier one is O
+    itself (O*g**k = O*g**j gives O*g**(k-j) = O).  So the walk of heads
+    v*g, v*g**2, ... for v = orbit[0] stops at the first one in `seen`,
+    which is the first one in O, and each head before it starts a new
+    block, whose other elements are those of the block before times g.
+    That is one multiplication per new element, and one for the stop.
+    """
+    heads = []
+    x = mul(orbit[0], g)
+    while x not in seen:
+        heads.append(x)
+        x = mul(x, g)
+    start = len(orbit)
+    if start == 1:
+        # a one-element orbit's blocks are its heads
+        orbit += heads
+    else:
+        block = orbit[1:]
+        for head in heads:
+            block = [mul(y, g) for y in block]
+            orbit.append(head)
+            orbit += block
+    seen.update(orbit[start:])
 
 
 def principal_ideal_values(ring: Ring, g) -> frozenset:

@@ -27,6 +27,19 @@ def naive_units(ring):
     )
 
 
+def naive_class_minima(ideal):
+    """Sorted least members of the associate classes {u*v : u a unit} of
+    the non-unit elements v outside the ideal, each class read off by
+    multiplying v by every unit."""
+    ring = ideal.ring
+    units = naive_units(ring)
+    return tuple(sorted({
+        min(ring.mul_values(u, v) for u in units)
+        for v in ring.iter_values()
+        if v not in units and v not in ideal.element_values
+    }))
+
+
 def naive_is_n_absorbing(ideal, n):
     """(holds, witness) by scanning every ordered (n+1)-tuple of R."""
     ring = ideal.ring

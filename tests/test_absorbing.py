@@ -403,3 +403,23 @@ def test_scan_memo_is_kept_on_the_ring(monkeypatch):
     assert lone._scans[frozenset({0})][1] == {}
     assert is_n_absorbing(Ideal.zero(lone), 3).mode == "exhaustive"
     assert is_n_absorbing(Ideal.zero(lone), 3, max_tuples=10, samples=5, seed=1) == sampled
+
+
+def test_decisions_add_no_attribute_to_a_ring():
+    # caches live in slots that Ring.__init__ sets; an attribute set
+    # later would drop CPython's inline instance values and slow every
+    # later attribute read on the ring
+    from absorbing_ideals import enumerate_ideals
+    from absorbing_ideals.corpus import audit_ideal
+    from absorbing_ideals.machinery import prove_radical_power_zero
+
+    ring = build_ring(parse_ring_spec("Zmod:36"))
+    keys = set(vars(ring))
+    assert omega(Ideal.zero(ring), cap=4).value == 4
+    for ideal in enumerate_ideals(ring):
+        audit_ideal(ideal, 4)
+    prove_radical_power_zero(ring, [6, 6, 6, 6])
+    assert ring._unit_generators and ring._primes and ring._quotients
+    assert set(vars(ring)) == keys
+    for quotient in ring._quotients.values():
+        assert set(vars(quotient)) == set(vars(QuotientRing(ring, quotient.ideal_values)))

@@ -414,6 +414,36 @@ def test_unit_values_make_at_most_two_multiplications_per_element(spec):
     assert calls <= 2 * ring.size
 
 
+def _generated_subgroup(ring, generators):
+    """Closure of {1} under multiplication by the generators."""
+    closed, frontier = {ring.one_value}, [ring.one_value]
+    while frontier:
+        fresh = {ring.mul_values(x, g) for x in frontier for g in generators} - closed
+        closed |= fresh
+        frontier = list(fresh)
+    return frozenset(closed)
+
+
+# quotients of a PolyQuot and of a Product base; both unit groups are
+# not cyclic (Z4 x Z2 in F2[x]/(x^4))
+QUOTIENT_UNIT_SPECS = [
+    "Quotient:{ring:PolyQuot:{p:2,poly:[0,0,0,0,0,0,1]},gens:[[0,0,0,0,1]]}",
+    "Quotient:{ring:Product:[Zmod:16,Zmod:16],gens:[(8,0)]}",
+]
+
+
+@pytest.mark.parametrize("spec", list(BUILTIN_CORPUS) + QUOTIENT_UNIT_SPECS)
+def test_unit_generators_generate_the_unit_group(spec):
+    ring = build_ring(parse_ring_spec(spec))
+    generators = ring.unit_generators()
+    assert _generated_subgroup(ring, generators) == ring.unit_values()
+    # each generator is the least unit outside the subgroup of those before it
+    for k, g in enumerate(generators):
+        earlier = _generated_subgroup(ring, generators[:k])
+        assert g == min(ring.unit_values() - earlier)
+    assert ring.unit_generators() is generators
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_values_with_power_in_matches_oracles(spec):
     ring = build_ring(parse_ring_spec(spec))

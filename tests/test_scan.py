@@ -18,11 +18,13 @@ from absorbing_ideals import absorbing
 from oracles import (
     closed_form_omega,
     irreducible_factor_count,
+    naive_class_minima,
     naive_class_minimum_scan,
     naive_omega,
     naive_product,
     prime_factor_count,
 )
+from test_rings import _count_multiplications
 
 EXTRA_SCAN_SPECS = (
     "Product:[Zmod:4,Zmod:6]",
@@ -50,6 +52,78 @@ def test_pruned_scan_matches_the_plain_scan(spec):
                 ideal.text(),
                 n,
             )
+
+
+@pytest.mark.parametrize("spec", BUILTIN_CORPUS + EXTRA_SCAN_SPECS)
+def test_scan_candidates_are_the_class_minima(spec):
+    ring = build_ring(parse_ring_spec(spec))
+    for ideal in proper_ideals(ring):
+        assert absorbing._scan_candidates(ideal) == naive_class_minima(ideal), (
+            spec,
+            ideal.text(),
+        )
+
+
+# the (ring, ideal generators) pairs of the benchmark's `large-ring` workload
+LARGE_RING_CASES = (
+    ("Zmod:4096", []),
+    ("Zmod:3600", ["60"]),
+    ("Zmod:3600", ["420"]),
+    ("Zmod:3600", ["660"]),
+    ("Zmod:3600", ["780"]),
+    ("Product:[Zmod:32,Zmod:32]", []),
+    ("Quotient:{ring:Zmod:4000,gens:[1000]}", []),
+    ("PolyQuot:{p:2,poly:[0,0,0,0,0,0,0,0,0,1]}", []),
+)
+
+
+def _ideal(spec, gens):
+    ring = build_ring(parse_ring_spec(spec))
+    return Ideal.from_generators(ring, [ring.parse_value(g) for g in gens])
+
+
+def _all_units_candidates(ideal):
+    """Class minima in canonical order, each class marked by multiplying
+    its minimum by every unit."""
+    ring = ideal.ring
+    units = ring.unit_values()
+    marked, minima = set(), []
+    for v in ring.iter_values():
+        if v in units or v in ideal.element_values or v in marked:
+            continue
+        minima.append(v)
+        marked.update(ring.mul_values(u, v) for u in units)
+    return tuple(minima)
+
+
+@pytest.mark.parametrize(
+    "spec, gens", LARGE_RING_CASES, ids=[f"{s} ({','.join(g) or '0'})" for s, g in LARGE_RING_CASES]
+)
+def test_scan_candidates_match_the_all_units_marking_on_large_rings(spec, gens):
+    ideal = _ideal(spec, gens)
+    assert absorbing._scan_candidates(ideal) == _all_units_candidates(ideal)
+
+
+@pytest.mark.parametrize(
+    "spec, gens, all_units_work",
+    [("Zmod:4096", [], 22528), ("Zmod:3600", ["780"], 30720)],
+)
+def test_class_walk_takes_at_most_a_third_of_the_all_units_marking(spec, gens, all_units_work):
+    ideal = _ideal(spec, gens)
+    units = ideal.ring.unit_values()
+    # the generators are built inside the counted call
+    calls = _count_multiplications(ideal.ring, lambda: absorbing._scan_candidates(ideal))
+    assert ideal.ring._unit_generators is not None
+    # marking each class minimum's class by every unit takes c*|U|
+    assert len(absorbing._scan_candidates(ideal)) * len(units) == all_units_work
+    assert calls <= all_units_work // 3
+
+
+@pytest.mark.parametrize("spec, gens", [("Zmod:13", []), ("Zmod:4", ["2"])])
+def test_no_candidate_builds_no_unit_generators(spec, gens):
+    ideal = _ideal(spec, gens)
+    assert absorbing._scan_candidates(ideal) == ()
+    assert ideal.ring._unit_generators is None
 
 
 def test_scan_skips_blocks_whose_prefix_lies_in_the_ideal(monkeypatch):
@@ -181,7 +255,7 @@ def test_scan_bench_checks_every_case_against_a_plain_scan(capsys):
     assert bench.main(["--runs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("run 1: total_ms ")
-    assert len(lines) == 2 + len(bench.cases()) == 31
+    assert len(lines) == 2 + len(bench.cases()) == 36
     assert "MISMATCH" not in "\n".join(lines)
     product_n4 = next(line for line in lines if line.startswith("Product:") and " n=4 " in line)
     assert " multisets  2002 multiplied   562 median_ms " in product_n4
