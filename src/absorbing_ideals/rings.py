@@ -544,27 +544,20 @@ def grow_orbit(mul, orbit: list, g, seen: set) -> None:
     `seen` must hold O and nothing else of that orbit.  The blocks O*g,
     O*g**2, ... are orbits of K, as units commute, so any two are equal
     or disjoint, and the first block to repeat an earlier one is O
-    itself (O*g**k = O*g**j gives O*g**(k-j) = O).  So the walk of heads
-    v*g, v*g**2, ... for v = orbit[0] stops at the first one in `seen`,
-    which is the first one in O, and each head before it starts a new
-    block, whose other elements are those of the block before times g.
-    That is one multiplication per new element, and one for the stop.
+    itself (O*g**k = O*g**j gives O*g**(k-j) = O).  The walk multiplies
+    the elements of `orbit` by g in turn and appends each product, so it
+    reads the elements it appends and each block is the one before times
+    g.  A new block is disjoint from O, so none of its elements is in
+    `seen`, and the first product in `seen` is the head of the block
+    that is O again: the walk stops there.  That is one multiplication
+    per new element, and one for the stop.
     """
-    heads = []
-    x = mul(orbit[0], g)
-    while x not in seen:
-        heads.append(x)
-        x = mul(x, g)
     start = len(orbit)
-    if start == 1:
-        # a one-element orbit's blocks are its heads
-        orbit += heads
-    else:
-        block = orbit[1:]
-        for head in heads:
-            block = [mul(y, g) for y in block]
-            orbit.append(head)
-            orbit += block
+    for y in orbit:
+        x = mul(y, g)
+        if x in seen:
+            break
+        orbit.append(x)
     seen.update(orbit[start:])
 
 

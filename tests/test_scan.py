@@ -64,16 +64,13 @@ def test_scan_candidates_are_the_class_minima(spec):
         )
 
 
-# the (ring, ideal generators) pairs of the benchmark's `large-ring` workload
+# the (ring, ideal generators) pairs of the benchmark's `large-ring`
+# workload that scripts/bench_scan.py does not check against the
+# all-units marking; it checks the other five
 LARGE_RING_CASES = (
-    ("Zmod:4096", []),
     ("Zmod:3600", ["60"]),
     ("Zmod:3600", ["420"]),
     ("Zmod:3600", ["660"]),
-    ("Zmod:3600", ["780"]),
-    ("Product:[Zmod:32,Zmod:32]", []),
-    ("Quotient:{ring:Zmod:4000,gens:[1000]}", []),
-    ("PolyQuot:{p:2,poly:[0,0,0,0,0,0,0,0,0,1]}", []),
 )
 
 
@@ -97,7 +94,7 @@ def _all_units_candidates(ideal):
 
 
 @pytest.mark.parametrize(
-    "spec, gens", LARGE_RING_CASES, ids=[f"{s} ({','.join(g) or '0'})" for s, g in LARGE_RING_CASES]
+    "spec, gens", LARGE_RING_CASES, ids=[f"{s} ({','.join(g)})" for s, g in LARGE_RING_CASES]
 )
 def test_scan_candidates_match_the_all_units_marking_on_large_rings(spec, gens):
     ideal = _ideal(spec, gens)
