@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Time the four layers of a trace round trip, each run in a fresh interpreter.
+"""Time the five layers of a trace round trip, each run in a fresh interpreter.
 
 Three traces, each timed in its own interpreters:
 
     trace --ring Zmod:24 --gens 6,12,18,0
-        1,785 direct steps at n = 4, about 360 kB of JSON; the block
-        writer and the verifier's column passes
+        1,785 direct steps at n = 4, about 360 kB of JSON; the writer's
+        cached default-trace text and the verifier's column passes
     trace --ring Zmod:32 --gens 2,2,2,2,2
         53,004 direct steps at n = 5, about 11.9 MB of JSON; the same
         paths at the largest level a default trace is written at
@@ -13,20 +13,24 @@ Three traces, each timed in its own interpreters:
         74 steps at n = 3, each with its matrix and justification
         lists; the general writer and the verifier's per-step loop
 
-Each run proves, renders, loads and verifies its trace once untimed, so
-the schedule caches are filled, then times REPEATS calls of each layer
-in turn:
+Each run proves its trace once untimed and times its first render, as a
+`trace` command does; it then loads and verifies the trace once untimed,
+so the schedule caches are filled, and times REPEATS calls of each other
+layer in turn:
 
-    prove    prove_radical_power_zero on the ring built once per run
-    render   cli.render_json of the trace document
-    loads    json.loads of the rendered text
-    verify   verify_trace of the loaded document
+    prove         prove_radical_power_zero on the ring built once per run
+    render_first  the first cli.render_json of the trace document in the
+                  interpreter (one call), which builds the cached text
+    render        cli.render_json of the trace document again
+    loads         json.loads of the rendered text
+    verify        verify_trace of the loaded document
 
 For each trace it prints one line per run with the median of its calls
-per layer, then the median over runs.  The text layers (render, loads) run outside
-every function the perfbench tracer wraps, so its spans do not show
-them.  Exits 1 when the rendered text differs from
-json.dumps(indent=2, sort_keys=True) or the replay is not ok.
+per layer, then the median over runs.  The text layers (render_first,
+render, loads) run outside every function the perfbench tracer wraps, so
+its spans do not show them.  Exits 1 when the first or a repeated
+render differs from json.dumps(indent=2, sort_keys=True) or the replay
+is not ok.
 
     python3 scripts/bench_trace_io.py --runs 5
     python3 scripts/bench_trace_io.py --src /path/to/other/checkout/src
@@ -40,7 +44,7 @@ import subprocess
 import sys
 
 DEFAULT_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-LAYERS = ("prove", "render", "loads", "verify")
+LAYERS = ("prove", "render_first", "render", "loads", "verify")
 REPEATS = 7  # timed calls of each layer per interpreter
 # (ring spec, generators, full machinery)
 TRACES = (
@@ -61,7 +65,9 @@ repeats, spec, gen_text, full = int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.
 ring = build_ring(parse_ring_spec(spec))
 gens = [ring.parse_value(g) for g in gen_text.split(",")]
 document = prove_radical_power_zero(ring, gens, short_circuit=not full).to_json_dict()
+start = time.perf_counter()
 text = render_json(document)
+out = {"render_first": [(time.perf_counter() - start) * 1e3]}
 loaded = json.loads(text)
 layers = {
     "prove": lambda: prove_radical_power_zero(ring, gens, short_circuit=not full),
@@ -69,7 +75,6 @@ layers = {
     "loads": lambda: json.loads(text),
     "verify": lambda: verify_trace(loaded),
 }
-out = {}
 for layer, call in layers.items():
     out[layer] = []
     for _ in range(repeats):
@@ -77,7 +82,7 @@ for layer, call in layers.items():
         call()
         out[layer].append((time.perf_counter() - start) * 1e3)
 out["ok"] = verify_trace(loaded).ok
-out["same_text"] = text == json.dumps(document, indent=2, sort_keys=True)
+out["same_text"] = text == render_json(document) == json.dumps(document, indent=2, sort_keys=True)
 print(json.dumps(out))
 """
 

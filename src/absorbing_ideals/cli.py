@@ -39,7 +39,6 @@ import functools
 import itertools
 import json
 import sys
-from operator import itemgetter
 from typing import Optional
 
 from .absorbing import (
@@ -63,11 +62,14 @@ from .errors import ERRORS, ParseError, error_kind
 from .machinery import (
     _DICT_ONLY,
     _INT_ONLY,
-    _LIST_ONLY,
     _STR_ONLY,
+    _all_direct_zero,
+    _schedule_match,
+    _trace_length,
     prove_radical_power_zero,
     verify_trace,
 )
+from .monomials import schedule_exponents
 from .rings import DEFAULT_MAX_RING_SIZE, build_ring, split_top_level
 from .ringspec import parse_ideal_text, parse_ring_spec, render_ring_spec
 
@@ -118,7 +120,7 @@ def _witness_payload(ring, witness) -> object:
 def _build_ring(args, report: _Report):
     if not args.ring:
         raise ParseError("a --ring spec is required")
-    descriptor = parse_ring_spec(args.ring, max_size=args.max_ring_size)
+    descriptor = _nested("ring spec", parse_ring_spec, args.ring, max_size=args.max_ring_size)
     report.ring = build_ring(descriptor, max_size=args.max_ring_size)
     report["ring"] = render_ring_spec(report.ring)
     return report.ring
@@ -135,9 +137,17 @@ def _scan_options(args) -> dict:
     return {"max_tuples": args.max_tuples, "samples": args.samples, "seed": args.seed}
 
 
+def _nested(what: str, parse, *args, **kwargs):
+    """`parse(*args, **kwargs)`, with input nested too deeply to parse reported as usage."""
+    try:
+        return parse(*args, **kwargs)
+    except RecursionError:
+        raise ParseError(f"{what} is nested too deeply to parse") from None
+
+
 def _load_manifest(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = _nested("manifest", json.load, handle)
     if isinstance(data, dict) and isinstance(data.get("rings"), list):
         specs = data["rings"]
     elif isinstance(data, list):
@@ -207,7 +217,7 @@ def _run_trace(args, report: _Report):
 
 def _run_verify_trace(args, report: _Report):
     with open(args.trace_path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+        document = _nested("trace file", json.load, handle)
     result = verify_trace(
         document,
         max_ring_size=args.max_ring_size,
@@ -321,9 +331,10 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
 
 
 _escape = json.encoder.encode_basestring_ascii
-# rows per `%` on render_json's block path; blocks of 512 or 1,024 rows
-# raised a trace-proving process's peak RSS by about 0.4 or 0.7 MB
+# rows per `%` in _default_steps_text; blocks of 512 or 1,024 rows raised
+# a trace-proving process's peak RSS by about 0.4 or 0.7 MB
 _BLOCK_ROWS = 256
+_MAX_LEVEL = 6  # the prover's level cap: _trace_length(7) > MAX_TRACE_STEPS
 
 
 def render_json(obj) -> str:
@@ -338,19 +349,13 @@ def render_json(obj) -> str:
     does.  Floats, non-string keys and unserializable objects go through
     `json.dumps` itself, for the same text or json's own TypeError.
 
-    Two paths for a list.  A list of plain dicts that all have the same
-    exact-str keys, where every column is uniform, either all exact
-    `str` or all non-empty exact `list`s of exact `int`s of one length,
-    as in a default trace's steps, is written in blocks: every row has
-    the same layout, its keys sorted as json sorts every row's equal
-    key set.  `_row_template` writes that layout once, as the general
-    path would write a row, with `%s` where an escaped string goes,
-    `%d` where an int goes and every `%` of an escaped key doubled; `%s`
-    of an exact str is the str and `%d` of an exact int is
-    `int.__repr__`, so one `%` per block of `_BLOCK_ROWS` rows, over the
-    block's cells in row and key order, gives the general path's text.
-    Any other list, a single `True` or `1.0` among the ints or a dict
-    subclass included, takes the general path, one value at a time.
+    Two paths for a list.  A default trace's steps (`_default_steps`)
+    are written from a text cached per level, indentation and zero text:
+    about 0.4 MB for levels 2 to 4, and 11.9 MB for level 5 while it is
+    among the four latest keys.  It is the general path's text: sorted
+    keys, `%d` of an exact int is `int.__repr__`, and the zero text is
+    escaped by `_escape`, every `%` doubled in the row template.  Any
+    other list is written one value at a time.
     """
     parts: list[str] = []
     write = parts.append
@@ -379,13 +384,10 @@ def render_json(obj) -> str:
             if _INT_ONLY.issuperset(map(type, o)):
                 write("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
                 return
-            if _DICT_ONLY.issuperset(map(type, o)) and o[0] and _same_str_keys(o):
-                keys = sorted(o[0])
-                template = _row_template(o, keys, inner)
-                if template is not None:
-                    blocks(o, keys, template, inner)
-                    write(pad + "]")
-                    return
+            text = _default_steps(o, pad)
+            if text is not None:
+                write(text)
+                return
             separator = "[" + inner
             for x in o:
                 write(separator)
@@ -403,58 +405,56 @@ def render_json(obj) -> str:
         else:
             write(json.dumps(o))
 
-    def blocks(dicts, keys, template: str, row_pad: str) -> None:
-        # a row's cells in key order: a 1-tuple holding an escaped
-        # string, or the list of ints itself
-        getters = [itemgetter(k) for k in keys]
-        strings = [type(dicts[0][k]) is str for k in keys]
-        unit = "," + row_pad + template
-        full = (unit * _BLOCK_ROWS)[1:]
-        separator = "["
-        for start in range(0, len(dicts), _BLOCK_ROWS):
-            block = dicts[start:start + _BLOCK_ROWS]
-            cells = [
-                zip(map(_escape, map(get, block))) if string else map(get, block)
-                for get, string in zip(getters, strings)
-            ]
-            args = tuple(itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*cells))))
-            write(separator)
-            separator = ","
-            write((full if len(block) == _BLOCK_ROWS else (unit * len(block))[1:]) % args)
-
     value(obj, "\n")
     del value  # its closure holds it: free it and `parts` now, not at a cyclic collection
     return "".join(parts)
 
 
-def _row_template(dicts, keys: list, row_pad: str) -> Optional[str]:
-    """The `%` template of one row of `dicts`, as the general path of
-    `render_json` writes it, when every column is uniform; else None."""
-    cell_pad = row_pad + "  "
-    int_pad = cell_pad + "  "
-    cells = []
-    for k in keys:
-        get = itemgetter(k)
-        types = set(map(type, map(get, dicts)))
-        if types == _STR_ONLY:
-            cell = "%s"
-        elif types == _LIST_ONLY:
-            lengths = set(map(len, map(get, dicts)))
-            if len(lengths) != 1 or 0 in lengths:
-                return None
-            if not _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(map(get, dicts)))):
-                return None
-            cell = "[" + int_pad + ("," + int_pad).join(["%d"] * lengths.pop()) + cell_pad + "]"
-        else:
-            return None
-        cells.append(cell_pad + _escape(k).replace("%", "%%") + ": " + cell)
-    return "{" + ",".join(cells) + row_pad + "}"
+def _default_steps(steps, pad: str) -> Optional[str]:
+    """The text of `steps` at indentation `pad` if they are a default
+    trace's steps, else None: exact dicts with exactly the exact-str keys
+    alpha, conclusion, monomial and rule, the schedule's exact columns at
+    n = len(first alpha) (`_schedule_match`), one exact-str conclusion
+    and rule "direct" (`_all_direct_zero`); level and length go first."""
+    first = steps[0]
+    alpha = first.get("alpha") if type(first) is dict else None
+    n = len(alpha) if type(alpha) is list else 0
+    if not (
+        2 <= n <= _MAX_LEVEL
+        and len(steps) == _trace_length(n)
+        and _DICT_ONLY.issuperset(map(type, steps))
+        and {4}.issuperset(map(len, steps))
+        and _STR_ONLY.issuperset(map(type, itertools.chain.from_iterable(steps)))
+        and _schedule_match(steps, n)[1]
+        and _all_direct_zero(steps, first.get("conclusion"))
+    ):
+        return None
+    return _default_steps_text(n, pad, _escape(first["conclusion"]))
 
 
-def _same_str_keys(dicts) -> bool:
-    """Do the dicts all have the first one's keys, every one an exact str?"""
-    keys = dicts[0].keys()
-    return _STR_ONLY.issuperset(map(type, keys)) and all(d.keys() == keys for d in dicts)
+@functools.lru_cache(maxsize=4)  # the bound of the schedule's caches
+def _default_steps_text(n: int, pad: str, conclusion: str) -> str:
+    """The text of a level-n default trace's steps at indentation `pad`
+    that conclude `conclusion`: a row's `%` template, filled per block of
+    `_BLOCK_ROWS` rows from `schedule_exponents(n)`, alpha then monomial."""
+    row_pad, cell_pad, int_pad = pad + "  ", pad + "    ", pad + "      "
+    column = "[" + int_pad + ("," + int_pad).join(["%d"] * n) + cell_pad + "]"
+    cells = ['"alpha": ' + column, '"conclusion": ' + conclusion.replace("%", "%%"),
+             '"monomial": ' + column, '"rule": "direct"']
+    unit = "," + row_pad + "{" + cell_pad + ("," + cell_pad).join(cells) + row_pad + "}"
+    exponents = schedule_exponents(n)
+    half = len(exponents) // 2
+    alphas, monomials = itertools.islice(exponents, half), itertools.islice(exponents, half, None)
+    rows = zip(*[alphas] * n, *[monomials] * n)
+    length, full = _trace_length(n), unit * _BLOCK_ROWS
+    parts = [
+        (full if length - start >= _BLOCK_ROWS else unit * (length - start))
+        % tuple(itertools.chain.from_iterable(itertools.islice(rows, _BLOCK_ROWS)))
+        for start in range(0, length, _BLOCK_ROWS)
+    ]
+    parts[0] = "[" + parts[0][1:]  # each block starts with its row's ","
+    parts.append(pad + "]")
+    return "".join(parts)
 
 
 def _emit(payload: dict, stream) -> None:

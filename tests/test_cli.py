@@ -12,8 +12,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from absorbing_ideals import cli
+from absorbing_ideals import (
+    Ideal,
+    build_ring,
+    cli,
+    parse_ring_spec,
+    prove_radical_power_zero,
+    radical,
+)
 from absorbing_ideals.cli import _Report, main, render_json
+from absorbing_ideals.corpus import BUILTIN_CORPUS
 from absorbing_ideals.errors import (
     HypothesisNotSatisfiedError,
     ImproperIdealError,
@@ -24,6 +32,7 @@ from absorbing_ideals.errors import (
     RingBuildError,
     TraceInconsistencyError,
 )
+from absorbing_ideals.machinery import MAX_TRACE_STEPS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -468,6 +477,27 @@ def test_missing_manifest_is_a_usage_error(tmp_path, capsys):
     assert "missing.json" in payload["error"]["message"]
 
 
+def _nested_ring(depth: int) -> str:
+    spec = "Zmod:2"
+    for _ in range(depth):
+        spec = f"Product:[{spec}]"
+    return spec
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["verify-trace", "{deep}"], "trace file"),
+    (["corpus-scan", "--manifest", "{deep}"], "manifest"),
+    (["omega", "--ring", _nested_ring(3000)], "ring spec"),
+], ids=["verify-trace", "corpus-scan-manifest", "omega-ring"])
+def test_deeply_nested_input_is_a_usage_error(argv, what, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, payload = run_cli(capsys, *(a.format(deep=deep) for a in argv))
+    assert code == 2
+    assert payload["error"] == {"kind": "usage", "message": f"{what} is nested too deeply to parse"}
+    assert capsys.readouterr().err == ""
+
+
 def test_unwritable_out_reports_the_error_on_stdout(tmp_path, capsys):
     out = tmp_path / "no-such-dir" / "x.json"
     code, payload = run_cli(
@@ -787,26 +817,178 @@ def test_column_path_keeps_json_text_on_edge_cases():
             assert render_json(value) == json.dumps(value, indent=2, sort_keys=True), count
 
 
-def test_default_trace_steps_take_the_column_path(monkeypatch):
-    from absorbing_ideals import build_ring, parse_ring_spec, prove_radical_power_zero
+def _default_trace(spec: str, gens: list) -> dict:
+    """A fresh default trace document, or None where the prover refuses."""
+    ring = build_ring(parse_ring_spec(spec))
+    try:
+        return prove_radical_power_zero(ring, [ring.parse_value(g) for g in gens]).to_json_dict()
+    except (HypothesisNotSatisfiedError, ResourceLimitError):
+        return None
 
-    ring = build_ring(parse_ring_spec("Zmod:16"))
-    document = prove_radical_power_zero(ring, [2, 4, 6, 8]).to_json_dict()
-    templates = []
-    real = cli._row_template
 
-    def spy(dicts, keys, row_pad):
-        templates.append((len(dicts), real(dicts, keys, row_pad)))
-        return templates[-1][1]
+def _shapes(document: dict) -> list:
+    """The trace document, its bare steps list and the steps one level deeper."""
+    return [document, document["steps"], {"a": [{"steps": document["steps"]}]}]
 
-    monkeypatch.setattr(cli, "_row_template", spy)
-    assert render_json(document) == json.dumps(document, indent=2, sort_keys=True)
+
+def _assert_renders_like_json_dumps(value) -> None:
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_default_traces_of_the_corpus_render_like_json_dumps():
+    cli._default_steps_text.cache_clear()
+    rendered = 0
+    # json.dumps of equal steps, kept per (shape, level, zero text)
+    expected = {}
+    for spec in BUILTIN_CORPUS:
+        ring = build_ring(parse_ring_spec(spec))
+        nilpotent = max(radical(Ideal.zero(ring)).element_values)
+        for n in (2, 3, 4):
+            document = _default_trace(spec, [ring.render_value(nilpotent)] * n)
+            if document is None:
+                continue
+            rendered += 1
+            _assert_renders_like_json_dumps(document)
+            for shape, value in enumerate(_shapes(document)[1:]):
+                key = (shape, n, ring.render_value(ring.zero_value))
+                if key not in expected:
+                    expected[key] = json.dumps(value, indent=2, sort_keys=True)
+                assert render_json(value) == expected[key], (spec, n, shape)
+    assert rendered >= 80
+    # every rendering of those steps came from the cached text
+    info = cli._default_steps_text.cache_info()
+    assert info.hits + info.misses == 3 * rendered
+
+
+def test_default_steps_with_marks_in_their_conclusion_render_like_json_dumps():
+    for mark in ["%", "%s", "%d", "%%", "%(a)s", '"\\\n\t', "é😀", "\ud800"]:
+        document = _default_trace("Zmod:27", ["3", "3", "3"])
+        for step in document["steps"]:
+            step["conclusion"] = mark
+        before = cli._default_steps_text.cache_info().misses
+        for value in _shapes(document):
+            assert render_json(value) == json.dumps(value, indent=2, sort_keys=True), mark
+        assert cli._default_steps_text.cache_info().misses == before + 3, mark
+
+
+def _first_index(steps, key: str, exponent: int) -> tuple[int, int]:
+    return next(
+        (i, j) for i, step in enumerate(steps) for j, e in enumerate(step[key]) if e == exponent
+    )
+
+
+def _near_misses(steps: list) -> dict:
+    """Changes to a default trace's steps that each leave it off the cached path."""
+    def exponent(key, value, old):
+        def change(steps):
+            i, j = _first_index(steps, key, old)
+            steps[i][key][j] = value
+        return change
+
+    def put(index, key, value):
+        def change(steps):
+            steps[index][key] = value
+        return change
+
+    def swap(steps):
+        steps[1], steps[2] = steps[2], steps[1]
+
+    return {
+        "true exponent": exponent("monomial", True, 1),
+        "float exponent": exponent("alpha", 1.0, 1),
+        "IntEnum exponent": exponent("monomial", _Level.TWO, 2),
+        "str-subclass conclusion": put(3, "conclusion", _Text(steps[3]["conclusion"])),
+        "another conclusion": put(-1, "conclusion", "1"),
+        "another rule": put(0, "rule", "zero-diagonal"),
+        "extra key": put(7, "note", "x"),
+        "missing key": lambda steps: steps[7].pop("rule"),
+        "dict subclass": lambda steps: steps.__setitem__(4, _Report(steps[4])),
+        "rows swapped": swap,
+        "row dropped": lambda steps: steps.pop(10),
+        "tuple column": put(5, "monomial", tuple(steps[5]["monomial"])),
+    }
+
+
+@pytest.mark.parametrize("spec, gens", [("Zmod:16", "2,4,6,8"), ("Zmod:27", "3,3,3")])
+def test_near_default_steps_take_the_general_path(spec, gens):
+    cases = _near_misses(_default_trace(spec, gens.split(","))["steps"])
+    for name, change in cases.items():
+        document = _default_trace(spec, gens.split(","))
+        change(document["steps"])
+        before = cli._default_steps_text.cache_info()
+        for value in _shapes(document):
+            assert render_json(value) == json.dumps(value, indent=2, sort_keys=True), name
+        after = cli._default_steps_text.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses), name
+
+
+class _StrEqualKey:
+    """A key equal to a str, which json refuses as a key."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __eq__(self, other):
+        return other == self.text
+
+
+def test_a_key_that_only_equals_a_step_key_is_refused_as_json_refuses_it():
+    document = _default_trace("Zmod:27", ["3", "3", "3"])
+    document["steps"][7] = {
+        _StrEqualKey(k) if k == "rule" else k: v for k, v in document["steps"][7].items()
+    }
+    for value in _shapes(document):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            render_json(value)
+
+
+def test_steps_of_another_level_are_refused_before_their_length_is_computed(monkeypatch):
+    levels = []
+    real = cli._trace_length
+    monkeypatch.setattr(cli, "_trace_length", lambda n: levels.append(n) or real(n))
+    step = {"alpha": [1], "monomial": [1], "rule": "direct", "conclusion": "0"}
+    long_alpha = dict(step, alpha=list(range(20_000)), monomial=[0] * 20_000)
+    for steps in ([step], [step, step, step], [long_alpha] * 3):
+        for value in (steps, {"steps": steps}):
+            _assert_renders_like_json_dumps(value)
+    assert levels == []
+    # the recognizer's level cap is the prover's
+    assert real(cli._MAX_LEVEL) <= MAX_TRACE_STEPS < real(cli._MAX_LEVEL + 1)
+
+
+def test_default_trace_text_is_built_once_per_level_indent_and_zero_text():
+    cached = cli._default_steps_text
+    cached.cache_clear()
+    document = _default_trace("Zmod:16", ["2", "4", "6", "8"])
     assert len(document["steps"]) == 1785 > cli._BLOCK_ROWS
-    assert len(templates) == 1
-    assert templates[0][0] == 1785 and templates[0][1] is not None
+
+    def builds():
+        return cached.cache_info().misses
+
+    _assert_renders_like_json_dumps(document)
+    assert builds() == 1
+    render_json(document)
+    render_json(_default_trace("Zmod:16", ["4", "4", "4", "4"]))  # the same text
+    assert builds() == 1 and cached.cache_info().hits == 2
+    other_zero = _default_trace("Product:[Zmod:4,Zmod:9]", ["(2,3)"] * 4)
+    _assert_renders_like_json_dumps(other_zero)
+    assert builds() == 2
+    _assert_renders_like_json_dumps(document["steps"])  # another indentation
+    assert builds() == 3
+    for spec, gens in [("Zmod:8", ["2", "4", "6"]), ("Zmod:4", ["2", "2"])]:
+        _assert_renders_like_json_dumps(_default_trace(spec, gens))
+    assert builds() == 5
+    assert cached.cache_info().currsize == cached.cache_info().maxsize == 4
+    render_json(document)  # its text was the least recently used
+    assert builds() == 6
 
 
-def test_trace_io_bench_checks_the_text_and_the_replay(capsys):
+def test_trace_io_bench_checks_the_text_and_the_replay(capsys, monkeypatch):
     import importlib.util
     from pathlib import Path
 
@@ -818,8 +1000,16 @@ def test_trace_io_bench_checks_the_text_and_the_replay(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("run 1: prove_ms ") and lines[0].endswith(" ok")
     assert lines[1].startswith("median of 1: prove_ms ")
+    assert "render_first" in bench.LAYERS
     for layer in bench.LAYERS:
         assert f" {layer}_ms " in " " + lines[1]
+    # a first or repeated render that differs from json.dumps, or a failed
+    # replay, makes the run exit 1
+    report = dict.fromkeys(bench.LAYERS, [1.0])
+    for bad in ({"ok": True, "same_text": False}, {"ok": False, "same_text": True}):
+        monkeypatch.setattr(bench, "run_once", lambda *args, bad=bad: dict(report, **bad))
+        assert bench.main(["--runs", "1"]) == 1
+    assert "same_text False" in capsys.readouterr().out
 
 
 def test_import_bench_checks_the_omega_output(capsys, monkeypatch):
