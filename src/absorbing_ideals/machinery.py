@@ -539,6 +539,18 @@ def _matrix_step(
     }
 
 
+def default_steps(n: int, conclusion: str) -> list:
+    """The steps of a level-n default trace that conclude `conclusion`:
+    one `direct` step per monomial of `induction_schedule(n)`, each a
+    fresh dict with fresh lists and its keys in sorted order, as
+    `json.loads` reads them back from the text `cli.render_json` writes."""
+    return [
+        {"alpha": list(alpha), "conclusion": conclusion, "monomial": list(mono), "rule": "direct"}
+        for alpha, monomials in induction_schedule(n)
+        for mono in monomials
+    ]
+
+
 def prove_radical_power_zero(
     ring: Ring,
     generators: Sequence,
@@ -562,13 +574,13 @@ def prove_radical_power_zero(
     runs the full matrix derivation for every monomial, which is the
     honest shape of the argument but much slower.
 
-    One comprehension over `induction_schedule(n)` builds the steps in
-    schedule order.  Every schedule monomial is zero because every
-    product of n generators is (`_degree_n_products_vanish`), so no
-    schedule monomial is evaluated and a default trace is all direct
-    steps.  The theorem makes those products zero once the hypothesis
-    holds; if one is not (a sampled absorbing scan missed a witness),
-    this raises TraceInconsistencyError before any step is built.
+    The steps follow `induction_schedule(n)`.  Every schedule monomial
+    is zero because every product of n generators is
+    (`_degree_n_products_vanish`), so no schedule monomial is evaluated
+    and a default trace is all direct steps (`default_steps`).  The
+    theorem makes those products zero once the hypothesis holds; if one
+    is not (a sampled absorbing scan missed a witness), this raises
+    TraceInconsistencyError before any step is built.
     """
     gen_values = tuple(_checked_value(ring, g) for g in generators)
     n = len(gen_values)
@@ -607,10 +619,8 @@ def prove_radical_power_zero(
         raise TraceInconsistencyError("a product of n generators does not vanish")
 
     zero_text = ring.render_value(zero)
-    steps = [
-        {"alpha": list(alpha), "monomial": list(mono), "rule": "direct", "conclusion": zero_text}
-        if short_circuit
-        else _matrix_step(ring, gen_values, alpha, mono, zero, zero_text)
+    steps = default_steps(n, zero_text) if short_circuit else [
+        _matrix_step(ring, gen_values, alpha, mono, zero, zero_text)
         for alpha, monomials in induction_schedule(n)
         for mono in monomials
     ]

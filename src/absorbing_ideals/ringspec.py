@@ -14,6 +14,9 @@ products.  Parsing also validates the descriptor, so a spec that parses
 satisfies all structural constraints including the size cap.  It builds
 only the base ring of a quotient, to read its generators; `build_ring`
 then builds the ring itself, and refuses a quotient by the unit ideal.
+A spec nested more than `MAX_SPEC_DEPTH` levels deep is refused as it is
+read, so the ring's building and rendering recurse far less deeply than
+Python allows.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .rings import (
     split_top_level,
     validate_descriptor,
 )
+
+MAX_SPEC_DEPTH = 100  # Product and Quotient levels around the innermost spec
 
 
 class _Cursor:
@@ -99,7 +104,9 @@ class _Cursor:
         return self.text.startswith(literal, self.pos)
 
 
-def _parse_spec(cursor: _Cursor, max_size: int) -> RingDescriptor:
+def _parse_spec(cursor: _Cursor, max_size: int, depth: int = 0) -> RingDescriptor:
+    if depth > MAX_SPEC_DEPTH:
+        raise ParseError("ring spec is nested too deeply to parse")
     start = cursor.pos
     kind = cursor.word()
     cursor.expect(":")
@@ -123,17 +130,17 @@ def _parse_spec(cursor: _Cursor, max_size: int) -> RingDescriptor:
         return PolyQuot(p, tuple(coeffs))
     if kind == "Product":
         cursor.expect("[")
-        factors = [_parse_spec(cursor, max_size)]
+        factors = [_parse_spec(cursor, max_size, depth + 1)]
         while cursor.peek_is(","):
             cursor.expect(",")
-            factors.append(_parse_spec(cursor, max_size))
+            factors.append(_parse_spec(cursor, max_size, depth + 1))
         cursor.expect("]")
         return Product(tuple(factors))
     if kind == "Quotient":
         cursor.expect("{")
         cursor.expect("ring")
         cursor.expect(":")
-        base = _parse_spec(cursor, max_size)
+        base = _parse_spec(cursor, max_size, depth + 1)
         cursor.expect(",")
         cursor.expect("gens")
         cursor.expect(":")

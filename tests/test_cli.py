@@ -33,6 +33,7 @@ from absorbing_ideals.errors import (
     TraceInconsistencyError,
 )
 from absorbing_ideals.machinery import MAX_TRACE_STEPS
+from absorbing_ideals.ringspec import MAX_SPEC_DEPTH
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -488,7 +489,11 @@ def _nested_ring(depth: int) -> str:
     (["verify-trace", "{deep}"], "trace file"),
     (["corpus-scan", "--manifest", "{deep}"], "manifest"),
     (["omega", "--ring", _nested_ring(3000)], "ring spec"),
-], ids=["verify-trace", "corpus-scan-manifest", "omega-ring"])
+    (["omega", "--ring", _nested_ring(400)], "ring spec"),
+    (["trace", "--ring", _nested_ring(400), "--gens", "0"], "ring spec"),
+    (["omega", "--ring", _nested_ring(MAX_SPEC_DEPTH + 1)], "ring spec"),
+], ids=["verify-trace", "corpus-scan-manifest", "omega-ring", "omega-ring-400", "trace-ring-400",
+        "omega-ring-over-the-cap"])
 def test_deeply_nested_input_is_a_usage_error(argv, what, tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
@@ -496,6 +501,17 @@ def test_deeply_nested_input_is_a_usage_error(argv, what, tmp_path, capsys):
     assert code == 2
     assert payload["error"] == {"kind": "usage", "message": f"{what} is nested too deeply to parse"}
     assert capsys.readouterr().err == ""
+
+
+def test_a_ring_spec_nested_to_the_cap_runs_every_command(tmp_path, capsys):
+    ring = _nested_ring(MAX_SPEC_DEPTH).replace("Zmod:2", "Zmod:4")
+    code, payload = run_cli(capsys, "omega", "--ring", ring, "--cap", "3")
+    assert (code, payload["ring"], payload["report"]["omega"]) == (0, ring, 2)
+    two = "(" * MAX_SPEC_DEPTH + "2" + ")" * MAX_SPEC_DEPTH
+    trace_path = tmp_path / "trace.json"
+    assert main(["trace", "--ring", ring, "--gens", f"{two},{two}", "--out", str(trace_path)]) == 0
+    code, payload = run_cli(capsys, "verify-trace", str(trace_path))
+    assert (code, payload["ok"]) == (0, True)
 
 
 def test_unwritable_out_reports_the_error_on_stdout(tmp_path, capsys):
@@ -1000,16 +1016,18 @@ def test_trace_io_bench_checks_the_text_and_the_replay(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("run 1: prove_ms ") and lines[0].endswith(" ok")
     assert lines[1].startswith("median of 1: prove_ms ")
-    assert "render_first" in bench.LAYERS
+    assert {"render_first", "read_first", "read"} <= set(bench.LAYERS)
     for layer in bench.LAYERS:
         assert f" {layer}_ms " in " " + lines[1]
-    # a first or repeated render that differs from json.dumps, or a failed
-    # replay, makes the run exit 1
+    # a first or repeated render that differs from json.dumps, a read that
+    # differs from json.loads, or a failed replay makes the run exit 1
+    checks = {"ok": True, "same_text": True, "same_document": True}
     report = dict.fromkeys(bench.LAYERS, [1.0])
-    for bad in ({"ok": True, "same_text": False}, {"ok": False, "same_text": True}):
+    for check in checks:
+        bad = dict(checks, **{check: False})
         monkeypatch.setattr(bench, "run_once", lambda *args, bad=bad: dict(report, **bad))
         assert bench.main(["--runs", "1"]) == 1
-    assert "same_text False" in capsys.readouterr().out
+        assert f"{check} False" in capsys.readouterr().out
 
 
 def test_import_bench_checks_the_omega_output(capsys, monkeypatch):

@@ -18,6 +18,7 @@ from absorbing_ideals import (
     prove_radical_power_zero,
     render_ring_spec,
 )
+from absorbing_ideals.ringspec import MAX_SPEC_DEPTH
 
 
 ROUND_TRIP_SPECS = [
@@ -82,6 +83,22 @@ def test_parse_results_match_descriptors():
 def test_whitespace_is_tolerated():
     spec = " Product:[ Zmod:2 , Zmod:4 ] "
     assert parse_ring_spec(spec) == Product((ZMod(2), ZMod(4)))
+
+
+def _wrapped(wrap: str, depth: int) -> str:
+    spec = "Zmod:4"
+    for _ in range(depth):
+        spec = wrap.format(spec)
+    return spec
+
+
+def test_specs_nest_up_to_the_depth_cap():
+    spec = _wrapped("Product:[{}]", MAX_SPEC_DEPTH)
+    assert render_ring_spec(build_ring(parse_ring_spec(spec))) == spec
+    # a quotient is a level too; nothing is built before the refusal
+    for wrap in ["Product:[{}]", "Quotient:{{ring:{},gens:[0]}}", "Product:[Zmod:2,{}]"]:
+        with pytest.raises(ParseError, match="^ring spec is nested too deeply to parse$"):
+            parse_ring_spec(_wrapped(wrap, MAX_SPEC_DEPTH + 1))
 
 
 def test_nested_quotient_spec():
