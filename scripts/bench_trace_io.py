@@ -4,9 +4,9 @@
 Three traces, each timed in its own interpreters:
 
     trace --ring Zmod:24 --gens 6,12,18,0
-        1,785 direct steps at n = 4, about 360 kB of JSON; the writer's
-        cached default-trace text, the reader's byte comparison with it
-        and the verifier's column passes
+        1,785 direct steps at n = 4, about 360 kB of JSON; the trace
+        writer's cached default-steps text, the reader's byte comparison
+        with it and the verifier's column passes
     trace --ring Zmod:32 --gens 2,2,2,2,2
         53,004 direct steps at n = 5, about 11.9 MB of JSON; the same
         writer and verifier paths at the largest level a default trace is
@@ -15,16 +15,18 @@ Three traces, each timed in its own interpreters:
         74 steps at n = 3, each with its matrix and justification
         lists; the general writer and the verifier's per-step loop
 
-Each run proves its trace once untimed and times its first render, as a
+Each run proves its trace once untimed and times its first write, as a
 `trace` command does.  It then empties the cached text and times the
 first read, as a `verify-trace` command does, which never renders a
 trace.  It loads and verifies the trace once untimed, so the schedule
 caches are filled, and times REPEATS calls of each other layer in turn:
 
     prove         prove_radical_power_zero on the ring built once per run
-    render_first  the first cli.render_json of the trace document in the
-                  interpreter (one call), which builds the cached text
-    render        cli.render_json of the trace document again
+    render_first  the first write of the proved trace in the interpreter
+                  (one call) by the `trace` command's writer,
+                  cli._trace_text, which builds a default trace's cached
+                  steps text
+    render        the same write again
     read_first    the first cli._read_trace of the rendered text in the
                   interpreter (one call), the reader `verify-trace` uses
     read          cli._read_trace of the rendered text again
@@ -35,9 +37,9 @@ For each trace it prints one line per run with the median of its calls
 per layer, then the median over runs.  The text layers (render_first,
 render, read_first, read, loads) run outside every function the
 perfbench tracer wraps, so its spans do not show them.  Exits 1 when the
-first or a repeated render differs from json.dumps(indent=2,
-sort_keys=True), the first or a repeated read differs from json.loads of
-the same text, or the replay is not ok.
+first or a repeated write differs from json.dumps(indent=2,
+sort_keys=True) of the trace document, the first or a repeated read
+differs from json.loads of the same text, or the replay is not ok.
 
     python3 scripts/bench_trace_io.py --runs 5
     python3 scripts/bench_trace_io.py --src /path/to/other/checkout/src
@@ -64,20 +66,23 @@ TRACES = (
 # per call]}; each layer is timed in its own loop, so the collections its
 # garbage sets off are counted against it and not against the layer that
 # happens to follow.  A checkout from before the reader reads with json.loads,
-# as its `verify-trace` does.
+# as its `verify-trace` does, and one from before the trace writer writes
+# with render_json of the trace document, as its `trace` does.
 CHILD = r"""
 import json, sys, time
 from absorbing_ideals import build_ring, parse_ring_spec, prove_radical_power_zero, verify_trace
 from absorbing_ideals import cli
 from absorbing_ideals.cli import render_json
 read_trace = getattr(cli, "_read_trace", json.loads)
+write = getattr(cli, "_trace_text", lambda trace, short: render_json(trace.to_json_dict()))
 
 repeats, spec, gen_text, full = int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4] == "full"
 ring = build_ring(parse_ring_spec(spec))
 gens = [ring.parse_value(g) for g in gen_text.split(",")]
-document = prove_radical_power_zero(ring, gens, short_circuit=not full).to_json_dict()
+trace = prove_radical_power_zero(ring, gens, short_circuit=not full)
+document = trace.to_json_dict()
 start = time.perf_counter()
-text = render_json(document)
+text = write(trace, not full)
 out = {"render_first": [(time.perf_counter() - start) * 1e3]}
 cli._default_steps_text.cache_clear()
 start = time.perf_counter()
@@ -86,7 +91,7 @@ out["read_first"] = [(time.perf_counter() - start) * 1e3]
 loaded = json.loads(text)
 layers = {
     "prove": lambda: prove_radical_power_zero(ring, gens, short_circuit=not full),
-    "render": lambda: render_json(document),
+    "render": lambda: write(trace, not full),
     "read": lambda: read_trace(text),
     "loads": lambda: json.loads(text),
     "verify": lambda: verify_trace(loaded),
@@ -98,7 +103,7 @@ for layer, call in layers.items():
         call()
         out[layer].append((time.perf_counter() - start) * 1e3)
 out["ok"] = verify_trace(loaded).ok
-out["same_text"] = text == render_json(document) == json.dumps(document, indent=2, sort_keys=True)
+out["same_text"] = text == write(trace, not full) == json.dumps(document, indent=2, sort_keys=True)
 out["same_document"] = first_read == read_trace(text) == loaded
 print(json.dumps(out))
 """

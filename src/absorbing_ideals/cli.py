@@ -60,11 +60,7 @@ from .corpus import (
 )
 from .errors import ERRORS, ParseError, error_kind
 from .machinery import (
-    _DICT_ONLY,
     _INT_ONLY,
-    _STR_ONLY,
-    _all_direct_zero,
-    _schedule_match,
     _trace_length,
     default_steps,
     prove_radical_power_zero,
@@ -207,13 +203,11 @@ def _run_trace(args, report: _Report):
     if not args.gens:
         raise ParseError("--gens must list at least one generator")
     gen_values = [ring.parse_value(chunk) for chunk in split_top_level(args.gens)]
+    short_circuit = not args.full_machinery
     trace = prove_radical_power_zero(
-        ring,
-        gen_values,
-        short_circuit=not args.full_machinery,
-        **_scan_options(args),
+        ring, gen_values, short_circuit=short_circuit, **_scan_options(args)
     )
-    return 0, trace.to_json_dict()
+    return 0, _trace_text(trace, short_circuit)
 
 
 def _run_verify_trace(args, report: _Report):
@@ -338,7 +332,6 @@ _escape = json.encoder.encode_basestring_ascii
 # rows per `%` in _default_steps_text; blocks of 512 or 1,024 rows raised
 # a trace-proving process's peak RSS by about 0.4 or 0.7 MB
 _BLOCK_ROWS = 256
-_MAX_LEVEL = 6  # the prover's level cap: _trace_length(7) > MAX_TRACE_STEPS
 
 
 def render_json(obj) -> str:
@@ -353,13 +346,9 @@ def render_json(obj) -> str:
     does.  Floats, non-string keys and unserializable objects go through
     `json.dumps` itself, for the same text or json's own TypeError.
 
-    Two paths for a list.  A default trace's steps (`_default_steps`)
-    are written from a text cached per level, indentation and zero text:
-    about 0.4 MB for levels 2 to 4, and 11.9 MB for level 5 while it is
-    among the four latest keys.  It is the general path's text: sorted
-    keys, `%d` of an exact int is `int.__repr__`, and the zero text is
-    escaped by `_escape`, every `%` doubled in the row template.  Any
-    other list is written one value at a time.
+    A list of exact ints is joined in one call; any other list is written
+    one value at a time.  A default trace's steps are no exception: the
+    `trace` command writes them from a cached text (`_trace_text`).
     """
     parts: list[str] = []
     write = parts.append
@@ -388,10 +377,6 @@ def render_json(obj) -> str:
             if _INT_ONLY.issuperset(map(type, o)):
                 write("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
                 return
-            text = _default_steps(o, pad)
-            if text is not None:
-                write(text)
-                return
             separator = "[" + inner
             for x in o:
                 write(separator)
@@ -414,38 +399,19 @@ def render_json(obj) -> str:
     return "".join(parts)
 
 
-def _default_steps(steps, pad: str) -> Optional[str]:
-    """The text of `steps` at indentation `pad` if they are a default
-    trace's steps, else None: exact dicts with exactly the exact-str keys
-    alpha, conclusion, monomial and rule, the schedule's exact columns at
-    n = len(first alpha) (`_schedule_match`), one exact-str conclusion
-    and rule "direct" (`_all_direct_zero`); level and length go first."""
-    first = steps[0]
-    alpha = first.get("alpha") if type(first) is dict else None
-    n = len(alpha) if type(alpha) is list else 0
-    if not (
-        2 <= n <= _MAX_LEVEL
-        and len(steps) == _trace_length(n)
-        and _DICT_ONLY.issuperset(map(type, steps))
-        and {4}.issuperset(map(len, steps))
-        and _STR_ONLY.issuperset(map(type, itertools.chain.from_iterable(steps)))
-        and _schedule_match(steps, n)[1]
-        and _all_direct_zero(steps, first.get("conclusion"))
-    ):
-        return None
-    return _default_steps_text(n, pad, _escape(first["conclusion"]))
-
-
 @functools.lru_cache(maxsize=4)  # the bound of the schedule's caches
-def _default_steps_text(n: int, pad: str, conclusion: str) -> str:
-    """The text of a level-n default trace's steps at indentation `pad`
-    that conclude `conclusion`: a row's `%` template, filled per block of
-    `_BLOCK_ROWS` rows from `schedule_exponents(n)`, alpha then monomial."""
-    row_pad, cell_pad, int_pad = pad + "  ", pad + "    ", pad + "      "
-    column = "[" + int_pad + ("," + int_pad).join(["%d"] * n) + cell_pad + "]"
+def _default_steps_text(n: int, conclusion: str) -> str:
+    """The text of a level-n default trace's steps that conclude
+    `conclusion`, as they stand in a trace document: a row's `%`
+    template, filled per block of `_BLOCK_ROWS` rows from
+    `schedule_exponents(n)`, alpha then monomial.  It is json.dumps's
+    text of `default_steps(n, c)` for `conclusion` = `_escape(c)`: sorted
+    keys, `%d` of an exact int is `int.__repr__`, and every `%` of the
+    conclusion is doubled in the template."""
+    column = "[" + "\n        %d," * (n - 1) + "\n        %d\n      ]"
     cells = ['"alpha": ' + column, '"conclusion": ' + conclusion.replace("%", "%%"),
              '"monomial": ' + column, '"rule": "direct"']
-    unit = "," + row_pad + "{" + cell_pad + ("," + cell_pad).join(cells) + row_pad + "}"
+    unit = ",\n    {\n      " + ",\n      ".join(cells) + "\n    }"
     exponents = schedule_exponents(n)
     half = len(exponents) // 2
     alphas, monomials = itertools.islice(exponents, half), itertools.islice(exponents, half, None)
@@ -457,7 +423,7 @@ def _default_steps_text(n: int, pad: str, conclusion: str) -> str:
         for start in range(0, length, _BLOCK_ROWS)
     ]
     parts[0] = "[" + parts[0][1:]  # each block starts with its row's ","
-    parts.append(pad + "]")
+    parts.append("\n  ]")
     return "".join(parts)
 
 
@@ -465,16 +431,36 @@ _STEPS_KEY = ',\n  "steps": '  # the last key of a trace document, as render_jso
 _STEP_BYTES = 64  # fewer than any default step's text: its keys and rule take 51 bytes
 
 
+def _trace_text(trace, short_circuit: bool) -> str:
+    """Exactly `render_json(trace.to_json_dict())`, for a trace the
+    prover returned with `short_circuit`.
+
+    Its short-circuit branch returns `default_steps(n, c)`, c the ring's
+    zero text, so from level 2 on the steps are written as their cached
+    text `_default_steps_text(n, _escape(c))` instead of one value at a
+    time.  "steps" sorts last among a trace's keys: the text goes after
+    the rest of the document, at `_STEPS_KEY`.  Level 1 has no steps.
+    """
+    document = trace.to_json_dict()
+    if not (short_circuit and trace.steps):
+        return render_json(document)
+    conclusion = _escape(document.pop("steps")[0]["conclusion"])
+    header = render_json(document)[:-2]  # all but its closing "\n}"
+    return "".join((header, _STEPS_KEY, _default_steps_text(trace.n, conclusion), "\n}"))
+
+
 def _read_trace(text: str):
     """Exactly `json.loads(text)`, which it falls back to, errors included.
 
     The header P before `_STEPS_KEY` is decoded alone.  If it has an
-    exact-int `n` from 2 to 4 and a str `final_product` c, and the text
-    goes on with `_default_steps_text` S at that level and conclusion,
-    then only JSON whitespace and one `}`, the steps are `default_steps`
-    instead of decoded: JSON is context-free, so the text parses to P's
-    object with `"steps"` set last to `loads(S)`, and that is
-    `default_steps(n, c)`.  Level 5's 11.9 MB text is not built.
+    exact-int `n` from 2 to 4 and a str `final_product` c, the first
+    conclusion after the key is c followed by a monomial, as in a default
+    step (a full-machinery step's is followed by its diagonal index), and
+    the text goes on with `_default_steps_text` S at that level and
+    conclusion, then only JSON whitespace and one `}`, the steps are
+    `default_steps` instead of decoded: JSON is context-free, so the text
+    parses to P's object with `"steps"` set last to `loads(S)`, and that
+    is `default_steps(n, c)`.  Level 5's 11.9 MB text is not built.
     """
     cut = text.find(_STEPS_KEY)
     if cut >= 0:
@@ -489,16 +475,22 @@ def _read_trace(text: str):
             and 2 <= n <= 4
             and type(conclusion) is str
             and len(text) - start >= _trace_length(n) * _STEP_BYTES
+            and text.startswith(
+                f'"conclusion": {_escape(conclusion)},\n      "monomial": ',
+                text.find('"conclusion": ', start),
+            )
         ):
-            steps = _default_steps_text(n, "\n  ", _escape(conclusion))
+            steps = _default_steps_text(n, _escape(conclusion))
             if text.startswith(steps, start) and text[start + len(steps):].strip(" \t\n\r") == "}":
                 header["steps"] = default_steps(n, conclusion)
                 return header
     return json.loads(text)
 
 
-def _emit(payload: dict, stream) -> None:
-    stream.write(render_json(payload) + "\n")
+def _emit(payload, stream) -> None:
+    """Write a runner's payload, a document or the text of one, and a newline."""
+    stream.write(payload if isinstance(payload, str) else render_json(payload))
+    stream.write("\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

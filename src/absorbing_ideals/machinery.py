@@ -72,7 +72,7 @@ TRACE_SCHEMA = "absorbing-trace/1"
 # exponent types a recorded step may hold; a JSON `true` counts as 1
 _EXPONENT_TYPES = frozenset({int, bool})
 # exact-type sets that check a list's element types in one C-level pass;
-# cli.render_json uses them too
+# cli.render_json uses _INT_ONLY too
 _INT_ONLY = frozenset({int})
 _STR_ONLY = frozenset({str})
 _LIST_ONLY = frozenset({list})

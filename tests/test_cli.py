@@ -32,7 +32,7 @@ from absorbing_ideals.errors import (
     RingBuildError,
     TraceInconsistencyError,
 )
-from absorbing_ideals.machinery import MAX_TRACE_STEPS
+from absorbing_ideals.machinery import default_steps
 from absorbing_ideals.ringspec import MAX_SPEC_DEPTH
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -851,8 +851,22 @@ def _assert_renders_like_json_dumps(value) -> None:
     assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-def test_default_traces_of_the_corpus_render_like_json_dumps():
-    cli._default_steps_text.cache_clear()
+@pytest.fixture
+def consulted(monkeypatch):
+    """The arguments of every `cli._default_steps_text` call made from now on."""
+    calls = []
+    real = cli._default_steps_text
+    monkeypatch.setattr(cli, "_default_steps_text", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _steps_json(n: int, conclusion: str) -> str:
+    """json.dumps's text of `default_steps(n, conclusion)` as a trace document holds it."""
+    text = json.dumps({"steps": default_steps(n, conclusion)}, indent=2, sort_keys=True)
+    return text[len('{\n  "steps": '):-len("\n}")]
+
+
+def test_default_traces_of_the_corpus_render_like_json_dumps(consulted):
     rendered = 0
     # json.dumps of equal steps, kept per (shape, level, zero text)
     expected = {}
@@ -871,20 +885,22 @@ def test_default_traces_of_the_corpus_render_like_json_dumps():
                     expected[key] = json.dumps(value, indent=2, sort_keys=True)
                 assert render_json(value) == expected[key], (spec, n, shape)
     assert rendered >= 80
-    # every rendering of those steps came from the cached text
-    info = cli._default_steps_text.cache_info()
-    assert info.hits + info.misses == 3 * rendered
+    # render_json writes default steps as any other list
+    assert consulted == []
 
 
-def test_default_steps_with_marks_in_their_conclusion_render_like_json_dumps():
+def test_default_steps_with_marks_in_their_conclusion_render_like_json_dumps(consulted):
     for mark in ["%", "%s", "%d", "%%", "%(a)s", '"\\\n\t', "é😀", "\ud800"]:
         document = _default_trace("Zmod:27", ["3", "3", "3"])
         for step in document["steps"]:
             step["conclusion"] = mark
-        before = cli._default_steps_text.cache_info().misses
         for value in _shapes(document):
             assert render_json(value) == json.dumps(value, indent=2, sort_keys=True), mark
-        assert cli._default_steps_text.cache_info().misses == before + 3, mark
+        assert consulted == [], mark
+        # the text the trace command writes for such steps is json's
+        for n in (2, 3, 4):
+            assert cli._default_steps_text(n, cli._escape(mark)) == _steps_json(n, mark), (mark, n)
+        consulted.clear()
 
 
 def _first_index(steps, key: str, exponent: int) -> tuple[int, int]:
@@ -894,7 +910,7 @@ def _first_index(steps, key: str, exponent: int) -> tuple[int, int]:
 
 
 def _near_misses(steps: list) -> dict:
-    """Changes to a default trace's steps that each leave it off the cached path."""
+    """Changes to a default trace's steps that each leave them unlike any default steps."""
     def exponent(key, value, old):
         def change(steps):
             i, j = _first_index(steps, key, old)
@@ -926,16 +942,14 @@ def _near_misses(steps: list) -> dict:
 
 
 @pytest.mark.parametrize("spec, gens", [("Zmod:16", "2,4,6,8"), ("Zmod:27", "3,3,3")])
-def test_near_default_steps_take_the_general_path(spec, gens):
+def test_near_default_steps_take_the_general_path(spec, gens, consulted):
     cases = _near_misses(_default_trace(spec, gens.split(","))["steps"])
     for name, change in cases.items():
         document = _default_trace(spec, gens.split(","))
         change(document["steps"])
-        before = cli._default_steps_text.cache_info()
         for value in _shapes(document):
             assert render_json(value) == json.dumps(value, indent=2, sort_keys=True), name
-        after = cli._default_steps_text.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses), name
+        assert consulted == [], name
 
 
 class _StrEqualKey:
@@ -963,7 +977,9 @@ def test_a_key_that_only_equals_a_step_key_is_refused_as_json_refuses_it():
             render_json(value)
 
 
-def test_steps_of_another_level_are_refused_before_their_length_is_computed(monkeypatch):
+def test_steps_of_another_level_are_refused_before_their_length_is_computed(
+    monkeypatch, consulted
+):
     levels = []
     real = cli._trace_length
     monkeypatch.setattr(cli, "_trace_length", lambda n: levels.append(n) or real(n))
@@ -972,36 +988,76 @@ def test_steps_of_another_level_are_refused_before_their_length_is_computed(monk
     for steps in ([step], [step, step, step], [long_alpha] * 3):
         for value in (steps, {"steps": steps}):
             _assert_renders_like_json_dumps(value)
-    assert levels == []
-    # the recognizer's level cap is the prover's
-    assert real(cli._MAX_LEVEL) <= MAX_TRACE_STEPS < real(cli._MAX_LEVEL + 1)
+    assert levels == [] and consulted == []
+
+
+def _proved(spec: str, gens: list):
+    ring = build_ring(parse_ring_spec(spec))
+    return prove_radical_power_zero(ring, [ring.parse_value(g) for g in gens])
 
 
 def test_default_trace_text_is_built_once_per_level_indent_and_zero_text():
+    # the trace command's writer builds it, and keeps the four latest texts
     cached = cli._default_steps_text
     cached.cache_clear()
-    document = _default_trace("Zmod:16", ["2", "4", "6", "8"])
+    trace = _proved("Zmod:16", ["2", "4", "6", "8"])
+    document = trace.to_json_dict()
     assert len(document["steps"]) == 1785 > cli._BLOCK_ROWS
 
     def builds():
         return cached.cache_info().misses
 
+    def assert_writes_like_json_dumps(trace):
+        expected = json.dumps(trace.to_json_dict(), indent=2, sort_keys=True)
+        assert cli._trace_text(trace, True) == expected
+
     _assert_renders_like_json_dumps(document)
+    assert cached.cache_info().hits == builds() == 0  # render_json builds none
+    assert_writes_like_json_dumps(trace)
     assert builds() == 1
-    render_json(document)
-    render_json(_default_trace("Zmod:16", ["4", "4", "4", "4"]))  # the same text
+    cli._trace_text(trace, True)
+    assert_writes_like_json_dumps(_proved("Zmod:16", ["4", "4", "4", "4"]))  # the same text
     assert builds() == 1 and cached.cache_info().hits == 2
-    other_zero = _default_trace("Product:[Zmod:4,Zmod:9]", ["(2,3)"] * 4)
-    _assert_renders_like_json_dumps(other_zero)
-    assert builds() == 2
-    _assert_renders_like_json_dumps(document["steps"])  # another indentation
-    assert builds() == 3
-    for spec, gens in [("Zmod:8", ["2", "4", "6"]), ("Zmod:4", ["2", "2"])]:
-        _assert_renders_like_json_dumps(_default_trace(spec, gens))
+    assert_writes_like_json_dumps(_proved("Product:[Zmod:4,Zmod:9]", ["(2,3)"] * 4))
+    assert builds() == 2  # another zero text
+    for spec, gens in [
+        ("Zmod:8", ["2", "4", "6"]),
+        ("Zmod:4", ["2", "2"]),
+        ("Product:[Zmod:4,Zmod:3]", ["(2,0)"] * 3),
+    ]:
+        assert_writes_like_json_dumps(_proved(spec, gens))
     assert builds() == 5
     assert cached.cache_info().currsize == cached.cache_info().maxsize == 4
-    render_json(document)  # its text was the least recently used
+    cli._trace_text(trace, True)  # its text was the least recently used
     assert builds() == 6
+
+
+def test_the_trace_command_writes_what_json_dumps_writes(tmp_path, capsys):
+    # every corpus ring at every level from 1 to 4 its hypothesis holds at,
+    # on stdout and with --out, and one full-machinery trace
+    cases = [("Quotient:{ring:Zmod:36,gens:[18]}", ["6", "12", "6"], True)]
+    for spec in BUILTIN_CORPUS:
+        ring = build_ring(parse_ring_spec(spec))
+        nilpotent = ring.render_value(max(radical(Ideal.zero(ring)).element_values))
+        cases += [(spec, [nilpotent] * n, False) for n in (1, 2, 3, 4)]
+    path = tmp_path / "trace.json"
+    written = {}
+    for spec, gens, full in cases:
+        ring = build_ring(parse_ring_spec(spec))
+        try:
+            trace = prove_radical_power_zero(
+                ring, [ring.parse_value(g) for g in gens], short_circuit=not full
+            )
+        except HypothesisNotSatisfiedError:
+            continue
+        expected = json.dumps(trace.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        argv = ["trace", "--ring", spec, "--gens", ",".join(gens)] + ["--full-machinery"] * full
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected, (spec, gens)
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes() == expected.encode("utf-8"), (spec, gens)
+        written[len(gens)] = written.get(len(gens), 0) + 1
+    assert all(written.get(n, 0) >= 10 for n in (1, 2, 3, 4)), written
 
 
 def test_trace_io_bench_checks_the_text_and_the_replay(capsys, monkeypatch):

@@ -11,8 +11,6 @@ from absorbing_ideals.corpus import BUILTIN_CORPUS
 from absorbing_ideals.errors import HypothesisNotSatisfiedError, ResourceLimitError
 from absorbing_ideals.machinery import _trace_length, default_steps
 
-PAD = "\n  "  # the indentation of a trace document's steps
-
 
 def _default_trace(spec: str, gens: list) -> dict:
     """A fresh default trace document, or None where the prover refuses."""
@@ -171,9 +169,21 @@ def test_levels_outside_2_to_4_and_short_steps_build_no_text(built):
     assert cached.cache_info().hits == cached.cache_info().misses == 0
 
 
+def test_a_full_machinery_trace_builds_no_default_text(built):
+    ring = build_ring(parse_ring_spec("Quotient:{ring:Zmod:36,gens:[18]}"))
+    trace = prove_radical_power_zero(
+        ring, [ring.parse_value(g) for g in ("6", "12", "6")], short_circuit=False
+    )
+    cached = cli._default_steps_text
+    misses = cached.cache_info().misses
+    for text in _writers(trace.to_json_dict()):
+        _assert_reads_like_json(text, built, fast=False)
+    assert cached.cache_info().misses == misses
+
+
 def test_the_length_bound_is_below_every_default_steps_text():
     for n in (2, 3, 4):
-        shortest = cli._default_steps_text(n, PAD, '""')
+        shortest = cli._default_steps_text(n, '""')
         assert len(shortest) >= _trace_length(n) * cli._STEP_BYTES
 
 
@@ -181,12 +191,12 @@ def test_the_length_bound_is_below_every_default_steps_text():
 def test_prover_and_reader_build_the_steps_json_reads_from_the_cached_text(n):
     ring = build_ring(parse_ring_spec(f"Zmod:{2 ** n}"))
     for conclusion in ("0", '%"é'):
-        decoded = json.loads(cli._default_steps_text(n, PAD, cli._escape(conclusion)))
+        decoded = json.loads(cli._default_steps_text(n, cli._escape(conclusion)))
         steps = default_steps(n, conclusion)
         assert steps == decoded
         assert [list(step) for step in steps] == [list(step) for step in decoded]
     proved = prove_radical_power_zero(ring, [ring.parse_value("2")] * n).to_json_dict()["steps"]
-    assert proved == json.loads(cli._default_steps_text(n, PAD, '"0"'))
+    assert proved == json.loads(cli._default_steps_text(n, '"0"'))
     # fresh containers, as json.loads gives: editing one step edits no other
     steps = default_steps(n, "0")
     steps[0]["alpha"].append(9)
