@@ -7,6 +7,9 @@ Each run times, in interpreters of their own:
               perf_counter inside the child
     omega     a whole `python -m absorbing_ideals omega --ring Zmod:12`
               process, timed from outside
+    nested    a whole `omega` process on a `Quotient:{ring:...,gens:[0]}`
+              chain 100 levels deep over Zmod:4, the deepest spec the
+              parser takes, timed from outside
 
 The children inherit this process's environment with PYTHONPATH set to
 the source directory, so bytecode is read or compiled as it is for any
@@ -14,8 +17,8 @@ other process started from the same shell (PYTHONDONTWRITEBYTECODE and
 any __pycache__ apply alike).  With `--src DIR` every run times both
 this checkout's src and DIR, taking turns on which goes first.  Prints
 one line per run and source, then the best and the median milliseconds
-per source.  Exits 1 when an `omega` output differs from the report
-held in this script.
+per source.  Exits 1 when an `omega` or `nested` output differs from the
+report held in this script.
 
     python3 scripts/bench_import.py --runs 25
     python3 scripts/bench_import.py --runs 25 --src /path/to/other/checkout/src
@@ -37,6 +40,8 @@ IMPORT_CHILD = (
     "print((time.perf_counter() - start) * 1e3)\n"
 )
 OMEGA_ARGV = ("-m", "absorbing_ideals", "omega", "--ring", "Zmod:12")
+NESTED_RING = "Quotient:{ring:" * 100 + "Zmod:4" + ",gens:[0]}" * 100
+NESTED_ARGV = ("-m", "absorbing_ideals", "omega", "--ring", NESTED_RING)
 
 
 def _level(n: int, holds: bool, scanned: int, witness) -> dict:
@@ -49,22 +54,30 @@ def _level(n: int, holds: bool, scanned: int, witness) -> dict:
     }
 
 
-OMEGA_REPORT = {
-    "command": "omega",
-    "ideal": "(0)",
-    "report": {
-        "cap": 4,
-        "levels": {
-            "1": _level(1, False, 4, ["2", "6"]),
-            "2": _level(2, False, 2, ["2", "2", "3"]),
-            "3": _level(3, True, 35, None),
+def _omega_text(ring: str, *levels: dict) -> str:
+    """stdout of `omega --ring RING` whose last level is the first that holds."""
+    report = {
+        "command": "omega",
+        "ideal": "(0)",
+        "report": {
+            "cap": 4,
+            "levels": {str(level["n"]): level for level in levels},
+            "omega": levels[-1]["n"],
         },
-        "omega": 3,
-    },
-    "ring": "Zmod:12",
-    "schema": "absorbing-report/1",
-}
-OMEGA_TEXT = json.dumps(OMEGA_REPORT, indent=2, sort_keys=True) + "\n"
+        "ring": ring,
+        "schema": "absorbing-report/1",
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+OMEGA_TEXT = _omega_text(
+    "Zmod:12",
+    _level(1, False, 4, ["2", "6"]),
+    _level(2, False, 2, ["2", "2", "3"]),
+    _level(3, True, 35, None),
+)
+# the chain is the ring Zmod:4 itself
+NESTED_TEXT = _omega_text(NESTED_RING, _level(1, False, 1, ["2", "2"]), _level(2, True, 1, None))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,16 +101,18 @@ def _child(src: str, argv: tuple) -> tuple[float, subprocess.CompletedProcess]:
 
 
 def run_once(src: str) -> dict:
-    """import_ms, omega_ms and whether the omega output is the reference."""
+    """import_ms, omega_ms, nested_ms and the names of the `omega`
+    children whose output is not the reference."""
     _, done = _child(src, ("-c", IMPORT_CHILD))
     if done.returncode != 0:
         raise SystemExit(f"the import child exited {done.returncode}: {done.stderr.strip()}")
-    omega_ms, omega = _child(src, OMEGA_ARGV)
-    return {
-        "import_ms": float(done.stdout),
-        "omega_ms": omega_ms,
-        "same": omega.returncode == 0 and omega.stdout == OMEGA_TEXT,
-    }
+    report = {"import_ms": float(done.stdout), "differs": []}
+    children = (("omega", OMEGA_ARGV, OMEGA_TEXT), ("nested", NESTED_ARGV, NESTED_TEXT))
+    for name, argv, text in children:
+        report[f"{name}_ms"], out = _child(src, argv)
+        if out.returncode != 0 or out.stdout != text:
+            report["differs"].append(name)
+    return report
 
 
 def main(argv=None) -> int:
@@ -106,19 +121,17 @@ def main(argv=None) -> int:
         raise SystemExit("--runs must be at least 1")
     sources = [DEFAULT_SRC] + ([args.src] if args.src else [])
     labels = {src: os.path.relpath(src) for src in sources}
-    times = {src: {"import_ms": [], "omega_ms": []} for src in sources}
+    times = {src: {"import_ms": [], "omega_ms": [], "nested_ms": []} for src in sources}
     bad = 0
     for run in range(1, args.runs + 1):
         for src in sources if run % 2 else sources[::-1]:
             report = run_once(src)
             for key, values in times[src].items():
                 values.append(report[key])
-            bad += not report["same"]
-            verdict = "ok" if report["same"] else "OMEGA OUTPUT DIFFERS"
-            print(
-                f"run {run}: {labels[src]} import_ms {report['import_ms']:.2f} "
-                f"omega_ms {report['omega_ms']:.2f}: {verdict}"
-            )
+            bad += bool(report["differs"])
+            cells = " ".join(f"{key} {report[key]:.2f}" for key in times[src])
+            verdict = " ".join(f"{name.upper()} OUTPUT DIFFERS" for name in report["differs"])
+            print(f"run {run}: {labels[src]} {cells}: {verdict or 'ok'}")
     for name, pick in (("best", min), ("median", statistics.median)):
         for src in sources:
             cells = " ".join(f"{key} {pick(values):.2f}" for key, values in times[src].items())

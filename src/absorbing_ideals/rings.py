@@ -106,23 +106,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def descriptor_size(desc: RingDescriptor) -> int:
-    """Element count a descriptor would produce, without building it."""
-    if isinstance(desc, ZMod):
-        return desc.n
-    if isinstance(desc, PolyQuot):
-        return desc.p ** (len(desc.modulus) - 1)
-    if isinstance(desc, Product):
-        out = 1
-        for f in desc.factors:
-            out *= descriptor_size(f)
-        return out
-    if isinstance(desc, Quotient):
-        # exact size needs the ideal; the base size is an upper bound
-        return descriptor_size(desc.base)
-    raise TypeError(f"not a ring descriptor: {desc!r}")
-
-
 # ---------------------------------------------------------------------------
 # ring base class
 
@@ -608,13 +591,20 @@ def generated_ideal_values(ring: Ring, generator_values: Iterable) -> frozenset:
 # construction
 
 
-def validate_descriptor(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> None:
-    """Raise RingBuildError naming the first violated constraint."""
+def validate_descriptor(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> int:
+    """Element count of a descriptor; raise RingBuildError naming the
+    first violated constraint, children before their parent.
+
+    A quotient counts as its base: its exact size needs the ideal, and
+    the base size is an upper bound.
+    """
     if isinstance(desc, ZMod):
         if desc.n < 2:
             raise RingBuildError(f"modulus must be at least 2, got {desc.n}")
+        size = desc.n
     elif isinstance(desc, PolyQuot):
-        if not _is_prime(desc.p):
+        # a characteristic over the cap is refused below in any case
+        if desc.p <= max_size and not _is_prime(desc.p):
             raise RingBuildError(f"characteristic must be prime, got {desc.p}")
         if len(desc.modulus) < 2:
             raise RingBuildError("modulus must have degree at least 1")
@@ -627,18 +617,18 @@ def validate_descriptor(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_S
                 raise RingBuildError(
                     f"modulus coefficient {c!r} outside [0, {desc.p})"
                 )
+        size = desc.p ** (len(desc.modulus) - 1)
     elif isinstance(desc, Product):
         if not desc.factors:
             raise RingBuildError("product needs at least one factor")
-        for f in desc.factors:
-            validate_descriptor(f, max_size)
+        size = math.prod(validate_descriptor(f, max_size) for f in desc.factors)
     elif isinstance(desc, Quotient):
-        validate_descriptor(desc.base, max_size)
+        size = validate_descriptor(desc.base, max_size)
     else:
         raise RingBuildError(f"not a ring descriptor: {desc!r}")
-    size = descriptor_size(desc)
     if size > max_size:
         raise RingBuildError(f"ring size {size} exceeds the cap {max_size}")
+    return size
 
 
 def build_ring(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> Ring:
@@ -649,15 +639,25 @@ def build_ring(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> R
     or absorbing scans.
     """
     validate_descriptor(desc, max_size)
-    if isinstance(desc, ZMod):
-        return ZModRing(desc.n)
-    if isinstance(desc, PolyQuot):
-        return PolyQuotRing(desc.p, desc.modulus)
-    if isinstance(desc, Product):
-        return ProductRing([build_ring(f, max_size) for f in desc.factors])
-    base = build_ring(desc.base, max_size)
-    ideal_values = generated_ideal_values(base, desc.generators)
-    return QuotientRing(base, ideal_values)
+    return _build_valid(desc, {})
+
+
+def _build_valid(desc: RingDescriptor, built: dict) -> Ring:
+    """Ring of a validated descriptor; `built` maps the id of each
+    descriptor already built in this call or parse to its ring."""
+    ring = built.get(id(desc))
+    if ring is None:
+        if isinstance(desc, ZMod):
+            ring = ZModRing(desc.n)
+        elif isinstance(desc, PolyQuot):
+            ring = PolyQuotRing(desc.p, desc.modulus)
+        elif isinstance(desc, Product):
+            ring = ProductRing([_build_valid(f, built) for f in desc.factors])
+        else:
+            base = _build_valid(desc.base, built)
+            ring = QuotientRing(base, generated_ideal_values(base, desc.generators))
+        built[id(desc)] = ring
+    return ring
 
 
 def quotient_ring(ring: Ring, ideal) -> QuotientRing:

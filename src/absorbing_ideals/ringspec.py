@@ -12,8 +12,9 @@ generators are written in the element syntax of the base ring, e.g.
 plain residues for Zmod, "[c0,c1]" for polynomial rings, "(a,b)" for
 products.  Parsing also validates the descriptor, so a spec that parses
 satisfies all structural constraints including the size cap.  It builds
-only the base ring of a quotient, to read its generators; `build_ring`
-then builds the ring itself, and refuses a quotient by the unit ideal.
+only each quotient's base ring, once per parse, to read its generators;
+`build_ring` then builds the ring itself, and refuses a quotient by the
+unit ideal.
 A spec nested more than `MAX_SPEC_DEPTH` levels deep is refused as it is
 read, so the ring's building and rendering recurse far less deeply than
 Python allows.
@@ -31,7 +32,7 @@ from .rings import (
     Ring,
     RingDescriptor,
     ZMod,
-    build_ring,
+    _build_valid,
     split_top_level,
     validate_descriptor,
 )
@@ -104,7 +105,7 @@ class _Cursor:
         return self.text.startswith(literal, self.pos)
 
 
-def _parse_spec(cursor: _Cursor, max_size: int, depth: int = 0) -> RingDescriptor:
+def _parse_spec(cursor: _Cursor, max_size: int, built: dict, depth: int = 0) -> RingDescriptor:
     if depth > MAX_SPEC_DEPTH:
         raise ParseError("ring spec is nested too deeply to parse")
     start = cursor.pos
@@ -130,22 +131,23 @@ def _parse_spec(cursor: _Cursor, max_size: int, depth: int = 0) -> RingDescripto
         return PolyQuot(p, tuple(coeffs))
     if kind == "Product":
         cursor.expect("[")
-        factors = [_parse_spec(cursor, max_size, depth + 1)]
+        factors = [_parse_spec(cursor, max_size, built, depth + 1)]
         while cursor.peek_is(","):
             cursor.expect(",")
-            factors.append(_parse_spec(cursor, max_size, depth + 1))
+            factors.append(_parse_spec(cursor, max_size, built, depth + 1))
         cursor.expect("]")
         return Product(tuple(factors))
     if kind == "Quotient":
         cursor.expect("{")
         cursor.expect("ring")
         cursor.expect(":")
-        base = _parse_spec(cursor, max_size, depth + 1)
+        base = _parse_spec(cursor, max_size, built, depth + 1)
         cursor.expect(",")
         cursor.expect("gens")
         cursor.expect(":")
         cursor.expect("[")
-        base_ring = build_ring(base, max_size)
+        validate_descriptor(base, max_size)
+        base_ring = _build_valid(base, built)
         gens = []
         if not cursor.peek_is("]"):
             while True:
@@ -167,11 +169,11 @@ def _parse_spec(cursor: _Cursor, max_size: int, depth: int = 0) -> RingDescripto
 
 
 def parse_ring_spec(text: str, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingDescriptor:
-    """Parse a ring spec and validate its descriptor without building it."""
+    """Parse and validate a ring spec; of its rings, build each quotient's base once."""
     if not isinstance(text, str):
         raise ParseError(f"ring spec must be text, got {type(text).__name__}")
     cursor = _Cursor(text)
-    descriptor = _parse_spec(cursor, max_size)
+    descriptor = _parse_spec(cursor, max_size, {})
     if not cursor.at_end():
         raise ParseError("unexpected trailing text", position=cursor.pos)
     validate_descriptor(descriptor, max_size)

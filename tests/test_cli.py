@@ -503,15 +503,26 @@ def test_deeply_nested_input_is_a_usage_error(argv, what, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _quotient_chain(depth: int) -> str:
+    spec = "Zmod:4"
+    for _ in range(depth):
+        spec = f"Quotient:{{ring:{spec},gens:[0]}}"
+    return spec
+
+
 def test_a_ring_spec_nested_to_the_cap_runs_every_command(tmp_path, capsys):
-    ring = _nested_ring(MAX_SPEC_DEPTH).replace("Zmod:2", "Zmod:4")
-    code, payload = run_cli(capsys, "omega", "--ring", ring, "--cap", "3")
-    assert (code, payload["ring"], payload["report"]["omega"]) == (0, ring, 2)
-    two = "(" * MAX_SPEC_DEPTH + "2" + ")" * MAX_SPEC_DEPTH
-    trace_path = tmp_path / "trace.json"
-    assert main(["trace", "--ring", ring, "--gens", f"{two},{two}", "--out", str(trace_path)]) == 0
-    code, payload = run_cli(capsys, "verify-trace", str(trace_path))
-    assert (code, payload["ok"]) == (0, True)
+    product = _nested_ring(MAX_SPEC_DEPTH).replace("Zmod:2", "Zmod:4")
+    for ring, two in [
+        (product, "(" * MAX_SPEC_DEPTH + "2" + ")" * MAX_SPEC_DEPTH),
+        (_quotient_chain(MAX_SPEC_DEPTH), "2"),
+    ]:
+        code, payload = run_cli(capsys, "omega", "--ring", ring, "--cap", "3")
+        assert (code, payload["ring"], payload["report"]["omega"]) == (0, ring, 2)
+        trace_path = tmp_path / "trace.json"
+        argv = ["trace", "--ring", ring, "--gens", f"{two},{two}", "--out", str(trace_path)]
+        assert main(argv) == 0
+        code, payload = run_cli(capsys, "verify-trace", str(trace_path))
+        assert (code, payload["ok"]) == (0, True)
 
 
 def test_unwritable_out_reports_the_error_on_stdout(tmp_path, capsys):
@@ -1094,17 +1105,24 @@ def test_import_bench_checks_the_omega_output(capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_import", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    assert main(list(bench.OMEGA_ARGV[2:])) == 0
-    assert capsys.readouterr().out == bench.OMEGA_TEXT
+    for argv, text in [(bench.OMEGA_ARGV, bench.OMEGA_TEXT),
+                       (bench.NESTED_ARGV, bench.NESTED_TEXT)]:
+        assert main(list(argv[2:])) == 0
+        assert capsys.readouterr().out == text
     assert bench.main(["--runs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("run 1: ") and lines[0].endswith(" ok")
     for line, start in zip(lines, ("run 1: ", "best of 1: ", "median of 1: ")):
-        assert line.startswith(start) and " import_ms " in line and " omega_ms " in line
+        assert line.startswith(start)
+        assert " import_ms " in line and " omega_ms " in line and " nested_ms " in line
     monkeypatch.setattr(bench, "OMEGA_TEXT", bench.OMEGA_TEXT.replace('"omega": 3', '"omega": 2'))
     assert bench.main(["--runs", "1"]) == 1
-    assert "OMEGA OUTPUT DIFFERS" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[0].endswith(": OMEGA OUTPUT DIFFERS")
+    monkeypatch.undo()
+    monkeypatch.setattr(bench, "NESTED_TEXT", bench.NESTED_TEXT.replace('"omega": 2', '"omega": 1'))
+    assert bench.main(["--runs", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[0].endswith(": NESTED OUTPUT DIFFERS")
 
 
 def _command_parsers(parser) -> dict:

@@ -23,7 +23,6 @@ from absorbing_ideals import (
 )
 from absorbing_ideals.rings import (
     MEMO_MAX_SIZE,
-    descriptor_size,
     generated_ideal_values,
     ideal_sum_values,
     principal_ideal_values,
@@ -167,9 +166,12 @@ def test_validate_descriptor_errors():
 
 
 def test_descriptor_size():
-    assert descriptor_size(ZMod(9)) == 9
-    assert descriptor_size(PolyQuot(3, (0, 0, 0, 1))) == 27
-    assert descriptor_size(Product((ZMod(4), ZMod(3)))) == 12
+    assert validate_descriptor(ZMod(9)) == 9
+    assert validate_descriptor(PolyQuot(3, (0, 0, 0, 1))) == 27
+    assert validate_descriptor(Product((ZMod(4), ZMod(3)))) == 12
+    # a quotient counts as its base, an upper bound on its size
+    assert validate_descriptor(Quotient(ZMod(12), (4,))) == 12
+    assert validate_descriptor(Product((ZMod(2), Product((ZMod(3), PolyQuot(2, (1, 1, 1))))))) == 24
 
 
 def test_build_ring_is_fresh_and_hashable():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from absorbing_ideals import (
     Ideal,
+    ImproperIdealError,
     ParseError,
     PolyQuot,
     Product,
@@ -18,6 +19,7 @@ from absorbing_ideals import (
     prove_radical_power_zero,
     render_ring_spec,
 )
+from absorbing_ideals import rings, ringspec
 from absorbing_ideals.ringspec import MAX_SPEC_DEPTH
 
 
@@ -92,13 +94,101 @@ def _wrapped(wrap: str, depth: int) -> str:
     return spec
 
 
+QUOTIENT_CHAIN = _wrapped("Quotient:{{ring:{},gens:[0]}}", MAX_SPEC_DEPTH)
+
+
+def _product_quotient_chain(pairs: int) -> str:
+    spec = "Zmod:4"
+    for k in range(1, pairs + 1):
+        spec = f"Quotient:{{ring:Product:[{spec}],gens:[{'(' * k}0{')' * k}]}}"
+    return spec
+
+
 def test_specs_nest_up_to_the_depth_cap():
-    spec = _wrapped("Product:[{}]", MAX_SPEC_DEPTH)
-    assert render_ring_spec(build_ring(parse_ring_spec(spec))) == spec
+    for spec in [
+        _wrapped("Product:[{}]", MAX_SPEC_DEPTH),
+        QUOTIENT_CHAIN,
+        _product_quotient_chain(MAX_SPEC_DEPTH // 2),
+    ]:
+        assert render_ring_spec(build_ring(parse_ring_spec(spec))) == spec
     # a quotient is a level too; nothing is built before the refusal
     for wrap in ["Product:[{}]", "Quotient:{{ring:{},gens:[0]}}", "Product:[Zmod:2,{}]"]:
         with pytest.raises(ParseError, match="^ring spec is nested too deeply to parse$"):
             parse_ring_spec(_wrapped(wrap, MAX_SPEC_DEPTH + 1))
+
+
+@pytest.mark.parametrize("spec, limits", [
+    (QUOTIENT_CHAIN, (201, 5252)),
+    (_wrapped("Product:[{}]", MAX_SPEC_DEPTH), (101, 202)),
+], ids=["quotient", "product"])
+def test_a_nested_spec_is_built_and_validated_in_linear_work(spec, limits, monkeypatch):
+    # each quotient's base is validated and built as the parser reaches
+    # its generators, from the rings already built below it
+    counts = {"builds": 0, "validations": 0}
+    real_init, real_validate = rings.Ring.__init__, rings.validate_descriptor
+
+    def counted_init(self, *args):
+        counts["builds"] += 1
+        real_init(self, *args)
+
+    def counted_validate(*args):
+        counts["validations"] += 1
+        return real_validate(*args)
+
+    monkeypatch.setattr(rings.Ring, "__init__", counted_init)
+    monkeypatch.setattr(rings, "validate_descriptor", counted_validate)
+    monkeypatch.setattr(ringspec, "validate_descriptor", counted_validate)
+    build_ring(parse_ring_spec(spec))
+    assert counts["builds"] <= limits[0] and counts["validations"] <= limits[1]
+
+
+# The first error of a spec with more than one fault: parse faults, then
+# faults of a quotient's base as the parser reaches its generators, then
+# structural faults in post-order, then quotients by the unit ideal.
+@pytest.mark.parametrize("spec, error, message", [
+    ("Product:[Zmod:1,Zmod:x]", ParseError, "expected an integer (at position 21)"),
+    ("Product:[Zmod:5000,Zmod:1]", RingBuildError, "ring size 5000 exceeds the cap 4096"),
+    ("Product:[Quotient:{ring:Zmod:4,gens:[1]},Zmod:1]", RingBuildError,
+     "modulus must be at least 2, got 1"),
+    ("Product:[Quotient:{ring:Zmod:4,gens:[1]},Zmod:x]", ParseError,
+     "expected an integer (at position 46)"),
+    ("Quotient:{ring:Product:[Quotient:{ring:Zmod:4,gens:[1]},Zmod:1],gens:[(0,0)]}",
+     RingBuildError, "modulus must be at least 2, got 1"),
+    ("Quotient:{ring:Product:[Quotient:{ring:Zmod:4,gens:[1]},Zmod:2],gens:[(0,0)]}",
+     ImproperIdealError, "quotient by the unit ideal would be the zero ring"),
+    ("Quotient:{ring:Zmod:4,gens:[1]} x", ParseError, "unexpected trailing text (at position 32)"),
+    ("Product:[Quotient:{ring:Zmod:4096,gens:[2]},Zmod:2]", RingBuildError,
+     "ring size 8192 exceeds the cap 4096"),
+    ("Quotient:{ring:Zmod:1,gens:[x]}", RingBuildError, "modulus must be at least 2, got 1"),
+    ("Quotient:{ring:Zmod:4,gens:[5]}", ParseError, "residue 5 outside [0, 4)"),
+    ("Product:[Zmod:1,Quotient:{ring:Zmod:1,gens:[0]}]", RingBuildError,
+     "modulus must be at least 2, got 1"),
+    ("Product:[Zmod:1,Quotient:{ring:Zmod:4,gens:[9]}]", ParseError, "residue 9 outside [0, 4)"),
+    ("Product:[Zmod:4096,Quotient:{ring:Zmod:4,gens:[9]}]", ParseError,
+     "residue 9 outside [0, 4)"),
+    ("Quotient:{ring:Quotient:{ring:Zmod:4,gens:[1]},gens:[0]}", ImproperIdealError,
+     "quotient by the unit ideal would be the zero ring"),
+    ("Quotient:{ring:Product:[Zmod:64,Zmod:128],gens:[(0,0)]}", RingBuildError,
+     "ring size 8192 exceeds the cap 4096"),
+    ("Product:[PolyQuot:{p:4,poly:[0,1]},Zmod:1]", RingBuildError,
+     "characteristic must be prime, got 4"),
+    ("Product:[Zmod:1,Product:[]]", ParseError, "expected a name (at position 25)"),
+    ("PolyQuot:{p:4,poly:[0,2]}", RingBuildError, "characteristic must be prime, got 4"),
+    ("PolyQuot:{p:8191,poly:[0,1]}", RingBuildError, "ring size 8191 exceeds the cap 4096"),
+])
+def test_the_first_of_several_faults_is_reported(spec, error, message):
+    with pytest.raises(error) as caught:
+        build_ring(parse_ring_spec(spec))
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_a_characteristic_over_the_cap_is_not_factored(monkeypatch):
+    def refuse(p):
+        raise AssertionError(f"trial division of {p}")
+
+    monkeypatch.setattr(rings, "_is_prime", refuse)
+    with pytest.raises(RingBuildError, match=r"^ring size \d+ exceeds the cap 4096$"):
+        parse_ring_spec("PolyQuot:{p:618970019642690137449562111,poly:[0,1]}")
 
 
 def test_nested_quotient_spec():
