@@ -11,28 +11,24 @@ Each run times, in interpreters of their own:
               chain 100 levels deep over Zmod:4, the deepest spec the
               parser takes, timed from outside
 
-The children inherit this process's environment with PYTHONPATH set to
-the source directory, so bytecode is read or compiled as it is for any
-other process started from the same shell (PYTHONDONTWRITEBYTECODE and
-any __pycache__ apply alike).  With `--src DIR` every run times both
-this checkout's src and DIR, taking turns on which goes first.  Prints
-one line per run and source, then the best and the median milliseconds
-per source.  Exits 1 when an `omega` or `nested` output differs from the
-report held in this script.
+The children inherit this process's environment, so bytecode is read or
+compiled as it is for any other process started from the same shell
+(PYTHONDONTWRITEBYTECODE and any __pycache__ apply alike).  `--src DIR`
+times DIR in turns with this checkout (see harness.py).  Prints one line
+per run and source, then the best and the median milliseconds per
+source.  Exits 1 when a child fails or an `omega` or `nested` output
+differs from the report held in this script.
 
     python3 scripts/bench_import.py --runs 25
     python3 scripts/bench_import.py --runs 25 --src /path/to/other/checkout/src
 """
 
-import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
-import time
 
-DEFAULT_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+import harness
+
 IMPORT_CHILD = (
     "import time\n"
     "start = time.perf_counter()\n"
@@ -80,62 +76,33 @@ OMEGA_TEXT = _omega_text(
 NESTED_TEXT = _omega_text(NESTED_RING, _level(1, False, 1, ["2", "2"]), _level(2, True, 1, None))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--runs", type=int, default=10, help="runs per source directory (default: 10)"
-    )
-    parser.add_argument(
-        "--src",
-        help="another absorbing_ideals source directory to time, interleaved with this checkout's",
-    )
-    return parser
-
-
-def _child(src: str, argv: tuple) -> tuple[float, subprocess.CompletedProcess]:
-    """Wall milliseconds and outcome of one fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
-    return (time.perf_counter() - start) * 1e3, done
-
-
 def run_once(src: str) -> dict:
     """import_ms, omega_ms, nested_ms and the names of the `omega`
     children whose output is not the reference."""
-    _, done = _child(src, ("-c", IMPORT_CHILD))
-    if done.returncode != 0:
-        raise SystemExit(f"the import child exited {done.returncode}: {done.stderr.strip()}")
-    report = {"import_ms": float(done.stdout), "differs": []}
+    report = {"import_ms": float(harness.run_child(src, "-c", IMPORT_CHILD)[2]), "differs": []}
     children = (("omega", OMEGA_ARGV, OMEGA_TEXT), ("nested", NESTED_ARGV, NESTED_TEXT))
     for name, argv, text in children:
-        report[f"{name}_ms"], out = _child(src, argv)
-        if out.returncode != 0 or out.stdout != text:
+        wall, _, out = harness.run_child(src, *argv)
+        report[f"{name}_ms"] = wall * 1e3
+        if out != text:
             report["differs"].append(name)
     return report
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.runs < 1:
-        raise SystemExit("--runs must be at least 1")
-    sources = [DEFAULT_SRC] + ([args.src] if args.src else [])
-    labels = {src: os.path.relpath(src) for src in sources}
-    times = {src: {"import_ms": [], "omega_ms": [], "nested_ms": []} for src in sources}
+    args = harness.parse_args(__doc__, 10, argv)
+    times = {src: {"import_ms": [], "omega_ms": [], "nested_ms": []} for src in args.sources}
     bad = 0
-    for run in range(1, args.runs + 1):
-        for src in sources if run % 2 else sources[::-1]:
-            report = run_once(src)
-            for key, values in times[src].items():
-                values.append(report[key])
-            bad += bool(report["differs"])
-            cells = " ".join(f"{key} {report[key]:.2f}" for key in times[src])
-            verdict = " ".join(f"{name.upper()} OUTPUT DIFFERS" for name in report["differs"])
-            print(f"run {run}: {labels[src]} {cells}: {verdict or 'ok'}")
-    for name, pick in (("best", min), ("median", statistics.median)):
-        for src in sources:
-            cells = " ".join(f"{key} {pick(values):.2f}" for key, values in times[src].items())
-            print(f"{name} of {args.runs}: {labels[src]} {cells}")
+    for run, src in harness.turns(args.sources, args.runs):
+        report = run_once(src)
+        for key, values in times[src].items():
+            values.append(report[key])
+        bad += bool(report["differs"])
+        cells = " ".join(f"{key} {report[key]:.2f}" for key in times[src])
+        verdict = " ".join(f"{name.upper()} OUTPUT DIFFERS" for name in report["differs"])
+        print(f"run {run}: {harness.label(src)} {cells}: {verdict or 'ok'}")
+    harness.summarize(f"best of {args.runs}", min, times, ".2f")
+    harness.summarize(f"median of {args.runs}", statistics.median, times, ".2f")
     return 1 if bad else 0
 
 

@@ -11,27 +11,26 @@ calls per case, emptying the ring's scan memo and its unit generators
 before each call, so every call builds the generators, finds the scan
 candidates and scans again.
 
-It prints one line per run with its total, then one line per case: the
-multisets the scan counts, how many of them are multiplied out one by
-one (those with no product of their first k <= n factors in the ideal;
-the others are skipped in blocks), and the median milliseconds over
-runs.  Exits 1 when some `(holds, witness, tuples_scanned)` differs from
-a plain combinations_with_replacement scan over the same candidates,
-or the candidates differ from the class minima found by multiplying each
-one by every unit, both done in the script.
+It prints one line per run and source with its total, then one line per
+case: the multisets the scan counts, how many of them are multiplied out
+one by one (those with no product of their first k <= n factors in the
+ideal; the others are skipped in blocks), and the median milliseconds
+over runs of each source.  `--src DIR` times DIR in turns with this
+checkout (see harness.py).  Exits 1 when some `(holds, witness,
+tuples_scanned)` differs from a plain combinations_with_replacement scan
+over the same candidates, or the candidates differ from the class minima
+found by multiplying each one by every unit, both done in the script.
 
     python3 scripts/bench_scan.py --runs 5
     python3 scripts/bench_scan.py --src /path/to/other/checkout/src
 """
 
-import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 
-DEFAULT_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+import harness
+
 REPEATS = 5  # timed calls of each case per interpreter
 
 # (ring, ideal generators, levels)
@@ -118,19 +117,6 @@ print(json.dumps(out))
 """
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--runs", type=int, default=5, help="fresh interpreters to time (default: 5)"
-    )
-    parser.add_argument(
-        "--src",
-        default=DEFAULT_SRC,
-        help="absorbing_ideals source directory to run (default: this checkout's src)",
-    )
-    return parser
-
-
 def cases() -> list:
     """[spec, generators, n] for every timed scan, in print order."""
     return [[spec, list(gens), n] for spec, gens, levels in CASES for n in levels]
@@ -138,44 +124,37 @@ def cases() -> list:
 
 def run_once(src: str) -> list:
     """The child's per-case reports from one fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = [sys.executable, "-c", CHILD, json.dumps(cases()), str(REPEATS)]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"the timed child exited {done.returncode}: {done.stderr.strip()}")
-    return json.loads(done.stdout)
+    return json.loads(harness.run_child(src, "-c", CHILD, json.dumps(cases()), str(REPEATS))[2])
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.runs < 1:
-        raise SystemExit("--runs must be at least 1")
-    per_case = [[] for _ in cases()]
-    totals = []
-    bad = set()
-    for run in range(1, args.runs + 1):
-        reports = run_once(args.src)
-        for i, report in enumerate(reports):
-            per_case[i].append(statistics.median(report["ms"]))
-            if report["got"] != report["expected"] or not report["candidates_ok"]:
-                bad.add(i)
-        totals.append(sum(times[-1] for times in per_case))
-        print(f"run {run}: total_ms {totals[-1]:.2f}")
+    args = harness.parse_args(__doc__, 5, argv)
+    per_case = {src: [[] for _ in cases()] for src in args.sources}
+    totals = {src: {"total_ms": []} for src in args.sources}
+    last, bad = {}, {}
+    for run, src in harness.turns(args.sources, args.runs):
+        last[src] = run_once(src)
+        for i, report in enumerate(last[src]):
+            per_case[src][i].append(statistics.median(report["ms"]))
+            if not report["candidates_ok"]:
+                bad[src, i] = " MISMATCH candidates differ from the all-units class minima"
+            elif report["got"] != report["expected"]:
+                bad[src, i] = f" MISMATCH got {report['got']} plain {report['expected']}"
+        totals[src]["total_ms"].append(sum(times[-1] for times in per_case[src]))
+        print(f"run {run}: {harness.label(src)} total_ms {totals[src]['total_ms'][-1]:.2f}")
     width = max(len(f"{spec} ({','.join(gens) or '0'})") for spec, gens, _ in cases())
     for i, (spec, gens, n) in enumerate(cases()):
-        label = f"{spec} ({','.join(gens) or '0'})"
-        verdict = (
-            f"MISMATCH got {reports[i]['got']} plain {reports[i]['expected']}"
-            if reports[i]["candidates_ok"]
-            else "MISMATCH candidates differ from the all-units class minima"
+        case = f"{spec} ({','.join(gens) or '0'})"
+        first = last[args.sources[0]][i]
+        medians = "".join(
+            f" {harness.label(src)} {statistics.median(per_case[src][i]):7.3f}{bad.get((src, i), '')}"
+            for src in args.sources
         )
         print(
-            f"{label:<{width}} n={n} multisets {reports[i]['expected'][2]:>5}"
-            f" multiplied {reports[i]['multiplied']:>5}"
-            f" median_ms {statistics.median(per_case[i]):7.3f}"
-            + (f" {verdict}" if i in bad else "")
+            f"{case:<{width}} n={n} multisets {first['expected'][2]:>5}"
+            f" multiplied {first['multiplied']:>5} median_ms{medians}"
         )
-    print(f"median of {args.runs}: total_ms {statistics.median(totals):.2f}")
+    harness.summarize(f"median of {args.runs}", statistics.median, totals, ".2f")
     return 1 if bad else 0
 
 

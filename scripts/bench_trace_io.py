@@ -33,26 +33,26 @@ caches are filled, and times REPEATS calls of each other layer in turn:
     loads         json.loads of the rendered text
     verify        verify_trace of the loaded document
 
-For each trace it prints one line per run with the median of its calls
-per layer, then the median over runs.  The text layers (render_first,
-render, read_first, read, loads) run outside every function the
-perfbench tracer wraps, so its spans do not show them.  Exits 1 when the
-first or a repeated write differs from json.dumps(indent=2,
-sort_keys=True) of the trace document, the first or a repeated read
-differs from json.loads of the same text, or the replay is not ok.
+For each trace it prints one line per run and source with the median of
+its calls per layer, then the median over runs per source.  `--src DIR`
+times DIR in turns with this checkout (see harness.py).  The text layers
+(render_first, render, read_first, read, loads) run outside every
+function the perfbench tracer wraps, so its spans do not show them.
+Exits 1 when the first or a repeated write differs from
+json.dumps(indent=2, sort_keys=True) of the trace document, the first or
+a repeated read differs from json.loads of the same text, or the replay
+is not ok.
 
     python3 scripts/bench_trace_io.py --runs 5
     python3 scripts/bench_trace_io.py --src /path/to/other/checkout/src
 """
 
-import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 
-DEFAULT_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+import harness
+
 LAYERS = ("prove", "render_first", "render", "read_first", "read", "loads", "verify")
 REPEATS = 7  # timed calls of each layer per interpreter
 # (ring spec, generators, full machinery)
@@ -109,53 +109,30 @@ print(json.dumps(out))
 """
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--runs", type=int, default=5, help="fresh interpreters to time (default: 5)"
-    )
-    parser.add_argument(
-        "--src",
-        default=DEFAULT_SRC,
-        help="absorbing_ideals source directory to run (default: this checkout's src)",
-    )
-    return parser
-
-
 def run_once(src: str, spec: str, gens: str, full: bool) -> dict:
     """The child's report of one fresh interpreter timing one trace."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = [sys.executable, "-c", CHILD, str(REPEATS), spec, gens, "full" if full else "default"]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"the timed child exited {done.returncode}: {done.stderr.strip()}")
-    return json.loads(done.stdout)
-
-
-def _line(label: str, medians: dict, trace: str) -> str:
-    return label + " ".join(f"{layer}_ms {medians[layer]:.2f}" for layer in LAYERS) + f" on {trace}"
+    mode = "full" if full else "default"
+    return json.loads(harness.run_child(src, "-c", CHILD, str(REPEATS), spec, gens, mode)[2])
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.runs < 1:
-        raise SystemExit("--runs must be at least 1")
+    args = harness.parse_args(__doc__, 5, argv)
     bad = 0
     for spec, gens, full in TRACES:
         trace = f"{spec} {gens}" + (" full" if full else "")
-        per_run = {layer: [] for layer in LAYERS}
-        for run in range(1, args.runs + 1):
-            report = run_once(args.src, spec, gens, full)
-            medians = {layer: statistics.median(report[layer]) for layer in LAYERS}
-            for layer in LAYERS:
-                per_run[layer].append(medians[layer])
+        per_run = {src: {f"{layer}_ms": [] for layer in LAYERS} for src in args.sources}
+        for run, src in harness.turns(args.sources, args.runs):
+            report = run_once(src, spec, gens, full)
+            medians = {f"{layer}_ms": statistics.median(report[layer]) for layer in LAYERS}
+            for key, value in medians.items():
+                per_run[src][key].append(value)
             checks = ("ok", "same_text", "same_document")
             good = all(report[check] for check in checks)
             bad += not good
             verdict = "ok" if good else " ".join(f"{check} {report[check]}" for check in checks)
-            print(_line(f"run {run}: ", medians, trace) + f": {verdict}")
-        overall = {layer: statistics.median(values) for layer, values in per_run.items()}
-        print(_line(f"median of {args.runs}: ", overall, trace))
+            cells = " ".join(f"{key} {value:.2f}" for key, value in medians.items())
+            print(f"run {run} on {trace}: {harness.label(src)} {cells}: {verdict}")
+        harness.summarize(f"median of {args.runs} on {trace}", statistics.median, per_run, ".2f")
     return 1 if bad else 0
 
 

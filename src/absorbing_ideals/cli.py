@@ -58,7 +58,7 @@ from .corpus import (
     run_battery,
     trace_survey,
 )
-from .errors import ERRORS, ParseError, error_kind
+from .errors import ERRORS, ParseError, ResourceLimitError, error_kind
 from .machinery import (
     _INT_ONLY,
     _trace_length,
@@ -250,7 +250,7 @@ def _run_corpus_scan(args, report: _Report):
         trace_surveys=surveys,
         ok=not (limited or failed),
     )
-    return (1 if failed else 3 if limited else 0), report
+    return (1 if failed else error_kind(ResourceLimitError)[1] if limited else 0), report
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 from .errors import ResourceLimitError
 from .rings import (
     Ring,
+    checked_value,
     generated_ideal_values,
     ideal_sum_values,
     principal_ideal_values,
@@ -189,6 +190,7 @@ def ideal_power(ideal: Ideal, k: int) -> Ideal:
 def colon(ideal: Ideal, x) -> Ideal:
     """Colon ideal: all r with r * x in the ideal."""
     ring = ideal.ring
+    checked_value(ring, x)
     members = [
         v for v in ring.iter_values() if ring.mul_values(v, x) in ideal.element_values
     ]

@@ -570,16 +570,21 @@ def ideal_sum_values(ring: Ring, left: frozenset, right: frozenset) -> frozenset
     return frozenset(out)
 
 
+def checked_value(ring: Ring, value):
+    """`value`, once it is an element of `ring`; a memoised ring's
+    arithmetic would answer a non-element from some other cell."""
+    if not ring.contains_value(value):
+        raise ValueError(f"{value!r} is not an element of {ring}")
+    return value
+
+
 def generated_ideal_values(ring: Ring, generator_values: Iterable) -> frozenset:
     """Element set of the ideal generated by the given values.
 
     The sum of the generators' principal ideals, skipping a generator
     already in it.  Every value is checked before any is multiplied.
     """
-    gens = list(generator_values)
-    for g in gens:
-        if not ring.contains_value(g):
-            raise ValueError(f"{g!r} is not an element of {ring}")
+    gens = [checked_value(ring, g) for g in generator_values]
     out = frozenset({ring.zero_value})
     for g in gens:
         if g not in out:

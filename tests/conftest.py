@@ -1,4 +1,6 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,6 +13,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("deterministic")
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -40,3 +44,18 @@ def small_ring_specs():
         "Product:[Zmod:2,Zmod:4]",
         "Quotient:{ring:Zmod:12,gens:[6]}",
     ]
+
+
+@pytest.fixture
+def load_script(monkeypatch):
+    """Load `scripts/NAME.py` by path as a module.  `scripts/` goes on
+    sys.path first, so the script imports `harness` as it does when run."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+
+    def load(name: str):
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

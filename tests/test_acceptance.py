@@ -325,11 +325,15 @@ def test_criterion_10_deterministic_reports(tmp_path):
     assert payload["ok"] is True
 
 
-def test_corpus_scan_bench_checks_criterion_10s_digest():
-    import importlib.util
-
-    path = Path(__file__).parent.parent / "scripts" / "bench_corpus_scan.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus_scan", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+def test_corpus_scan_bench_checks_criterion_10s_digest(capsys, monkeypatch, load_script):
+    bench = load_script("bench_corpus_scan")
     assert bench.CORPUS_SCAN_SEED_7_SHA256 == CORPUS_SCAN_SEED_7_SHA256
+
+    def other_report(src, *argv):
+        Path(argv[-1]).write_text("{}")
+        return 1.0, 1.0, ""
+
+    # a report with another digest makes the run exit 1
+    monkeypatch.setattr(bench.harness, "run_child", other_report)
+    assert bench.main(["--runs", "1"]) == 1
+    assert " sha256 ok" not in capsys.readouterr().out

@@ -3,6 +3,7 @@
 import argparse
 import enum
 import gc
+import hashlib
 import json
 import math
 import subprocess
@@ -1071,18 +1072,17 @@ def test_the_trace_command_writes_what_json_dumps_writes(tmp_path, capsys):
     assert all(written.get(n, 0) >= 10 for n in (1, 2, 3, 4)), written
 
 
-def test_trace_io_bench_checks_the_text_and_the_replay(capsys, monkeypatch):
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).parent.parent / "scripts" / "bench_trace_io.py"
-    spec = importlib.util.spec_from_file_location("bench_trace_io", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+def test_trace_io_bench_checks_the_text_and_the_replay(capsys, monkeypatch, load_script):
+    bench = load_script("bench_trace_io")
+    # one timed call per layer; the first write and read, the repeated
+    # ones and the replay are checked all the same
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    src = bench.harness.label(bench.harness.DEFAULT_SRC)
     assert bench.main(["--runs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("run 1: prove_ms ") and lines[0].endswith(" ok")
-    assert lines[1].startswith("median of 1: prove_ms ")
+    trace = "Zmod:24 6,12,18,0"
+    assert lines[0].startswith(f"run 1 on {trace}: {src} prove_ms ") and lines[0].endswith(" ok")
+    assert lines[1].startswith(f"median of 1 on {trace}: {src} prove_ms ")
     assert {"render_first", "read_first", "read"} <= set(bench.LAYERS)
     for layer in bench.LAYERS:
         assert f" {layer}_ms " in " " + lines[1]
@@ -1097,14 +1097,8 @@ def test_trace_io_bench_checks_the_text_and_the_replay(capsys, monkeypatch):
         assert f"{check} False" in capsys.readouterr().out
 
 
-def test_import_bench_checks_the_omega_output(capsys, monkeypatch):
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).parent.parent / "scripts" / "bench_import.py"
-    spec = importlib.util.spec_from_file_location("bench_import", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+def test_import_bench_checks_the_omega_output(capsys, monkeypatch, load_script):
+    bench = load_script("bench_import")
     for argv, text in [(bench.OMEGA_ARGV, bench.OMEGA_TEXT),
                        (bench.NESTED_ARGV, bench.NESTED_TEXT)]:
         assert main(list(argv[2:])) == 0
@@ -1123,6 +1117,45 @@ def test_import_bench_checks_the_omega_output(capsys, monkeypatch):
     monkeypatch.setattr(bench, "NESTED_TEXT", bench.NESTED_TEXT.replace('"omega": 2', '"omega": 1'))
     assert bench.main(["--runs", "1"]) == 1
     assert capsys.readouterr().out.splitlines()[0].endswith(": NESTED OUTPUT DIFFERS")
+
+
+def _passing_child_output(bench, argv) -> str:
+    """stdout of a child of `bench` that passes the script's checks."""
+    if bench.__name__ == "bench_corpus_scan":
+        Path(argv[-1]).write_bytes(b"")  # the report, whose digest the test sets
+        return ""
+    if bench.__name__ == "bench_import":
+        return {bench.OMEGA_ARGV: bench.OMEGA_TEXT, bench.NESTED_ARGV: bench.NESTED_TEXT}.get(argv, "1.0")
+    if bench.__name__ == "bench_scan":
+        scan = [True, None, 1]
+        report = {"got": scan, "expected": scan, "candidates_ok": True, "multiplied": 1, "ms": [1.0]}
+        return json.dumps([report] * len(bench.cases()))
+    checks = {"ok": True, "same_text": True, "same_document": True}
+    return json.dumps(dict(dict.fromkeys(bench.LAYERS, [1.0]), **checks))
+
+
+@pytest.mark.parametrize("name", ["bench_corpus_scan", "bench_import", "bench_scan", "bench_trace_io"])
+def test_bench_scripts_time_two_sources_in_turns(name, capsys, monkeypatch, load_script, tmp_path):
+    bench = load_script(name)
+    harness = bench.harness
+    timed = []
+
+    def child(src, *argv):
+        timed.append(src)
+        return 0.001, 0.001, _passing_child_output(bench, argv)
+
+    monkeypatch.setattr(harness, "run_child", child)
+    empty = hashlib.sha256(b"").hexdigest()
+    monkeypatch.setattr(bench, "CORPUS_SCAN_SEED_7_SHA256", empty, raising=False)
+    other = str(tmp_path / "other" / "src")
+    assert bench.main(["--runs", "3", "--src", other]) == 0
+    assert set(timed) == {harness.DEFAULT_SRC, other}
+    here, there = harness.label(harness.DEFAULT_SRC), harness.label(other)
+    lines = capsys.readouterr().out.splitlines()
+    # the source each line names comes right after the first ": "
+    named = [line.split(": ")[1].split()[0] for line in lines if line.startswith(("run ", "median "))]
+    per_pass = [here, there, there, here, here, there] + [here, there]
+    assert named == per_pass * (len(bench.TRACES) if name == "bench_trace_io" else 1)
 
 
 def _command_parsers(parser) -> dict:

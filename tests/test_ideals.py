@@ -126,6 +126,13 @@ def test_colon_matches_oracle(ideal):
         assert ideal.element_values <= result.element_values
 
 
+@pytest.mark.parametrize("spec, value", [("Product:[Zmod:4,Zmod:6]", 24), ("Zmod:12", 13)])
+def test_colon_refuses_a_non_element(spec, value):
+    zero = Ideal.zero(build_ring(parse_ring_spec(spec)))
+    with pytest.raises(ValueError, match=f"^{value} is not an element of "):
+        colon(zero, value)
+
+
 @given(ring_and_ideal())
 def test_product_matches_oracle(ideal):
     square = ideal_product(ideal, ideal)

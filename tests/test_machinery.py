@@ -39,6 +39,16 @@ def test_eval_monomial():
         eval_monomial(ring, gens, (-1, 0))
 
 
+# a memoised ring would answer these from some other cell of its table
+@pytest.mark.parametrize(
+    "spec, value, exponent", [("Product:[Zmod:4,Zmod:6]", -1, 2), ("Zmod:12", 13, 1)]
+)
+def test_eval_monomial_refuses_a_non_element(spec, value, exponent):
+    ring = _ring(spec)
+    with pytest.raises(ValueError, match=f"^{value} is not an element of "):
+        eval_monomial(ring, [value], [exponent])
+
+
 def test_monomial_image_ideal_collects_all_permutations():
     ring = _ring("Zmod:16")
     gens = [2, 4, 6]
@@ -349,8 +359,9 @@ def test_schedule_monomials_are_read_from_the_table(monkeypatch):
     monkeypatch.setattr(machinery, "eval_monomial", recording)
     assert machinery.prove_radical_power_zero(ring, [2, 4, 6, 2]) == trace
     assert machinery.verify_trace(document).ok
-    # only the final product, once by the prover and once by the verifier
-    assert evaluated == [(1, 1, 1, 1)] * 2
+    # only the final product, by the verifier; the prover's products of n
+    # generators include it, so it writes the zero text with no evaluation
+    assert evaluated == [(1, 1, 1, 1)]
 
 
 @pytest.mark.parametrize("spec", sorted(_PROGRAM_GENERATORS))

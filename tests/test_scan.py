@@ -241,19 +241,24 @@ def test_deep_omega_jobs_match_the_closed_form(spec, gens, cap):
     assert omega(ideal, cap=cap).value == expected
 
 
-def test_scan_bench_checks_every_case_against_a_plain_scan(capsys):
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).parent.parent / "scripts" / "bench_scan.py"
-    spec = importlib.util.spec_from_file_location("bench_scan", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+def test_scan_bench_checks_every_case_against_a_plain_scan(capsys, monkeypatch, load_script):
+    bench = load_script("bench_scan")
+    src = bench.harness.label(bench.harness.DEFAULT_SRC)
     assert bench.main(["--runs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("run 1: total_ms ")
+    assert lines[0].startswith(f"run 1: {src} total_ms ")
     assert len(lines) == 2 + len(bench.cases()) == 36
     assert "MISMATCH" not in "\n".join(lines)
     product_n4 = next(line for line in lines if line.startswith("Product:") and " n=4 " in line)
     assert " multisets  2002 multiplied   562 median_ms " in product_n4
-    assert lines[-1].startswith("median of 1: total_ms ")
+    assert lines[-1].startswith(f"median of 1: {src} total_ms ")
+    # a scan that differs from the plain one, or candidates that are not
+    # the class minima, make the run exit 1
+    scan = [True, None, 1]
+    report = {"got": scan, "expected": scan, "candidates_ok": True, "multiplied": 1, "ms": [1.0]}
+    for bad, verdict in (({"got": [False, None, 1]}, " MISMATCH got "),
+                         ({"candidates_ok": False}, " MISMATCH candidates differ ")):
+        reports = [dict(report, **bad)] * len(bench.cases())
+        monkeypatch.setattr(bench, "run_once", lambda src, reports=reports: reports)
+        assert bench.main(["--runs", "1"]) == 1
+        assert verdict in capsys.readouterr().out
