@@ -25,7 +25,7 @@ caches are filled, and times REPEATS calls of each other layer in turn:
     render_first  the first write of the proved trace in the interpreter
                   (one call) by the `trace` command's writer,
                   cli._trace_text, which builds a default trace's cached
-                  steps text
+                  steps text and leaves its steps unbuilt
     render        the same write again
     read_first    the first cli._read_trace of the rendered text in the
                   interpreter (one call), the reader `verify-trace` uses
@@ -41,7 +41,8 @@ function the perfbench tracer wraps, so its spans do not show them.
 Exits 1 when the first or a repeated write differs from
 json.dumps(indent=2, sort_keys=True) of the trace document, the first or
 a repeated read differs from json.loads of the same text, or the replay
-is not ok.
+is not ok; the trace document is taken after the timed layers, since it
+builds the steps.
 
     python3 scripts/bench_trace_io.py --runs 5
     python3 scripts/bench_trace_io.py --src /path/to/other/checkout/src
@@ -65,24 +66,26 @@ TRACES = (
 # run in the child: prints {"ok", "same_text", "same_document", layer: [ms
 # per call]}; each layer is timed in its own loop, so the collections its
 # garbage sets off are counted against it and not against the layer that
-# happens to follow.  A checkout from before the reader reads with json.loads,
-# as its `verify-trace` does, and one from before the trace writer writes
-# with render_json of the trace document, as its `trace` does.
+# happens to follow.  The trace document is taken last, since it builds the
+# steps a default trace's writer leaves unbuilt.  A checkout from before the
+# reader reads with json.loads, as its `verify-trace` does; one from before
+# the trace writer writes with render_json of the trace document, as its
+# `trace` does; and one whose writer takes the prover's branch is passed it.
 CHILD = r"""
 import json, sys, time
 from absorbing_ideals import build_ring, parse_ring_spec, prove_radical_power_zero, verify_trace
 from absorbing_ideals import cli
 from absorbing_ideals.cli import render_json
-read_trace = getattr(cli, "_read_trace", json.loads)
-write = getattr(cli, "_trace_text", lambda trace, short: render_json(trace.to_json_dict()))
 
 repeats, spec, gen_text, full = int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4] == "full"
+read_trace = getattr(cli, "_read_trace", json.loads)
+writer = getattr(cli, "_trace_text", lambda trace: render_json(trace.to_json_dict()))
+write = writer if writer.__code__.co_argcount == 1 else lambda trace: writer(trace, not full)
 ring = build_ring(parse_ring_spec(spec))
 gens = [ring.parse_value(g) for g in gen_text.split(",")]
 trace = prove_radical_power_zero(ring, gens, short_circuit=not full)
-document = trace.to_json_dict()
 start = time.perf_counter()
-text = write(trace, not full)
+text = write(trace)
 out = {"render_first": [(time.perf_counter() - start) * 1e3]}
 cli._default_steps_text.cache_clear()
 start = time.perf_counter()
@@ -91,7 +94,7 @@ out["read_first"] = [(time.perf_counter() - start) * 1e3]
 loaded = json.loads(text)
 layers = {
     "prove": lambda: prove_radical_power_zero(ring, gens, short_circuit=not full),
-    "render": lambda: write(trace, not full),
+    "render": lambda: write(trace),
     "read": lambda: read_trace(text),
     "loads": lambda: json.loads(text),
     "verify": lambda: verify_trace(loaded),
@@ -103,7 +106,7 @@ for layer, call in layers.items():
         call()
         out[layer].append((time.perf_counter() - start) * 1e3)
 out["ok"] = verify_trace(loaded).ok
-out["same_text"] = text == write(trace, not full) == json.dumps(document, indent=2, sort_keys=True)
+out["same_text"] = text == write(trace) == json.dumps(trace.to_json_dict(), indent=2, sort_keys=True)
 out["same_document"] = first_read == read_trace(text) == loaded
 print(json.dumps(out))
 """

@@ -61,6 +61,7 @@ from .corpus import (
 from .errors import ERRORS, ParseError, ResourceLimitError, error_kind
 from .machinery import (
     _INT_ONLY,
+    DefaultSteps,
     _trace_length,
     default_steps,
     prove_radical_power_zero,
@@ -203,11 +204,10 @@ def _run_trace(args, report: _Report):
     if not args.gens:
         raise ParseError("--gens must list at least one generator")
     gen_values = [ring.parse_value(chunk) for chunk in split_top_level(args.gens)]
-    short_circuit = not args.full_machinery
     trace = prove_radical_power_zero(
-        ring, gen_values, short_circuit=short_circuit, **_scan_options(args)
+        ring, gen_values, short_circuit=not args.full_machinery, **_scan_options(args)
     )
-    return 0, _trace_text(trace, short_circuit)
+    return 0, _trace_text(trace)
 
 
 def _run_verify_trace(args, report: _Report):
@@ -431,22 +431,22 @@ _STEPS_KEY = ',\n  "steps": '  # the last key of a trace document, as render_jso
 _STEP_BYTES = 64  # fewer than any default step's text: its keys and rule take 51 bytes
 
 
-def _trace_text(trace, short_circuit: bool) -> str:
-    """Exactly `render_json(trace.to_json_dict())`, for a trace the
-    prover returned with `short_circuit`.
+def _trace_text(trace) -> str:
+    """Exactly `render_json(trace.to_json_dict())`.
 
-    Its short-circuit branch returns `default_steps(n, c)`, c the ring's
-    zero text, so from level 2 on the steps are written as their cached
-    text `_default_steps_text(n, _escape(c))` instead of one value at a
-    time.  "steps" sorts last among a trace's keys: the text goes after
-    the rest of the document, at `_STEPS_KEY`.  Level 1 has no steps.
+    The prover's short-circuit branch returns its steps unbuilt, as
+    `DefaultSteps(n, c)`, c the ring's zero text.  While they stay
+    unbuilt they are `default_steps(n, c)`, so from level 2 on they are
+    written as their cached text `_default_steps_text(n, _escape(c))`,
+    and no step dict is built.  "steps" sorts last among a trace's keys:
+    the rest of the document is rendered with empty steps, and the text
+    goes in place of their `[]`.  Level 1 has no steps.
     """
-    document = trace.to_json_dict()
-    if not (short_circuit and trace.steps):
-        return render_json(document)
-    conclusion = _escape(document.pop("steps")[0]["conclusion"])
-    header = render_json(document)[:-2]  # all but its closing "\n}"
-    return "".join((header, _STEPS_KEY, _default_steps_text(trace.n, conclusion), "\n}"))
+    steps = trace.steps
+    if not (type(steps) is DefaultSteps and steps.unbuilt and steps.n >= 2):
+        return render_json(trace.to_json_dict())
+    header = render_json(trace._json_document([]))[: -len("[]\n}")]
+    return "".join((header, _default_steps_text(steps.n, _escape(steps.conclusion)), "\n}"))
 
 
 def _read_trace(text: str):

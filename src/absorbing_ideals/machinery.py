@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 import random
+from collections import abc
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -410,7 +411,11 @@ def find_zero_diagonal(matrix: SquareMatrix) -> ZeroDiagonalResult:
 
 
 class ProofTrace(Record):
-    """Serializable derivation that the generator product vanishes."""
+    """Serializable derivation that the generator product vanishes.
+
+    `steps` is a tuple, or the prover's default steps left unbuilt (a
+    `DefaultSteps`); `to_json_dict` lists them either way.
+    """
 
     ring_spec: str
     generators: tuple[str, ...]
@@ -425,20 +430,25 @@ class ProofTrace(Record):
         for key in ("n", "high_degree_bound"):
             if type(getattr(self, key)) is not int:
                 raise ValueError(f"trace field {key} must be a JSON int")
-        for key in ("generators", "steps"):
-            if type(getattr(self, key)) is not tuple:
-                raise ValueError(f"trace field {key} must be a tuple")
+        if type(self.generators) is not tuple:
+            raise ValueError("trace field generators must be a tuple")
+        if type(self.steps) is not tuple and type(self.steps) is not DefaultSteps:
+            raise ValueError("trace field steps must be a tuple or DefaultSteps")
         if not all(isinstance(text, str) for text in self.generators):
             raise ValueError("trace field generators must list strings")
 
     def to_json_dict(self) -> dict:
+        return self._json_document(list(self.steps))
+
+    def _json_document(self, steps: list) -> dict:
+        """The trace document with `steps` in place of the trace's own."""
         return {
             "schema": TRACE_SCHEMA,
             "ring": self.ring_spec,
             "generators": list(self.generators),
             "n": self.n,
             "high_degree_bound": self.high_degree_bound,
-            "steps": list(self.steps),
+            "steps": steps,
             "final_product": self.final_product,
         }
 
@@ -540,12 +550,62 @@ def default_steps(n: int, conclusion: str) -> list:
     """The steps of a level-n default trace that conclude `conclusion`:
     one `direct` step per monomial of `induction_schedule(n)`, each a
     fresh dict with fresh lists and its keys in sorted order, as
-    `json.loads` reads them back from the text `cli.render_json` writes."""
+    `json.loads` reads them back from the text `cli.render_json` writes.
+    The prover returns them unbuilt, as a `DefaultSteps`."""
     return [
         {"alpha": list(alpha), "conclusion": conclusion, "monomial": list(mono), "rule": "direct"}
         for alpha, monomials in induction_schedule(n)
         for mono in monomials
     ]
+
+
+class DefaultSteps(abc.Sequence):
+    """The steps of a level-n default trace that conclude `conclusion`,
+    as the read-only tuple `tuple(default_steps(n, conclusion))`, built
+    on the first read and kept.
+
+    `len()` builds nothing.  Iteration, indexing and `==` read the one
+    tuple, so several passes over the steps build them once, and a step
+    dict changed through `steps[i]` stays changed, as in a tuple.  It
+    equals a tuple (or another `DefaultSteps`) holding equal steps, and
+    is unhashable, like a tuple of dicts.  While `unbuilt`, no step can
+    have been changed, so the steps are still `default_steps(n,
+    conclusion)` and `cli._trace_text` writes them from a cached text.
+    """
+
+    __slots__ = ("n", "conclusion", "_steps")
+    __hash__ = None
+
+    def __init__(self, n: int, conclusion: str):
+        self.n = n
+        self.conclusion = conclusion
+        self._steps = None
+
+    @property
+    def unbuilt(self) -> bool:
+        return self._steps is None
+
+    def _built(self) -> tuple:
+        if self._steps is None:
+            self._steps = tuple(default_steps(self.n, self.conclusion))
+        return self._steps
+
+    def __len__(self) -> int:
+        return _trace_length(self.n)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, DefaultSteps):
+            other = other._built()
+        return self._built() == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DefaultSteps({self.n!r}, {self.conclusion!r})"
 
 
 def prove_radical_power_zero(
@@ -574,7 +634,10 @@ def prove_radical_power_zero(
     The steps follow `induction_schedule(n)`.  Every schedule monomial
     is zero because every product of n generators is
     (`_degree_n_products_vanish`), so no schedule monomial is evaluated
-    and a default trace is all direct steps (`default_steps`).  The
+    and a default trace is all direct steps.  They are returned unbuilt,
+    as `DefaultSteps(n, zero text)`, which builds `default_steps` on its
+    first read, so a caller that only writes the trace (`cli._trace_text`)
+    never builds a step; `--full-machinery` steps come as a tuple.  The
     theorem makes those products zero once the hypothesis holds; if one
     is not (a sampled absorbing scan missed a witness), this raises
     TraceInconsistencyError before any step is built.
@@ -616,18 +679,18 @@ def prove_radical_power_zero(
         raise TraceInconsistencyError("a product of n generators does not vanish")
 
     zero_text = ring.render_value(zero)
-    steps = default_steps(n, zero_text) if short_circuit else [
+    steps = DefaultSteps(n, zero_text) if short_circuit else tuple(
         _matrix_step(ring, gen_values, alpha, mono, zero, zero_text)
         for alpha, monomials in induction_schedule(n)
         for mono in monomials
-    ]
+    )
 
     return ProofTrace(
         ring_spec=render_ring_spec(ring),
         generators=tuple(ring.render_value(g) for g in gen_values),
         n=n,
         high_degree_bound=n * n - n + 1,
-        steps=tuple(steps),
+        steps=steps,
         final_product=zero_text,
     )
 

@@ -17,6 +17,7 @@ from absorbing_ideals import (
     Ideal,
     build_ring,
     cli,
+    machinery,
     parse_ring_spec,
     prove_radical_power_zero,
     radical,
@@ -1012,36 +1013,65 @@ def test_default_trace_text_is_built_once_per_level_indent_and_zero_text():
     # the trace command's writer builds it, and keeps the four latest texts
     cached = cli._default_steps_text
     cached.cache_clear()
-    trace = _proved("Zmod:16", ["2", "4", "6", "8"])
-    document = trace.to_json_dict()
+    level_four = ("Zmod:16", ["2", "4", "6", "8"])
+    document = _proved(*level_four).to_json_dict()
     assert len(document["steps"]) == 1785 > cli._BLOCK_ROWS
 
     def builds():
         return cached.cache_info().misses
 
-    def assert_writes_like_json_dumps(trace):
-        expected = json.dumps(trace.to_json_dict(), indent=2, sort_keys=True)
-        assert cli._trace_text(trace, True) == expected
+    def assert_writes_like_json_dumps(spec, gens):
+        trace = _proved(spec, gens)
+        text = cli._trace_text(trace)  # before to_json_dict builds the steps
+        assert text == json.dumps(trace.to_json_dict(), indent=2, sort_keys=True)
 
     _assert_renders_like_json_dumps(document)
     assert cached.cache_info().hits == builds() == 0  # render_json builds none
-    assert_writes_like_json_dumps(trace)
+    assert_writes_like_json_dumps(*level_four)
     assert builds() == 1
-    cli._trace_text(trace, True)
-    assert_writes_like_json_dumps(_proved("Zmod:16", ["4", "4", "4", "4"]))  # the same text
+    cli._trace_text(_proved(*level_four))
+    assert_writes_like_json_dumps("Zmod:16", ["4", "4", "4", "4"])  # the same text
     assert builds() == 1 and cached.cache_info().hits == 2
-    assert_writes_like_json_dumps(_proved("Product:[Zmod:4,Zmod:9]", ["(2,3)"] * 4))
+    assert_writes_like_json_dumps("Product:[Zmod:4,Zmod:9]", ["(2,3)"] * 4)
     assert builds() == 2  # another zero text
     for spec, gens in [
         ("Zmod:8", ["2", "4", "6"]),
         ("Zmod:4", ["2", "2"]),
         ("Product:[Zmod:4,Zmod:3]", ["(2,0)"] * 3),
     ]:
-        assert_writes_like_json_dumps(_proved(spec, gens))
+        assert_writes_like_json_dumps(spec, gens)
     assert builds() == 5
     assert cached.cache_info().currsize == cached.cache_info().maxsize == 4
-    cli._trace_text(trace, True)  # its text was the least recently used
+    cli._trace_text(_proved(*level_four))  # its text was the least recently used
     assert builds() == 6
+
+
+def test_the_trace_command_builds_no_step(monkeypatch, capsys):
+    # the prover leaves a default trace's steps unbuilt, and the writer
+    # writes them from the cached text
+    calls = []
+    real = machinery.default_steps
+    monkeypatch.setattr(machinery, "default_steps", lambda *args: calls.append(args) or real(*args))
+    for spec, gens in [("Zmod:4", ["2", "2"]), ("Zmod:8", ["2", "4", "6"]),
+                       ("Zmod:16", ["2", "4", "6", "8"])]:
+        assert main(["trace", "--ring", spec, "--gens", ",".join(gens)]) == 0
+        text = capsys.readouterr().out
+        assert calls == [], spec
+        document = _proved(spec, gens).to_json_dict()
+        assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+        calls.clear()
+
+
+def test_a_read_default_trace_is_written_from_its_steps():
+    # once read, a step can have been changed, so the general writer
+    # writes the steps as they are
+    trace = _proved("Zmod:8", ["2", "4", "6"])
+    assert trace.steps[0]["conclusion"] == "0" and not trace.steps.unbuilt
+    assert cli._trace_text(trace) == json.dumps(trace.to_json_dict(), indent=2, sort_keys=True)
+    trace.steps[3]["conclusion"] = "1"
+    text = cli._trace_text(trace)
+    assert text == json.dumps(trace.to_json_dict(), indent=2, sort_keys=True)
+    assert json.loads(text)["steps"][3]["conclusion"] == "1"
 
 
 def test_the_trace_command_writes_what_json_dumps_writes(tmp_path, capsys):

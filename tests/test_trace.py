@@ -19,6 +19,7 @@ from absorbing_ideals import (
     prove_radical_power_zero,
     verify_trace,
 )
+from absorbing_ideals.machinery import DefaultSteps, default_steps
 from oracles import naive_product
 
 
@@ -71,6 +72,48 @@ def test_trace_covers_every_scheduled_monomial():
 def test_short_circuit_uses_direct_steps_only():
     _, trace = _prove("Zmod:8", ["2", "4", "6"], short_circuit=True)
     assert {s["rule"] for s in trace.steps} == {"direct"}
+
+
+def test_default_steps_read_as_the_tuple_they_replace():
+    _, trace = _prove("Zmod:8", ["2", "4", "6"])
+    steps, expected = trace.steps, tuple(default_steps(3, "0"))
+    assert type(steps) is DefaultSteps and (steps.n, steps.conclusion) == (3, "0")
+    assert len(steps) == len(expected) == 74 and steps.unbuilt
+    assert steps == expected and expected == steps and not steps != expected
+    assert steps == DefaultSteps(3, "0") and steps != DefaultSteps(3, "1")
+    assert steps != list(expected) and list(expected) != steps
+    assert list(steps) == list(expected) and list(reversed(steps)) == list(reversed(expected))
+    assert steps[0] == expected[0] and steps[-1] == expected[-1]
+    assert steps[3:9] == expected[3:9] and type(steps[3:9]) is tuple
+    assert steps.index(expected[5]) == 5 and expected[5] in steps
+    # the prover's trace equals its own document read back, either way round
+    reloaded = ProofTrace.from_json_dict(trace.to_json_dict())
+    assert type(reloaded.steps) is tuple
+    assert reloaded == trace and trace == reloaded and trace == _prove("Zmod:8", ["2", "4", "6"])[1]
+    for unhashable in (trace, steps):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+    # level 1 has no steps
+    _, trace = _prove("Zmod:5", ["0"])
+    assert len(trace.steps) == 0 and not trace.steps and trace.steps == () and list(trace.steps) == []
+
+
+def test_default_steps_are_built_once_and_keep_a_changed_step(monkeypatch):
+    import absorbing_ideals.machinery as machinery
+
+    builds = []
+    real = machinery.default_steps
+    monkeypatch.setattr(machinery, "default_steps", lambda *args: builds.append(args) or real(*args))
+    _, trace = _prove("Zmod:16", ["2", "4", "6", "8"])
+    assert len(trace.steps) == 1785 and builds == []
+    # the verifier's column passes and the caller's reads share one build
+    assert verify_trace(trace).ok and verify_trace(trace).ok
+    step = trace.steps[5]
+    assert trace.steps[5] is step and next(iter(trace.steps[5:])) is step
+    step["conclusion"] = "1"
+    assert trace.steps[5]["conclusion"] == trace.to_json_dict()["steps"][5]["conclusion"] == "1"
+    assert builds == [(4, "0")]
+    assert [(f["step"], f["kind"]) for f in verify_trace(trace).failures] == [(5, "conclusion")]
 
 
 def test_full_machinery_exercises_matrix_steps():
@@ -405,7 +448,8 @@ def test_prover_and_verifier_walk_the_shared_schedule(spec, gens, monkeypatch):
 
         monkeypatch.setattr(machinery, name, recording)
 
-    # the prover walks the schedule, the verifier its flattened columns
+    # the default steps walk the schedule when the verifier first reads
+    # them, and the verifier its flattened columns
     record("induction_schedule")
     record("schedule_exponents")
     _, trace = _prove(spec, gens)
