@@ -1149,6 +1149,24 @@ def test_import_bench_checks_the_omega_output(capsys, monkeypatch, load_script):
     assert capsys.readouterr().out.splitlines()[0].endswith(": NESTED OUTPUT DIFFERS")
 
 
+def test_one_shot_bench_checks_each_output(capsys, monkeypatch, load_script):
+    bench = load_script("bench_one_shot")
+    # the digests it holds are those of the outputs
+    assert bench.CASES["corpus"][1] == bench.CORPUS_SCAN_SEED_7_SHA256
+    for case in ("trace4", "trace5"):
+        command, digest = bench.CASES[case]
+        assert main(list(command)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+    # an output with another digest makes the run exit 1
+    report = {"cpu_s": 1.0, "wall_s": 1.0, "rss_mb": 1.0, "sha256": "0"}
+    monkeypatch.setattr(bench, "run_once", lambda src, *argv: report)
+    monkeypatch.setattr(bench.harness, "run_child", lambda *argv: (1.0, 1.0, ""))
+    assert bench.main(["--runs", "1"]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert " corpus_rss_mb 1.000 " in line
+    assert line.endswith(": corpus sha256 0 trace4 sha256 0 trace5 sha256 0")
+
+
 def _passing_child_output(bench, argv) -> str:
     """stdout of a child of `bench` that passes the script's checks."""
     if bench.__name__ == "bench_corpus_scan":
@@ -1156,6 +1174,10 @@ def _passing_child_output(bench, argv) -> str:
         return ""
     if bench.__name__ == "bench_import":
         return {bench.OMEGA_ARGV: bench.OMEGA_TEXT, bench.NESTED_ARGV: bench.NESTED_TEXT}.get(argv, "1.0")
+    if bench.__name__ == "bench_one_shot":  # argv is -c WRAPPER -m absorbing_ideals COMMAND
+        digest = next((d for command, d in bench.CASES.values()
+                       if argv[4:4 + len(command)] == command), None)
+        return json.dumps({"cpu_s": 1.0, "wall_s": 1.0, "rss_mb": 1.0, "sha256": digest})
     if bench.__name__ == "bench_scan":
         scan = [True, None, 1]
         report = {"got": scan, "expected": scan, "candidates_ok": True, "multiplied": 1, "ms": [1.0]}
@@ -1164,7 +1186,9 @@ def _passing_child_output(bench, argv) -> str:
     return json.dumps(dict(dict.fromkeys(bench.LAYERS, [1.0]), **checks))
 
 
-@pytest.mark.parametrize("name", ["bench_corpus_scan", "bench_import", "bench_scan", "bench_trace_io"])
+@pytest.mark.parametrize(
+    "name", ["bench_corpus_scan", "bench_import", "bench_one_shot", "bench_scan", "bench_trace_io"]
+)
 def test_bench_scripts_time_two_sources_in_turns(name, capsys, monkeypatch, load_script, tmp_path):
     bench = load_script(name)
     harness = bench.harness
