@@ -4,6 +4,7 @@ import argparse
 import enum
 import gc
 import hashlib
+import importlib
 import json
 import math
 import subprocess
@@ -432,6 +433,16 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["report"]["omega"] == 3
+
+
+def test_main_leaves_the_collector_policy_alone(capsys):
+    # the one-shot policy belongs to __main__.run, which importing it does
+    # not call; in-process callers of main, such as the benchmark's
+    # workers, keep the interpreter's
+    before = gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()
+    importlib.import_module("absorbing_ideals.__main__")
+    assert main(["omega", "--ring", "Zmod:8"]) == 0
+    assert (gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_outputs_end_with_newline_and_sorted_keys(capsys):
