@@ -637,7 +637,7 @@ def prove_radical_power_zero(
     and a default trace is all direct steps.  They are returned unbuilt,
     as `DefaultSteps(n, zero text)`, which builds `default_steps` on its
     first read, so a caller that only writes the trace (`cli._trace_text`)
-    never builds a step; `--full-machinery` steps come as a tuple.  The
+    never builds a step; without `short_circuit` the steps are a tuple.  The
     theorem makes those products zero once the hypothesis holds; if one
     is not (a sampled absorbing scan missed a witness), this raises
     TraceInconsistencyError before any step is built.
