@@ -11,7 +11,10 @@ Subcommands:
     corpus-scan       full battery plus trace survey over a ring corpus
 
 `COMMANDS` is the one table from a command to its runner, its help and
-its options; a run builds the parser of its own command only.
+its options.  A plainly spelled argv is read straight from it
+(`_plain_args`); any other argv, such as `-h`, an abbreviated flag or a
+refused one, goes to argparse, which builds the parser of its own
+command only and is imported only then.
 
 Exit codes:
 
@@ -23,8 +26,10 @@ Exit codes:
     3   an exhaustive scan would exceed its resource cap ("resource-limit");
         corpus-scan records that per ring and scans the other rings
 
-Every failure is reported as a JSON document with an `error` object;
-`errors.ERRORS` is the one table from exception type to kind and exit code.
+Every failure of a run is reported as a JSON document with an `error`
+object; `errors.ERRORS` is the one table from exception type to kind and
+exit code.  An argv argparse refuses gets its usage and message on
+stderr instead, nothing on stdout, and exit 2.
 
 Reports are JSON objects with sorted keys, two-space indentation, and a
 trailing newline; two runs with the same flags and seed are
@@ -34,12 +39,12 @@ of a report; all other output goes through the same JSON form.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import sys
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from .absorbing import (
     DEFAULT_MAX_TUPLES,
@@ -70,6 +75,9 @@ from .machinery import (
 from .monomials import schedule_exponents
 from .rings import DEFAULT_MAX_RING_SIZE, build_ring, split_top_level
 from .ringspec import parse_ideal_text, parse_ring_spec, render_ring_spec
+
+if TYPE_CHECKING:
+    import argparse
 
 REPORT_SCHEMA = "absorbing-report/1"
 DEFAULT_IDEAL = "(0)"
@@ -301,6 +309,57 @@ COMMANDS = {
 _CHOICES = "{%s}" % ",".join(COMMANDS)  # the usage's command list, as argparse writes it
 
 
+def _plain_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace `_parser` parses `argv` into, read from `COMMANDS`
+    without argparse when `argv` is plain, else None.
+
+    Plain: the first word names a command; each of its options appears
+    at most once, spelled in full, a `store_true` flag alone and any
+    other with its value in the next word; its positional, if it has
+    one, is there once; every required option is given; and no word read
+    as a value starts with `-`.  argparse reads such an argv the same
+    way: a word not starting with `-` is never an option, an exact flag
+    is its option, `type` converts the value, and an option not given
+    gets its default object.  A value `type` refuses, and every other
+    spelling, is left to argparse, with its help and its errors.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = dict(COMMANDS[argv[0]][2])
+    positionals = [name for name in options if not name.startswith("-")]
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if not positionals:
+                return None
+            given[positionals.pop(0)] = word
+            continue
+        if word not in options or word in given:
+            return None
+        settings = options[word]
+        if settings.get("action") == "store_true":
+            given[word] = True
+            continue
+        value = next(words, "-")  # no value left reads as one starting with "-"
+        if value.startswith("-"):
+            return None
+        if "type" in settings:
+            try:
+                value = settings["type"](value)
+            except (TypeError, ValueError):
+                return None
+        given[word] = value
+    if positionals or any(s.get("required") and f not in given for f, s in options.items()):
+        return None
+    namespace = SimpleNamespace(command=argv[0])
+    for name, settings in options.items():
+        unset = False if settings.get("action") == "store_true" else None  # as argparse
+        value = given.get(name, settings.get("default", unset))
+        setattr(namespace, name.lstrip("-").replace("-", "_"), value)
+    return namespace
+
+
 @functools.cache
 def _parser(command: Optional[str]) -> argparse.ArgumentParser:
     """The parser for an argv whose first word is `command`, or with
@@ -311,8 +370,12 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
     the top level then only reports leftover words, under a usage that
     `_CHOICES` spells as all commands would; so only that command is
     built.  (The metavar would also name it in a missing or invalid
-    command error, which such an argv cannot raise.)
+    command error, which such an argv cannot raise.)  argparse is
+    imported here: with gettext and locale it costs a process about
+    2 ms, which a plain argv does not pay.
     """
+    import argparse
+
     description = "decision procedures and checkable traces for absorbing ideals"
     parser = argparse.ArgumentParser(prog="absorbing-ideals", description=description)
     sub = parser.add_subparsers(dest="command", required=True, metavar=command and _CHOICES)
@@ -495,7 +558,9 @@ def _emit(payload, stream) -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _plain_args(argv) or _parser(
+        argv[0] if argv and argv[0] in COMMANDS else None
+    ).parse_args(argv)
     report = _Report(schema=REPORT_SCHEMA, command=args.command)
     try:
         code, payload = COMMANDS[args.command][0](args, report)

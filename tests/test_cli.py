@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -445,6 +446,65 @@ def test_main_leaves_the_collector_policy_alone(capsys):
     assert (gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()) == before
 
 
+def test_a_plain_run_imports_no_argparse_and_the_rest_still_reach_it():
+    child = (
+        "import contextlib, io, sys\n"
+        "from absorbing_ideals import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['omega', '--ring', 'Zmod:8'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+    entry = [sys.executable, "-m", "absorbing_ideals"]
+    helped = subprocess.run([*entry, "omega", "-h"], capture_output=True, text=True, timeout=120)
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: absorbing-ideals omega [-h] --ring RING")
+    refused = subprocess.run(
+        [*entry, "check-absorbing", "--ring", "Zmod:8"], capture_output=True, text=True, timeout=120
+    )
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr.startswith("usage: absorbing-ideals check-absorbing [-h] --ring RING")
+    assert refused.stderr.endswith("error: the following arguments are required: --n\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_stdout_ends_the_process_with_exit_2_and_no_traceback(unbuffered):
+    # the n = 4 trace is about 360 KB, more than a pipe holds, so the
+    # write meets the closed pipe whether stdout is buffered or not
+    with subprocess.Popen(
+        [sys.executable, "-m", "absorbing_ideals", "trace", "--ring", "Zmod:16", "--gens", "2,4,6,2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "final'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_stdout_without_reader_ends_the_process_with_exit_2_and_no_traceback(unbuffered):
+    # the pipe's read end is closed before the process starts; a buffered
+    # stdout still holds the small report when its flush fails, which the
+    # interpreter's last flush would report on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "absorbing_ideals", "omega", "--ring", "Zmod:8"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
 def test_outputs_end_with_newline_and_sorted_keys(capsys):
     main(["omega", "--ring", "Zmod:8"])
     out = capsys.readouterr().out
@@ -643,8 +703,11 @@ def test_parser_defaults_are_the_library_constants(monkeypatch):
             (["corpus-scan"], ["max_tuples", "max_ring_size", "cap", "samples"]),
         ]:
             args = fresh._parser(argv[0]).parse_args(argv)
+            plain = fresh._plain_args(argv)  # the argv is plain: read without argparse
+            assert vars(plain) == vars(args)
             for option in options:
                 assert getattr(args, option) is stand_ins[option], (argv[0], option)
+                assert getattr(plain, option) is stand_ins[option], (argv[0], option)
     # the library functions the CLI calls default to the same constants
     verify = inspect.signature(machinery.verify_trace).parameters
     assert verify["max_tuples"].default is absorbing.DEFAULT_MAX_TUPLES
@@ -1228,6 +1291,14 @@ def _command_parsers(parser) -> dict:
     return action.choices
 
 
+def _exit_code(argv) -> int:
+    """`main(argv)`'s exit code, argparse's exits included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_parser_is_built_once_per_command_with_only_that_command(monkeypatch, capsys):
     import absorbing_ideals.cli as cli
 
@@ -1242,15 +1313,21 @@ def test_parser_is_built_once_per_command_with_only_that_command(monkeypatch, ca
     cli._parser.cache_clear()
     try:
         made = []
-        for argv in (["omega", "--ring", "Zmod:8"], ["omega", "--ring", "Zmod:9", "--cap", "2"],
-                     ["trace", "--ring", "Zmod:8", "--gens", "2,2,2"]):
-            main(argv)
+        for argv, code in [
+            (["omega", "--ring", "Zmod:8"], 0),  # plain: read from the table
+            (["omega", "--rin", "Zmod:9", "--cap", "2"], 0),  # abbreviated
+            (["omega", "--ring", "Zmod:9", "--cap", "-1"], 2),  # negative: argparse takes it
+            (["trace", "--ring", "Zmod:8"], 2),  # refused: --gens is missing
+            (["trace", "-h"], 0),
+            (["trace", "--ring", "Zmod:8", "--gens", "2,2,2"], 0),  # plain
+        ]:
+            assert _exit_code(argv) == code, argv
             made.append(len(calls))
             calls.clear()
         capsys.readouterr()
-        # -h of the top level and of the command, and its eight options;
-        # the repeat builds nothing
-        assert made == [10, 0, 10]
+        # -h of the top level and of the command, and its eight options,
+        # once per command; a plain argv builds no parser
+        assert made == [0, 10, 0, 10, 0, 0]
         assert cli._parser.cache_info().currsize == 2
         full = cli._parser(None)
         for command in ("omega", "trace"):
@@ -1260,6 +1337,74 @@ def test_parser_is_built_once_per_command_with_only_that_command(monkeypatch, ca
             assert parser.format_usage() == full.format_usage()
     finally:
         cli._parser.cache_clear()
+
+
+def _argv_variants():
+    """The golden argvs, then per command: its options all given, in
+    order and reversed, none, each absent, repeated or moved first,
+    abbreviated, `=`-joined, given odd values or none, a flag given a
+    value, `-h`, `--` and an extra word."""
+    golden = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))["cases"]
+    yield from (case["argv"] for case in golden)
+    yield from ([], ["-h"], ["nope"], ["--foo", "omega", "--ring", "Zmod:8"])
+    samples = {"--ring": "Zmod:8", "--ideal": "(2)", "--gens": "2,2"}
+    for command, (_, _, options) in cli.COMMANDS.items():
+        chunks = []
+        for flag, settings in options:
+            if not flag.startswith("-"):
+                chunks.append([flag])
+            elif settings.get("action") == "store_true":
+                chunks.append([flag])
+            else:
+                chunks.append([flag, "3" if settings.get("type") is int else samples.get(flag, "x")])
+        full = [word for chunk in chunks for word in chunk]
+        yield from ([command, *full], [command, *(w for c in reversed(chunks) for w in c)],
+                    [command])
+        yield from ([command, *full, "extra"], [command, *full, "-h"], [command, "-h"],
+                    [command, "--", *full], [command, *full, "--"])
+        for i, (flag, _) in enumerate(options):
+            rest = [word for chunk in chunks[:i] + chunks[i + 1:] for word in chunk]
+            chunk = chunks[i]
+            yield from ([command, *rest], [command, *full, *chunk], [command, *chunk, *rest])
+            if not flag.startswith("-"):
+                yield [command, *rest, "-" + flag]
+                continue
+            yield [command, *rest, flag[:-1], *chunk[1:]]
+            if len(chunk) == 1:
+                yield [command, *rest, flag, "yes"]
+                continue
+            yield from ([command, *rest, f"{flag}={chunk[1]}"], [command, *rest, flag])
+            for odd in ("-1", "-x", "", " 3", "+3", "1_0", "1.5", "x", "\u0663", "--ring"):
+                yield [command, *rest, flag, odd]
+
+
+def test_plain_args_read_argvs_as_argparse_does(capsys):
+    """`_plain_args` is None or argparse's namespace, and always None
+    where argparse exits; the full argv of each command is plain."""
+    accepted = set()
+    for argv in _argv_variants():
+        plain = cli._plain_args(list(argv))
+        parser = cli._parser(argv[0] if argv and argv[0] in cli.COMMANDS else None)
+        try:
+            args = parser.parse_args(list(argv))
+        except SystemExit as exc:
+            assert exc.code in (0, 2), argv
+            assert plain is None, argv
+            continue
+        finally:
+            capsys.readouterr()
+        if plain is not None:
+            assert vars(plain) == vars(args), argv
+            accepted.add(tuple(argv))
+    for command, (_, _, options) in cli.COMMANDS.items():
+        flags = {flag for flag, _ in options if flag.startswith("-")}
+        assert any(argv[0] == command and flags <= set(argv) for argv in accepted), command
+    # argparse would read a repeat as its last value; it is still left to argparse
+    assert cli._plain_args(["omega", "--ring", "Zmod:8", "--ring", "Zmod:9"]) is None
+    # the golden refusals are all the golden argvs left to argparse
+    golden = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))["cases"]
+    left = [case["name"] for case in golden if cli._plain_args(case["argv"]) is None]
+    assert left == ["check-missing-n", "verify-refuses-scan-flags"]
 
 
 def _describe_parser(parser) -> dict:
@@ -1301,16 +1446,17 @@ def test_reused_parser_gives_the_outputs_of_fresh_ones(tmp_path, monkeypatch, ca
     import absorbing_ideals.cli as cli
 
     monkeypatch.chdir(tmp_path)
+    # abbreviated and `=`-joined flags go through the parser; the rest are plain
     sequence = [
-        ["trace", "--ring", "Zmod:8", "--gens", "2,2,2", "--full-machinery"],
-        ["trace", "--ring", "Zmod:8", "--gens", "2,2,2"],
+        ["trace", "--ring", "Zmod:8", "--gens", "2,2,2", "--full"],
+        ["trace", "--ring=Zmod:8", "--gens", "2,2,2"],
         ["check-absorbing", "--ring", "Zmod:36", "--n", "3", "--max-tuples", "10",
-         "--samples", "5", "--seed", "1"],
-        ["check-absorbing", "--ring", "Zmod:36", "--n", "3", "--max-tuples", "10"],
+         "--sam", "5", "--seed", "1"],
+        ["check-absorbing", "--ring", "Zmod:36", "--n=3", "--max-tuples", "10"],
         ["omega", "--ring", "Zmod:12", "--ideal", "(4)", "--cap", "2"],
         ["omega", "--ring", "Zmod:12"],
-        ["check-absorbing", "--ring", "Zmod:12", "--n", "1", "--out", "r.json"],
-        ["check-absorbing", "--ring", "Zmod:12", "--n", "1"],
+        ["check-absorbing", "--ring", "Zmod:12", "--n", "1", "--out=r.json"],
+        ["check-absorbing", "--rin", "Zmod:12", "--n", "1"],
     ]
 
     def run(argv, fresh):
