@@ -16,7 +16,9 @@ deterministic.  The numbering of each kind:
 - Quotient: cosets in the order of their least members in the base.
 
 A kind supplies only its arithmetic on values and their text form
-(`render_value`, `parse_value`).
+(`render_value`, `parse_value`).  PolyQuot computes on packed ints: the
+coefficients of a value sit in fixed-width bit fields of one int, so a
+product is one big-int product and a short fold (see `PolyQuotRing`).
 
 An ideal's element set is a sum of principal ideals: (g) is the set
 R*g itself, and I + J grows from I one coset b + I at a time.
@@ -32,7 +34,7 @@ the same answers as the kind's arithmetic:
 - the transpose holds the same value, as every kind is commutative;
 - values reaching `mul_values` are elements, 0..|R|-1, so `a*|R| + b`
   names the pair: `parse_value` and the callers that take values from
-  outside check them before any is multiplied, as the `_coeffs`,
+  outside check them before any is multiplied, as the `_packed`,
   `_parts` and `_lift` lookups already require;
 - the memo belongs to one ring instance and `build_ring` returns a
   fresh ring, so a caller that rebuilds its ring (the trace verifier)
@@ -307,53 +309,94 @@ class ZModRing(Ring):
         return v
 
 
+def packed_field_width(p: int, degree: int) -> int:
+    """Bits per coefficient field of a packed PolyQuot element: the
+    least s with 2*d*(p-1)**2 < 2**s (see `PolyQuotRing`)."""
+    return (2 * degree * (p - 1) ** 2).bit_length()
+
+
 class PolyQuotRing(Ring):
-    """(Z/p)[x] mod a monic modulus of degree d.
+    """(Z/p)[x] mod a monic modulus f of degree d, on packed ints.
 
     The value of c0 + c1*x + ... + c(d-1)*x^(d-1) is the base-p number
-    with digits c0 (least significant) up to c(d-1).  `_coeffs` lists
-    the coefficient tuple of every value and `_index` maps a tuple back
-    to its value, so arithmetic reads and writes values by lookup.
+    with digits c0 (least significant) up to c(d-1).  `_packed[v]` holds
+    the same digits in fields of s = `packed_field_width(p, d)` bits,
+    c_i at bit i*s: the polynomial evaluated at x = 2**s (Kronecker
+    substitution).  Then:
+
+    - a product is one int product of two packed values.  Its field k
+      is the convolution coefficient sum(a_i * b_j, i + j = k), a sum
+      of at most d terms, so at most d*(p-1)**2.  The d-1 fields of
+      degree d+k are folded back, each taken mod p times `x^(d+k) mod f`
+      packed, which is the reduction by the monic f; that adds at most
+      (d-1)*(p-1)**2 to a field.  Every field stays at most
+      (2d-1)*(p-1)**2 < 2*d*(p-1)**2 < 2**s, so no carry crosses into
+      the next field, and each field taken mod p is exactly the
+      schoolbook coefficient;
+    - a sum is one int sum, with fields below 2*(p-1) < 2**s;
+    - `_unpack` reads the fields, each mod p, back as base-p digits.
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
         self.p = p
         self.modulus = tuple(modulus)
-        self.degree = len(self.modulus) - 1
+        d = self.degree = len(self.modulus) - 1
         self.descriptor = PolyQuot(p, self.modulus)
-        # itertools.product varies its last position fastest; reversed,
-        # that position is the constant coefficient
-        self._coeffs = [c[::-1] for c in itertools.product(range(p), repeat=self.degree)]
-        self._index = {c: v for v, c in enumerate(self._coeffs)}
-        super().__init__(len(self._coeffs), 1)
+        s = packed_field_width(p, d)
+        self._mask = (1 << s) - 1
+        # the fields of degree d and up start at bit d*s
+        self._split = d * s
+        self._low = (1 << self._split) - 1
+        # field offsets from the top field (degree d-1) down to the constant
+        self._shifts = tuple(range((d - 1) * s, -1, -s))
+        # v's last digit is its constant coefficient, the rest is v // p
+        packed = [0]
+        for v in range(1, p**d):
+            packed.append(v % p + (packed[v // p] << s))
+        self._packed = packed
+        # (offset in the high part, packed x^(d+k) mod f) for each k < d-1
+        # whose reduction is not zero; x^(d+k) = x * x^(d+k-1), and the
+        # monic f turns the x^d so made into -(f - x^d)
+        folds = []
+        power = [0] * (d - 1) + [1]  # x^(d-1)
+        for k in range(d - 1):
+            top = power[-1]
+            power = [(c - top * m) % p for c, m in zip([0] + power[:-1], self.modulus)]
+            fold = sum(c << (i * s) for i, c in enumerate(power))
+            if fold:
+                folds.append((k * s, fold))
+        self._folds = tuple(folds)
+        super().__init__(len(packed), 1)
+
+    def _unpack(self, t: int) -> int:
+        """Value of a packed int whose fields are all below 2**s."""
+        p, mask = self.p, self._mask
+        v = 0
+        for shift in self._shifts:
+            v = v * p + (t >> shift & mask) % p
+        return v
 
     def add_values(self, a, b):
-        p, coeffs = self.p, self._coeffs
-        return self._index[tuple((x + y) % p for x, y in zip(coeffs[a], coeffs[b]))]
+        packed = self._packed
+        return self._unpack(packed[a] + packed[b])
 
     def mul_values(self, a, b):
-        p = self.p
-        d = self.degree
-        coeffs = self._coeffs
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(coeffs[a]):
-            if x:
-                for j, y in enumerate(coeffs[b]):
-                    if y:
-                        conv[i + j] = (conv[i + j] + x * y) % p
-        # reduce by the monic modulus, top degree first
-        for deg in range(len(conv) - 1, d - 1, -1):
-            c = conv[deg]
-            if c:
-                conv[deg] = 0
-                base = deg - d
-                for j, m in enumerate(self.modulus[:-1]):
-                    if m:
-                        conv[base + j] = (conv[base + j] - c * m) % p
-        return self._index[tuple(conv[:d])]
+        packed = self._packed
+        t = packed[a] * packed[b]
+        p, mask = self.p, self._mask
+        high = t >> self._split
+        t &= self._low
+        for shift, fold in self._folds:
+            t += (high >> shift & mask) % p * fold
+        # `_unpack(t)`, inlined: a call costs about a tenth of a product
+        v = 0
+        for shift in self._shifts:
+            v = v * p + (t >> shift & mask) % p
+        return v
 
     def render_value(self, value):
-        return "[" + ",".join(str(c) for c in self._coeffs[value]) + "]"
+        t, mask = self._packed[value], self._mask
+        return "[" + ",".join(str(t >> shift & mask) for shift in self._shifts[::-1]) + "]"
 
     def parse_value(self, text):
         text = text.strip()
@@ -368,8 +411,10 @@ class PolyQuotRing(Ring):
         for c in coeffs:
             if not 0 <= c < self.p:
                 raise ParseError(f"coefficient {c} outside [0, {self.p})")
-        coeffs.extend([0] * (self.degree - len(coeffs)))
-        return self._index[tuple(coeffs)]
+        value = 0
+        for c in reversed(coeffs):
+            value = value * self.p + c
+        return value
 
 
 class ProductRing(Ring):

@@ -290,6 +290,38 @@ def _poly_divmod(num, den, p):
     return quotient, num
 
 
+def poly_digits(value, p, degree):
+    """The `degree` base-p digits of a PolyQuot value, constant first."""
+    digits = []
+    for _ in range(degree):
+        value, digit = divmod(value, p)
+        digits.append(digit)
+    return digits
+
+
+def _poly_value(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def naive_poly_product(p, modulus, a, b):
+    """Value of the product of the values a and b of (Z/p)[x]/(modulus):
+    the schoolbook convolution of their coefficients, then the remainder
+    by the monic modulus."""
+    degree = len(modulus) - 1
+    x, y = poly_digits(a, p, degree), poly_digits(b, p, degree)
+    conv = [0] * (2 * degree - 1)
+    for i, j in itertools.product(range(degree), repeat=2):
+        conv[i + j] = (conv[i + j] + x[i] * y[j]) % p
+    return _poly_value(_poly_divmod(conv, modulus, p)[1], p)
+
+
+def naive_poly_sum(p, degree, a, b):
+    """Value of the sum of the values a and b of a PolyQuot ring of the
+    given characteristic and degree, coefficient by coefficient."""
+    x, y = poly_digits(a, p, degree), poly_digits(b, p, degree)
+    return _poly_value([(c + e) % p for c, e in zip(x, y)], p)
+
+
 def irreducible_factor_count(coeffs, p):
     """Irreducible factors over F_p of a monic polynomial (coefficients
     constant first), counted with multiplicity, by trial division with

@@ -1252,6 +1252,9 @@ def _passing_child_output(bench, argv) -> str:
         digest = next((d for command, d in bench.CASES.values()
                        if argv[4:4 + len(command)] == command), None)
         return json.dumps({"cpu_s": 1.0, "wall_s": 1.0, "rss_mb": 1.0, "sha256": digest})
+    if bench.__name__ == "bench_arith":
+        report = {"size": 1, "mul_s": 1.0, "add_s": 1.0, "mismatched": 0}
+        return json.dumps([report] * len(bench.RINGS))
     if bench.__name__ == "bench_scan":
         scan = [True, None, 1]
         report = {"got": scan, "expected": scan, "candidates_ok": True, "multiplied": 1, "ms": [1.0]}
@@ -1261,7 +1264,8 @@ def _passing_child_output(bench, argv) -> str:
 
 
 @pytest.mark.parametrize(
-    "name", ["bench_corpus_scan", "bench_import", "bench_one_shot", "bench_scan", "bench_trace_io"]
+    "name",
+    ["bench_arith", "bench_corpus_scan", "bench_import", "bench_one_shot", "bench_scan", "bench_trace_io"],
 )
 def test_bench_scripts_time_two_sources_in_turns(name, capsys, monkeypatch, load_script, tmp_path):
     bench = load_script(name)

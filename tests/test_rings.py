@@ -2,6 +2,8 @@
 
 import copy
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,8 +25,10 @@ from absorbing_ideals import (
 )
 from absorbing_ideals.rings import (
     MEMO_MAX_SIZE,
+    PolyQuotRing,
     generated_ideal_values,
     ideal_sum_values,
+    packed_field_width,
     principal_ideal_values,
     split_top_level,
     validate_descriptor,
@@ -32,10 +36,14 @@ from absorbing_ideals.rings import (
 )
 from oracles import (
     brute_force_ideals,
+    irreducible_factor_count,
     naive_additive_closure,
     naive_generated_ideal,
+    naive_poly_product,
+    naive_poly_sum,
     naive_radical,
     naive_units,
+    poly_digits,
 )
 from test_absorbing import ORACLE_SPECS
 
@@ -53,7 +61,15 @@ DESCRIPTOR_POOL = [
     Quotient(ZMod(12), (4,)),
 ]
 
-ring_strategy = st.sampled_from([build_ring(d) for d in DESCRIPTOR_POOL])
+# two more PolyQuot rings for the laws, which need no canonical texts:
+# 512 elements, past the product memo, and p = 5 with nonzero lower
+# modulus coefficients
+LAW_POOL = DESCRIPTOR_POOL + [
+    PolyQuot(2, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
+    PolyQuot(5, (2, 3, 4, 1)),
+]
+
+ring_strategy = st.sampled_from([build_ring(d) for d in LAW_POOL])
 
 
 @st.composite
@@ -101,6 +117,113 @@ def test_polyquot_reduction_uses_modulus():
     ring = build_ring(PolyQuot(2, (1, 1, 0, 1)))
     x = ring.parse_value("[0,1,0]")
     assert ring.pow_value(x, 3) == ring.parse_value("[1,1,0]")
+
+
+# every (p, d) with p**d within the size cap: 604 shapes, 564 of them of
+# degree 1
+POLY_SHAPES = [
+    (p, d)
+    for p in range(2, DEFAULT_MAX_RING_SIZE + 1)
+    if all(p % q for q in range(2, math.isqrt(p) + 1))
+    for d in range(1, DEFAULT_MAX_RING_SIZE.bit_length())
+    if p**d <= DEFAULT_MAX_RING_SIZE
+]
+
+
+def _poly_moduli(p, d):
+    """x^d, the first irreducible monic of degree d with a nonzero
+    constant (constant coefficient varying fastest), and the modulus
+    with every lower coefficient 1, whose reductions x^(d+k) mod f have
+    the largest coefficients p - 1."""
+    irreducible = next(
+        low + (1,)
+        for high in itertools.product(range(p), repeat=d)
+        for low in [high[::-1]]
+        if low[0] and irreducible_factor_count(low + (1,), p) == 1
+    )
+    return list(dict.fromkeys([(0,) * d + (1,), irreducible, (1,) * (d + 1)]))
+
+
+def _poly_pairs(size, count):
+    """Every pair of a ring of at most 64 elements; else `count` seeded
+    pairs and the pair whose digits are all p - 1."""
+    if size <= 64:
+        return list(itertools.product(range(size), repeat=2))
+    rnd = random.Random(size)
+    return [(size - 1, size - 1)] + [
+        (rnd.randrange(size), rnd.randrange(size)) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_polyquot_arithmetic_matches_the_schoolbook_oracle(degree):
+    # the kind's own arithmetic, through the class: the memo is bypassed.
+    # Degree-1 rings of the primes 67 to 4091 take 64 pairs and their
+    # values only, so that the 500-odd of them cost what one ring does.
+    for p, d in POLY_SHAPES:
+        if d != degree:
+            continue
+        light = d == 1 and 64 < p < 4093
+        for modulus in _poly_moduli(p, d):
+            ring = build_ring(PolyQuot(p, modulus))
+            assert ring.size == p**d
+            pairs = _poly_pairs(ring.size, 64 if light else 2000)
+            for a, b in pairs:
+                assert PolyQuotRing.mul_values(ring, a, b) == naive_poly_product(
+                    p, modulus, a, b
+                ), (p, modulus, a, b)
+                assert PolyQuotRing.add_values(ring, a, b) == naive_poly_sum(p, d, a, b)
+            values = {v for pair in pairs for v in pair} if light else ring.iter_values()
+            for v in values:
+                text = ring.render_value(v)
+                assert text == "[" + ",".join(map(str, poly_digits(v, p, d))) + "]"
+                assert ring.parse_value(text) == v
+
+
+def _headroom(shape):
+    p, d = shape
+    return 2 ** packed_field_width(p, d) / (2 * d * (p - 1) ** 2)
+
+
+# for each degree, the shape whose bound 2*d*(p-1)**2 comes nearest 2**s
+TIGHTEST_SHAPES = [
+    min((shape for shape in POLY_SHAPES if shape[1] == d), key=_headroom) for d in range(1, 13)
+]
+
+
+@pytest.mark.parametrize("p, d", TIGHTEST_SHAPES)
+def test_packed_fields_stay_below_their_width(p, d):
+    # s is the least width above the bound of the no-carry argument
+    s = packed_field_width(p, d)
+    assert 2 ** (s - 1) <= 2 * d * (p - 1) ** 2 < 2**s
+    for modulus in _poly_moduli(p, d):
+        ring = build_ring(PolyQuot(p, modulus))
+        # coefficients of x^(d+k) mod f, k = 0..d-2, by the oracle: the
+        # value of x is p, and that of x^(d-1) is p**(d-1)
+        folds, power = [], p ** (d - 1)
+        for _ in range(d - 1):
+            power = naive_poly_product(p, modulus, power, p)
+            folds.append(poly_digits(power, p, d))
+        largest = 0
+        for a, b in _poly_pairs(ring.size, 2000):
+            ca, cb = poly_digits(a, p, d), poly_digits(b, p, d)
+            conv = [0] * (2 * d - 1)
+            for i, j in itertools.product(range(d), repeat=2):
+                conv[i + j] += ca[i] * cb[j]
+            # the fields before the unpack: the low convolution plus
+            # each high coefficient mod p times its reduction
+            fields = conv[:d]
+            for high, fold in zip(conv[d:], folds):
+                fields = [f + high % p * c for f, c in zip(fields, fold)]
+            largest = max(largest, *fields)
+            # and the ring's packed product, folded, holds exactly these
+            t = ring._packed[a] * ring._packed[b]
+            high = t >> ring._split
+            t &= ring._low
+            for shift, fold in ring._folds:
+                t += (high >> shift & ring._mask) % p * fold
+            assert t == sum(f << (i * s) for i, f in enumerate(fields)), (modulus, a, b)
+        assert largest <= (2 * d - 1) * (p - 1) ** 2 < 2**s
 
 
 def test_product_basics():
@@ -535,3 +658,29 @@ def test_each_build_fills_its_own_product_memo():
     second.factors[0].mul_values = counting_mul
     assert [second.mul_values(a, b) for a, b in pairs] == [first.mul_values(a, b) for a, b in pairs]
     assert calls == first.size * (first.size + 1) // 2
+
+
+def test_arith_bench_checks_polyquot_products_against_the_schoolbook(
+    capsys, monkeypatch, load_script
+):
+    bench = load_script("bench_arith")
+    src = bench.harness.label(bench.harness.DEFAULT_SRC)
+    assert bench.main(["--runs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"run 1: {src} best_ms ")
+    assert len(lines) == 2 + len(bench.RINGS)
+    assert "MISMATCH" not in "\n".join(lines)
+    # one ring of each kind at 64, 512 and 4096 elements
+    sizes = [int(line.split(" size ")[1].split()[0]) for line in lines[1:-1]]
+    assert sizes == [64, 512, 4096] * 4
+    assert [line.split(":")[0] for line in lines[1:-1]] == [
+        kind for kind in ("Zmod", "PolyQuot", "Product", "Quotient") for _ in range(3)
+    ]
+    assert lines[-1].startswith(f"median of 1: {src} best_ms ")
+    # a product that differs from the schoolbook makes the run exit 1
+    reports = [{"size": 64, "mul_s": 1.0, "add_s": 1.0, "mismatched": 0}] * len(bench.RINGS)
+    reports[4] = dict(reports[4], mismatched=3)
+    monkeypatch.setattr(bench, "run_once", lambda src: reports)
+    assert bench.main(["--runs", "1"]) == 1
+    line = capsys.readouterr().out.splitlines()[1 + 4]
+    assert line.startswith("PolyQuot:") and line.endswith(" MISMATCH 3 products differ from the schoolbook")
