@@ -7,9 +7,10 @@ zero ideals of Zmod:16, Zmod:24 and Zmod:36 (the rings of the big trace
 surveys), and at the level of one check of each ring of the `large-ring`
 workload (rings of 512 to 4096 elements, where finding the candidates is
 most of the work).  Each run builds every ring once, then times REPEATS
-calls per case, emptying the ring's scan memo and its unit generators
-before each call, so every call builds the generators, finds the scan
-candidates and scans again.
+calls per case, emptying the ring's scan memo, its units and its unit
+generators before each call, so every call walks the units (which finds
+the generators too), finds the scan candidates and scans again: the
+whole cost of the candidates, on either side of a `--src` pair.
 
 It prints one line per run and source with its total, then one line per
 case: the multisets the scan counts, how many of them are multiplied out
@@ -92,14 +93,13 @@ out = []
 for spec, gens, n in cases:
     ring = build_ring(parse_ring_spec(spec))
     ideal = Ideal.from_generators(ring, [ring.parse_value(g) for g in gens])
-    ring.unit_values()
     times = []
     for _ in range(repeats):
         ring._scans.clear()
         # a checkout older than the unit generators has no such slot, and
         # setting a new attribute would slow every later read on the ring
         if hasattr(ring, "_unit_generators"):
-            ring._unit_generators = None
+            ring._units = ring._unit_generators = None
         start = time.perf_counter()
         report = is_n_absorbing(ideal, n)
         times.append((time.perf_counter() - start) * 1e3)

@@ -21,7 +21,9 @@ least sorted witness is therefore made of class minima, and the
 lexicographic scan over class minima reaches it first.  The classes
 are marked as orbits of a generating set of the unit group
 (`_scan_candidates`), which gives the same classes as multiplying by
-every unit, so the minima are the same.  The budget counts the
+every unit, so the minima are the same.  The ring's units walk
+(`Ring.unit_values`) keeps the same generators as a walk over the
+units alone, so the reports are the same too.  The budget counts the
 multisets that scan visits or skips, C(c+n, n+1) over the c class
 minima, and `tuples_scanned` reports how many it visited or skipped.
 A multiset whose first k <= n factors already multiply into I cannot
@@ -126,34 +128,33 @@ def _scan_candidates(ideal: Ideal) -> tuple:
     outside the ideal, in canonical order.
 
     The associates of a candidate are candidates too: u*v in I would
-    put v = u^-1 * (u*v) in I.  Walking the values in canonical order,
-    each one not yet marked is the least of its class v*U, and the class
-    is marked as the orbit of v under a generating set of the unit group
-    U (`Ring.unit_generators`, built at the first candidate, so a ring
-    with none builds nothing): {v} grows by one generator at a time, in
-    blocks (`grow_orbit`).  In a finite group each g^-1 is a power of g,
-    so the closure of {v} under the generators is all of v*U, the set
-    that multiplying v by every unit marks.  The classes, and so the
-    minima, are the same, for about one multiplication per marked
-    element instead of |U| per class.
+    put v = u^-1 * (u*v) in I.  One array marks the units, the members
+    of I and each class found.  The least unmarked value v is the least
+    of its class v*U, which is marked as the orbit of v under the unit
+    generators (`Ring.unit_generators`): {v} grows by one generator at
+    a time, in blocks (`grow_orbit`).  The orbit holds no unit, no
+    member of I and no earlier class, so only its own elements are
+    marked.  In a finite group each g^-1 is a power of g, so the
+    closure of {v} under the generators is all of v*U, the set that
+    multiplying v by every unit marks.  The classes, and so the minima,
+    are the same, for about one multiplication per marked element
+    instead of |U| per class.
     """
     ring = ideal.ring
-    units = ring.unit_values()
-    members = ideal.element_values
     mul = ring.mul_values
-    marked: set = set()
+    marks = bytearray(ring.size)
+    for v in itertools.chain(ring.unit_values(), ideal.element_values):
+        marks[v] = 1
+    generators = ring.unit_generators()
     minima = []
-    generators = None
-    for v in ring.iter_values():
-        if v in units or v in members or v in marked:
-            continue
-        if generators is None:
-            generators = ring.unit_generators()
+    v = marks.find(0)
+    while v >= 0:
         minima.append(v)
+        marks[v] = 1
         orbit = [v]
-        marked.add(v)
         for g in generators:
-            grow_orbit(mul, orbit, g, marked)
+            grow_orbit(mul, orbit, g, marks)
+        v = marks.find(0, v + 1)
     return tuple(minima)
 
 

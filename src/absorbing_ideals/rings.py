@@ -182,32 +182,30 @@ class Ring:
     def unit_values(self) -> frozenset:
         """Set of invertible element values (computed once, cached).
 
-        a is a unit exactly when some a**k = 1: a * a**(k-1) = 1, and the
-        powers of a unit run through the finite unit group back to 1.
+        One power walk (`_power_walk`) finds the units and the unit
+        generators.  Each value a not yet classified follows a, a**2, ...
+        until it meets a known unit, a known non-unit or its own path.
+        The known units are the subgroup H of the units kept so far, from
+        {1}.  A power of a non-unit is a non-unit, so meeting H proves a
+        a unit; a unit's powers reach 1 before they repeat, so any other
+        stop makes a and its path non-units.  A unit a so met is not in
+        H: it is kept, and H grows to <H, a> (`grow_orbit`).  Non-units
+        never change H, so the units kept are those outside the subgroup
+        of the units before them, as a walk over the units alone keeps.
         """
         if self._units is None:
-            self._units = values_with_power_in(self, {self.one_value})
+            status = bytearray(self.size)
+            status[self.one_value] = INSIDE
+            subgroup, generators = [self.one_value], []
+            _power_walk(self, status, subgroup, generators)
+            self._units = frozenset(subgroup)
+            self._unit_generators = tuple(generators)
         return self._units
 
     def unit_generators(self) -> tuple:
-        """Units that generate the unit group U (computed once, cached).
-
-        Walking U in canonical order, a unit u not yet in the subgroup H
-        generated so far is kept, and H grows to <H, u> by `grow_orbit`
-        (H is the orbit of 1 under the kept units).  Every unit is then
-        in the generated subgroup, which is U.  Each multiplication adds
-        an element to H or ends one generator's walk, so this takes
-        |U| - 1 plus one per generator.
-        """
-        if self._unit_generators is None:
-            subgroup = [self.one_value]
-            seen = {self.one_value}
-            generators = []
-            for u in sorted(self.unit_values()):
-                if u not in seen:
-                    generators.append(u)
-                    grow_orbit(self.mul_values, subgroup, u, seen)
-            self._unit_generators = tuple(generators)
+        """Units generating the unit group, each the least unit outside
+        the subgroup of those before it (found by `unit_values`)."""
+        self.unit_values()
         return self._unit_generators
 
     def __eq__(self, other):
@@ -534,59 +532,82 @@ class QuotientRing(Ring):
 # power walk and ideal closure at value level (shared with ideals)
 
 
+# a value's state in a power walk; grow_orbit marks INSIDE
+UNKNOWN, INSIDE, OUTSIDE, ON_WALK = range(4)
+
+
 def values_with_power_in(ring: Ring, targets: Iterable) -> frozenset:
     """Values a with some power a**k (k >= 1) in `targets`.
 
     `targets` (T) must be closed under multiplication.  Then a is in
     the result S exactly when a**k is, for any k >= 1: a power of a**k
     is a power of a, and a**j in T puts (a**k)**j = (a**j)**k in T.
-    So the walk a, a**2, ... stops at the first element already
-    classified, and that element decides a and every power met on the
-    way.  T is classified in S before any walk starts, so a walk that
-    closes on itself has met no element of T, and none of its values
-    is in S.  Each multiplication either classifies a new element or
-    ends a walk, so at most 2|R| of them are needed.
+    So the walk a, a**2, ... (`_power_walk`) stops at the first element
+    already classified, and that element decides a and every power met
+    on the way.  T is classified in S before any walk starts, so a walk
+    that closes on itself has met no element of T, and none of its
+    values is in S.  Each multiplication either classifies a new
+    element or ends a walk, so at most 2|R| of them are needed.
+    """
+    inside = list(targets)
+    status = bytearray(ring.size)
+    for t in inside:
+        status[t] = INSIDE
+    _power_walk(ring, status, inside, None)
+    return frozenset(inside)
+
+
+def _power_walk(ring: Ring, status: bytearray, inside: list, generators) -> None:
+    """Walk a, a**2, ... from each UNKNOWN value a in canonical order,
+    marking the path ON_WALK, to the first value not UNKNOWN.  A stop
+    off INSIDE marks the path OUTSIDE.  A stop INSIDE marks it INSIDE
+    and appends it to `inside`, or, given a `generators` list, resets
+    it, keeps a and grows the subgroup `inside` by a (`grow_orbit`).
     """
     mul = ring.mul_values
-    # None marks an element on the walk in progress
-    status: dict = dict.fromkeys(targets, True)
     for a in ring.iter_values():
-        if a in status:
+        if status[a]:
             continue
         path = []
         x = a
-        while x not in status:
-            status[x] = None
+        while not status[x]:
+            status[x] = ON_WALK
             path.append(x)
             x = mul(x, a)
-        verdict = bool(status[x])
-        for y in path:
-            status[y] = verdict
-    return frozenset(v for v, inside in status.items() if inside)
+        if status[x] != INSIDE:
+            for y in path:
+                status[y] = OUTSIDE
+        elif generators is None:
+            for y in path:
+                status[y] = INSIDE
+            inside.extend(path)
+        else:
+            for y in path:
+                status[y] = UNKNOWN
+            generators.append(a)
+            grow_orbit(mul, inside, a, status)
 
 
-def grow_orbit(mul, orbit: list, g, seen: set) -> None:
+def grow_orbit(mul, orbit: list, g, marks: bytearray) -> None:
     """Extend `orbit`, an orbit O of a subgroup K of the units, to its
-    orbit under <K, g>, adding the new elements to `seen` too.
+    orbit under <K, g>, marking each new element in `marks`, which must
+    be nonzero on O and zero on the rest of the new orbit.
 
-    `seen` must hold O and nothing else of that orbit.  The blocks O*g,
-    O*g**2, ... are orbits of K, as units commute, so any two are equal
-    or disjoint, and the first block to repeat an earlier one is O
-    itself (O*g**k = O*g**j gives O*g**(k-j) = O).  The walk multiplies
-    the elements of `orbit` by g in turn and appends each product, so it
-    reads the elements it appends and each block is the one before times
-    g.  A new block is disjoint from O, so none of its elements is in
-    `seen`, and the first product in `seen` is the head of the block
-    that is O again: the walk stops there.  That is one multiplication
-    per new element, and one for the stop.
+    The blocks O*g, O*g**2, ... are orbits of K, as units commute, so
+    any two are equal or disjoint, and the first block to repeat an
+    earlier one is O itself (O*g**k = O*g**j gives O*g**(k-j) = O).
+    The walk multiplies the elements of `orbit` by g in turn, appending
+    and marking each product, so each block is the one before times g.
+    A new block meets neither O nor an earlier block, so the first
+    marked product is the head of the block that is O again, and the
+    walk stops there: one multiplication per new element, and one more.
     """
-    start = len(orbit)
     for y in orbit:
         x = mul(y, g)
-        if x in seen:
+        if marks[x]:
             break
+        marks[x] = INSIDE
         orbit.append(x)
-    seen.update(orbit[start:])
 
 
 def principal_ideal_values(ring: Ring, g) -> frozenset:

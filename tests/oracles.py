@@ -27,12 +27,14 @@ def naive_units(ring):
     )
 
 
-def naive_class_minima(ideal):
+def naive_class_minima(ideal, units=None):
     """Sorted least members of the associate classes {u*v : u a unit} of
     the non-unit elements v outside the ideal, each class read off by
-    multiplying v by every unit."""
+    multiplying v by every unit; `units`, when given, is
+    `naive_units(ideal.ring)`, computed once for several ideals."""
     ring = ideal.ring
-    units = naive_units(ring)
+    if units is None:
+        units = naive_units(ring)
     return tuple(sorted({
         min(ring.mul_values(u, v) for u in units)
         for v in ring.iter_values()

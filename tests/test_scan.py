@@ -22,9 +22,10 @@ from oracles import (
     naive_class_minimum_scan,
     naive_omega,
     naive_product,
+    naive_units,
     prime_factor_count,
 )
-from test_rings import _count_multiplications
+from test_rings import _count_multiplications, _generated_subgroup
 
 EXTRA_SCAN_SPECS = (
     "Product:[Zmod:4,Zmod:6]",
@@ -75,7 +76,10 @@ LARGE_RING_CASES = (
 
 
 def _ideal(spec, gens):
-    ring = build_ring(parse_ring_spec(spec))
+    return _ideal_in(build_ring(parse_ring_spec(spec)), gens)
+
+
+def _ideal_in(ring, gens):
     return Ideal.from_generators(ring, [ring.parse_value(g) for g in gens])
 
 
@@ -108,7 +112,8 @@ def test_scan_candidates_match_the_all_units_marking_on_large_rings(spec, gens):
 def test_class_walk_takes_at_most_a_third_of_the_all_units_marking(spec, gens, all_units_work):
     ideal = _ideal(spec, gens)
     units = ideal.ring.unit_values()
-    # the generators are built inside the counted call
+    # the units walk above found the generators, so this counts the
+    # class walk alone
     calls = _count_multiplications(ideal.ring, lambda: absorbing._scan_candidates(ideal))
     assert ideal.ring._unit_generators is not None
     # marking each class minimum's class by every unit takes c*|U|
@@ -117,10 +122,64 @@ def test_class_walk_takes_at_most_a_third_of_the_all_units_marking(spec, gens, a
 
 
 @pytest.mark.parametrize("spec, gens", [("Zmod:13", []), ("Zmod:4", ["2"])])
-def test_no_candidate_builds_no_unit_generators(spec, gens):
+def test_no_candidate_costs_only_the_units_walk(spec, gens):
     ideal = _ideal(spec, gens)
+    ring = ideal.ring
+    assert ring._units is None and ring._unit_generators is None
+    walk = _count_multiplications(ring, ring.unit_values)
+    # the units and the generators come out of one walk, held to the
+    # bound of a power walk over the ring
+    assert ring._unit_generators is not None
+    assert walk <= 2 * ring.size
+    # no candidate: the class walk marks nothing and multiplies nothing
+    assert _count_multiplications(ring, lambda: absorbing._scan_candidates(ideal)) == 0
     assert absorbing._scan_candidates(ideal) == ()
-    assert ideal.ring._unit_generators is None
+
+
+def _greedy_generators(ring, units):
+    """Each unit in canonical order that lies outside the subgroup the
+    units kept before it generate, that subgroup closed by brute force."""
+    generators, subgroup = [], {ring.one_value}
+    for u in sorted(units):
+        if u not in subgroup:
+            generators.append(u)
+            subgroup = _generated_subgroup(ring, generators)
+    return tuple(generators)
+
+
+# the five rings of the `large-ring` workload with its ideals, then a
+# field, a local ring and the smallest ring with all their proper ideals;
+# each with the multiplications its units walk makes
+UNITS_WALK_CASES = (
+    ("Zmod:4096", [[]], 5121),
+    ("Zmod:3600", [["60"], ["420"], ["660"], ["780"]], 3635),
+    ("Product:[Zmod:32,Zmod:32]", [[]], 1043),
+    ("Quotient:{ring:Zmod:4000,gens:[1000]}", [[]], 1103),
+    ("PolyQuot:{p:2,poly:[0,0,0,0,0,0,0,0,0,1]}", [[]], 535),
+    ("Zmod:13", None, 24),
+    ("PolyQuot:{p:3,poly:[0,0,0,1]}", None, 34),
+    ("Zmod:2", None, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, ideal_gens, walk", UNITS_WALK_CASES, ids=[case[0] for case in UNITS_WALK_CASES]
+)
+def test_units_walk_matches_the_oracles(spec, ideal_gens, walk):
+    ring = build_ring(parse_ring_spec(spec))
+    assert _count_multiplications(ring, ring.unit_values) == walk
+    units = naive_units(ring)
+    assert ring.unit_values() == units
+    assert ring.unit_generators() == _greedy_generators(ring, units)
+    if ideal_gens is None:
+        ideals = list(proper_ideals(ring))
+    else:
+        ideals = [_ideal_in(ring, gens) for gens in ideal_gens]
+    for ideal in ideals:
+        assert absorbing._scan_candidates(ideal) == naive_class_minima(ideal, units), (
+            spec,
+            ideal.text(),
+        )
 
 
 def test_scan_skips_blocks_whose_prefix_lies_in_the_ideal(monkeypatch):
