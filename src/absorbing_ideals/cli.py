@@ -462,7 +462,12 @@ def render_json(obj) -> str:
     return "".join(parts)
 
 
-@functools.lru_cache(maxsize=4)  # the bound of the schedule's caches
+# Eight texts: verifying a mix of traces meets six keys, "0" at n = 2, 3
+# and 4, "[0,0]", "[0,0,0]" and "(0,0)", so four kept rebuilding the
+# 360 kB n = 4 text.  The reader builds n = 2 to 4 only; a writer's n = 5
+# text is 11.9 MB, so a process writing level-5 traces of eight zero
+# texts holds at most about 95 MB here.
+@functools.lru_cache(maxsize=8)
 def _default_steps_text(n: int, conclusion: str) -> str:
     """The text of a level-n default trace's steps that conclude
     `conclusion`, as they stand in a trace document: a row's `%`

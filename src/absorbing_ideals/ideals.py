@@ -5,7 +5,8 @@ built from; two ideals compare equal when their element sets match,
 regardless of how they were generated.  Element sets make containment
 tests trivial, and every operation here (radical, product, power,
 colon, enumeration) works directly on those sets, which are grown from
-principal ideals and sums of ideals (see `rings`).
+principal ideals and sums of ideals (see `rings`).  Radicals, primality
+and powers are kept on the ring, so each is derived once per ring.
 """
 
 from __future__ import annotations
@@ -178,13 +179,23 @@ def ideal_product(left: Ideal, right: Ideal) -> Ideal:
 
 
 def ideal_power(ideal: Ideal, k: int) -> Ideal:
-    """k-th power of an ideal, for k >= 1."""
+    """k-th power of an ideal, for k >= 1: I**k = I**(k-1) * I.
+
+    The powers are kept on the ring in a chain [I, I**2, ...] per
+    generator tuple, so a higher level costs one more `ideal_product`
+    and a level already reached costs none.  The key is the generators,
+    not the element set: a product's generators, and so the text of
+    every power, depend on the generators of I, and `ideal_product`
+    reads nothing else of I.  The power k = 1 is `ideal` itself.
+    """
     if k < 1:
         raise ValueError(f"ideal power needs exponent >= 1, got {k}")
-    out = ideal
-    for _ in range(k - 1):
-        out = ideal_product(out, ideal)
-    return out
+    if k == 1:
+        return ideal
+    chain = ideal.ring._powers.setdefault(ideal.generator_values, [ideal])
+    while len(chain) < k:
+        chain.append(ideal_product(chain[-1], ideal))
+    return chain[k - 1]
 
 
 def colon(ideal: Ideal, x) -> Ideal:
@@ -212,17 +223,15 @@ def enumerate_ideals(ring: Ring, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[I
     known ideal I by one new generator v, as I + (v), keeping the first
     (I, v) to reach an ideal as its generators.  Every ideal is finitely
     generated here, so this reaches all of them.  Each (v) is computed
-    once, and each frontier ideal adds each distinct (v) once.  Ties in
-    size break by the sorted element list, making the order canonical.
+    once per ring, equal ones as one object (`principal_ideal_values`),
+    and each frontier ideal adds each distinct (v) once.  Ties in size
+    break by the sorted element list, making the order canonical.
     """
     zero = Ideal.zero(ring)
     seen: dict[frozenset, Ideal] = {zero.element_values: zero}
     frontier = [zero]
     values = tuple(ring.iter_values())
-    shared: dict[frozenset, frozenset] = {}  # one set per distinct (v)
-    principals = [
-        shared.setdefault(p, p) for p in (principal_ideal_values(ring, v) for v in values)
-    ]
+    principals = [principal_ideal_values(ring, v) for v in values]
     while frontier:
         next_frontier: list[Ideal] = []
         for ideal in frontier:

@@ -21,7 +21,8 @@ coefficients of a value sit in fixed-width bit fields of one int, so a
 product is one big-int product and a short fold (see `PolyQuotRing`).
 
 An ideal's element set is a sum of principal ideals: (g) is the set
-R*g itself, and I + J grows from I one coset b + I at a time.
+R*g itself, computed once per ring, and I + J grows from I one coset
+b + I at a time.
 
 Products are memoised per ring.  A PolyQuot, Product or Quotient ring
 of at most `MEMO_MAX_SIZE` elements gets its own `mul_values`, which
@@ -119,6 +120,13 @@ class Ring:
     at 0.  Each kind sets its descriptor, then passes its size and the
     value of its identity to `__init__`, and supplies the arithmetic and
     the text form.  A ring hashes as its descriptor, computed once.
+
+    `__init__` also sets up the ring's memos, all empty: its units and
+    unit generators, and what is derived once per ring from its ideals
+    (primes, scans, quotients, radicals, principal ideals and ideal
+    powers).  Each belongs to this ring instance, and `build_ring`
+    returns a fresh ring, so a caller that rebuilds its ring (the trace
+    verifier) derives all of them again itself.
     """
 
     descriptor: RingDescriptor
@@ -143,6 +151,12 @@ class Ring:
         self._quotients: dict = {}
         # ideals.radical's memo: ideal element set -> radical Ideal
         self._radicals: dict = {}
+        # principal_ideal_values' memo: element g -> the element set of (g),
+        # and each distinct such set -> itself, so equal sets are one object
+        self._principals: dict = {}
+        self._principal_sets: dict = {}
+        # ideals.ideal_power's memo: ideal generators -> [I, I**2, ...]
+        self._powers: dict = {}
 
     # value-level ops -------------------------------------------------
 
@@ -189,7 +203,9 @@ class Ring:
         {1}.  A power of a non-unit is a non-unit, so meeting H proves a
         a unit; a unit's powers reach 1 before they repeat, so any other
         stop makes a and its path non-units.  A unit a so met is not in
-        H: it is kept, and H grows to <H, a> (`grow_orbit`).  Non-units
+        H: it is kept, and H grows to <H, a> (`grow_orbit`; for the
+        first generator, its path a, ..., a**(k-1) is that orbit less 1
+        already, in grow_orbit's order, and is kept as found).  Non-units
         never change H, so the units kept are those outside the subgroup
         of the units before them, as a walk over the units alone keeps.
         """
@@ -561,8 +577,10 @@ def _power_walk(ring: Ring, status: bytearray, inside: list, generators) -> None
     """Walk a, a**2, ... from each UNKNOWN value a in canonical order,
     marking the path ON_WALK, to the first value not UNKNOWN.  A stop
     off INSIDE marks the path OUTSIDE.  A stop INSIDE marks it INSIDE
-    and appends it to `inside`, or, given a `generators` list, resets
-    it, keeps a and grows the subgroup `inside` by a (`grow_orbit`).
+    and appends it to `inside`, or, given a `generators` list, keeps a
+    and grows the subgroup `inside` by a.  While that subgroup is {1},
+    the path a, ..., a**(k-1) is all of <a> but 1, so it is kept as it
+    is; later, the path is reset and `grow_orbit` grows the subgroup.
     """
     mul = ring.mul_values
     for a in ring.iter_values():
@@ -577,15 +595,19 @@ def _power_walk(ring: Ring, status: bytearray, inside: list, generators) -> None
         if status[x] != INSIDE:
             for y in path:
                 status[y] = OUTSIDE
-        elif generators is None:
-            for y in path:
-                status[y] = INSIDE
-            inside.extend(path)
-        else:
-            for y in path:
-                status[y] = UNKNOWN
+            continue
+        if generators is not None:
             generators.append(a)
-            grow_orbit(mul, inside, a, status)
+            if len(inside) > 1:
+                for y in path:
+                    status[y] = UNKNOWN
+                grow_orbit(mul, inside, a, status)
+                continue
+            # H = {1}, so a**k = 1 ends the path: it is <a> less 1, in
+            # the order grow_orbit would append it
+        for y in path:
+            status[y] = INSIDE
+        inside.extend(path)
 
 
 def grow_orbit(mul, orbit: list, g, marks: bytearray) -> None:
@@ -612,9 +634,20 @@ def grow_orbit(mul, orbit: list, g, marks: bytearray) -> None:
 
 def principal_ideal_values(ring: Ring, g) -> frozenset:
     """Element set of the principal ideal (g) of an element g: R*g is
-    already an ideal, as rg + sg = (r+s)g and s(rg) = (sr)g."""
-    mul = ring.mul_values
-    return frozenset([mul(r, g) for r in ring.iter_values()])
+    already an ideal, as rg + sg = (r+s)g and s(rg) = (sr)g.
+
+    It is kept on the ring, keyed by g, so each (g) costs |R|
+    multiplications once per ring, and equal sets are one object, so a
+    later comparison of two of them stops at identity.  `g` must be an
+    element (see `checked_value`): the key `True` would read (1).
+    """
+    principal = ring._principals.get(g)
+    if principal is None:
+        mul = ring.mul_values
+        principal = frozenset([mul(r, g) for r in ring.iter_values()])
+        principal = ring._principal_sets.setdefault(principal, principal)
+        ring._principals[g] = principal
+    return principal
 
 
 def ideal_sum_values(ring: Ring, left: frozenset, right: frozenset) -> frozenset:
@@ -706,8 +739,8 @@ def build_ring(desc: RingDescriptor, max_size: int = DEFAULT_MAX_RING_SIZE) -> R
     """Materialize a descriptor, enforcing the element count cap.
 
     Every call builds a fresh ring, so a caller that must redo work (the
-    trace verifier, for one) never inherits another caller's unit table
-    or absorbing scans.
+    trace verifier, for one) never inherits another caller's unit table,
+    absorbing scans, principal ideals, ideal powers or any other memo.
     """
     validate_descriptor(desc, max_size)
     return _build_valid(desc, {})

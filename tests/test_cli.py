@@ -1084,7 +1084,7 @@ def _proved(spec: str, gens: list):
 
 
 def test_default_trace_text_is_built_once_per_level_indent_and_zero_text():
-    # the trace command's writer builds it, and keeps the four latest texts
+    # the trace command's writer builds it, and keeps the eight latest texts
     cached = cli._default_steps_text
     cached.cache_clear()
     level_four = ("Zmod:16", ["2", "4", "6", "8"])
@@ -1112,12 +1112,16 @@ def test_default_trace_text_is_built_once_per_level_indent_and_zero_text():
         ("Zmod:8", ["2", "4", "6"]),
         ("Zmod:4", ["2", "2"]),
         ("Product:[Zmod:4,Zmod:3]", ["(2,0)"] * 3),
+        ("PolyQuot:{p:2,poly:[0,0,1]}", ["[0,1]"] * 2),
+        ("PolyQuot:{p:2,poly:[0,0,1]}", ["[0,1]"] * 3),
+        ("PolyQuot:{p:2,poly:[0,0,0,1]}", ["[0,1,0]"] * 3),
+        ("PolyQuot:{p:2,poly:[0,0,0,1]}", ["[0,1,0]"] * 4),
     ]:
         assert_writes_like_json_dumps(spec, gens)
-    assert builds() == 5
-    assert cached.cache_info().currsize == cached.cache_info().maxsize == 4
+    assert builds() == 9
+    assert cached.cache_info().currsize == cached.cache_info().maxsize == 8
     cli._trace_text(_proved(*level_four))  # its text was the least recently used
-    assert builds() == 6
+    assert builds() == 10
 
 
 def test_the_trace_command_builds_no_step(monkeypatch, capsys):
@@ -1255,6 +1259,9 @@ def _passing_child_output(bench, argv) -> str:
     if bench.__name__ == "bench_arith":
         report = {"size": 1, "mul_s": 1.0, "add_s": 1.0, "mismatched": 0}
         return json.dumps([report] * len(bench.RINGS))
+    if bench.__name__ == "bench_audit":
+        return json.dumps({"enumerate_ms": 1.0, "audit_ms": 1.0, "principals": 1, "products": 1,
+                           "sha256": bench.BATTERY_SHA256})
     if bench.__name__ == "bench_scan":
         scan = [True, None, 1]
         report = {"got": scan, "expected": scan, "candidates_ok": True, "multiplied": 1, "ms": [1.0]}
@@ -1265,7 +1272,8 @@ def _passing_child_output(bench, argv) -> str:
 
 @pytest.mark.parametrize(
     "name",
-    ["bench_arith", "bench_corpus_scan", "bench_import", "bench_one_shot", "bench_scan", "bench_trace_io"],
+    ["bench_arith", "bench_audit", "bench_corpus_scan", "bench_import", "bench_one_shot", "bench_scan",
+     "bench_trace_io"],
 )
 def test_bench_scripts_time_two_sources_in_turns(name, capsys, monkeypatch, load_script, tmp_path):
     bench = load_script(name)

@@ -19,9 +19,12 @@ from absorbing_ideals import (
     radical,
     sum_ideal,
 )
+from absorbing_ideals import ideals
 from absorbing_ideals.errors import ResourceLimitError
+from absorbing_ideals.rings import generated_ideal_values, principal_ideal_values
 from oracles import (
     brute_force_ideals,
+    naive_additive_closure,
     naive_colon,
     naive_ideal_product_elements,
     naive_is_prime,
@@ -240,3 +243,105 @@ def test_enumeration_matches_the_recorded_ideals():
     # recorded before ideals were grown from principal ideals and coset
     # sums: the same ideals, in the same order, with the same generators
     assert enumeration_records() == json.loads(ENUMERATION_FIXTURE.read_text())
+
+
+# ---------------------------------------------------------------------------
+# per-ring memos of principal ideals and ideal powers
+
+# small rings of all four kinds, two of them quotients
+MEMO_SPECS = [
+    "Zmod:12",
+    "PolyQuot:{p:2,poly:[0,0,0,1]}",
+    "Product:[Zmod:2,Zmod:4]",
+    "Quotient:{ring:Zmod:24,gens:[8]}",
+    "Quotient:{ring:Product:[Zmod:4,Zmod:4],gens:[(2,0)]}",
+]
+
+
+def _counted_products(monkeypatch) -> list:
+    """The operands of every `ideal_product` call made from now on."""
+    calls = []
+    real = ideals.ideal_product
+    monkeypatch.setattr(ideals, "ideal_product", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS)
+def test_memoised_principal_ideals_and_powers_match_a_fresh_computation(spec):
+    ring = build_ring(parse_ring_spec(spec))
+    by_set = {}
+    for g in ring.iter_values():
+        fresh = frozenset(ring.mul_values(r, g) for r in ring.iter_values())
+        principal = principal_ideal_values(ring, g)
+        assert principal == fresh == naive_additive_closure(ring, fresh), g
+        assert principal_ideal_values(ring, g) is principal
+        # equal sets are one object
+        assert by_set.setdefault(principal, principal) is principal
+    for ideal in enumerate_ideals(ring):
+        fresh, naive = ideal, ideal.element_values
+        for k in range(1, 5):
+            if k > 1:
+                fresh = ideal_product(fresh, ideal)
+                naive = naive_additive_closure(
+                    ring, {ring.mul_values(a, b) for a in naive for b in ideal.element_values}
+                )
+            power = ideal_power(ideal, k)
+            assert power.generator_values == fresh.generator_values, (ideal.text(), k)
+            assert power.element_values == fresh.element_values == naive
+            assert ideal_power(ideal, k) is power
+
+
+def test_a_higher_power_costs_one_more_product(monkeypatch):
+    ring = build_ring(parse_ring_spec("Zmod:32"))
+    two = Ideal.from_generators(ring, [2])
+    calls = _counted_products(monkeypatch)
+    cube = ideal_power(two, 3)
+    assert len(calls) == 2
+    fourth = ideal_power(two, 4)
+    assert len(calls) == 3 and calls[-1] == (cube, two)
+    assert fourth.element_values == frozenset({0, 16})
+    # lower levels are read back, and the ideal itself is the first power
+    assert ideal_power(two, 2).element_values == frozenset(range(0, 32, 4))
+    assert ideal_power(two, 1) is two
+    assert len(calls) == 3
+    # another Ideal object with the same generators shares the chain
+    assert ideal_power(Ideal.from_generators(ring, [2]), 4) is fourth
+    assert len(calls) == 3
+
+
+def test_equal_ideals_with_other_generators_keep_their_own_powers():
+    ring = build_ring(parse_ring_spec("Zmod:12"))
+    one_gen = Ideal.from_generators(ring, [2])
+    two_gens = Ideal.from_generators(ring, [2, 4])
+    assert one_gen == two_gens
+    # a product's generators come from the generators, so the texts differ
+    assert ideal_power(one_gen, 2).text() == "(4)"
+    assert ideal_power(two_gens, 2).text() == "(4,8)"
+    assert ideal_power(one_gen, 2) == ideal_power(two_gens, 2)
+    assert set(ring._powers) == {(2,), (2, 4)}
+
+
+def test_a_built_ring_starts_with_empty_memos():
+    desc = parse_ring_spec("Zmod:12")
+    used = build_ring(desc)
+    for ideal in enumerate_ideals(used):
+        ideal_power(ideal, 3)
+    assert used._principals and used._principal_sets and used._powers
+    fresh = build_ring(desc)
+    assert fresh == used and fresh is not used
+    assert fresh._principals == fresh._principal_sets == fresh._powers == {}
+
+
+@pytest.mark.parametrize("bad", [True, -1, 12])
+def test_a_non_element_is_refused_before_any_principal_ideal_is_read(bad):
+    ring = build_ring(parse_ring_spec("Zmod:12"))
+    with pytest.raises(ValueError, match="is not an element of"):
+        generated_ideal_values(ring, [2, bad])
+    assert ring._principals == {}
+    # with (1) kept, True still cannot read it
+    principal_ideal_values(ring, 1)
+    with pytest.raises(ValueError, match="is not an element of"):
+        generated_ideal_values(ring, [bad])
+    with pytest.raises(ValueError, match="is not an element of"):
+        Ideal.from_generators(ring, [bad])
+    assert list(ring._principals) == [1]
